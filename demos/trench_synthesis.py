@@ -8,7 +8,7 @@ frequencies at once, and a small genetic algorithm over the complex
 superposition coefficients finds a pattern well below the classical
 floor.
 
-This is the library's headline capability; expect a few seconds of
+This is the library's headline capability; expect about a second of
 optimization.  Run from the repository root:
 
     python3 demos/trench_synthesis.py

@@ -19,11 +19,12 @@ def classical_n_photon(n_photons: int, phi):
     """Uncorrelated N-photon dose (1 + cos 2phi)^N / 2^(N-1).
 
     The normalization keeps the peak at 2 for every N, matching the one-
-    and two-photon forms at N = 1, 2.
+    and two-photon forms at N = 1, 2.  Evaluated as 2 ((1 + cos 2phi)/2)^N,
+    whose base never exceeds 1, so no N overflows.
     """
     if n_photons < 1:
         raise ValueError("photon number must be a positive integer")
-    return classical_one_photon(phi) ** n_photons / 2.0 ** (n_photons - 1)
+    return 2.0 * (classical_one_photon(phi) / 2.0) ** n_photons
 
 
 def noon_exposure(n_photons: int, phi):

@@ -54,6 +54,9 @@ _CONVENTIONS = {
     "paper": SubstrateConvention.SINGLE_ARM,
 }
 _FRINGE_CHECK_TOL = 1e-9
+# GA trace against ladder fitness, relative to the target's mean square
+# (the error of a zero dose, which bounds every fitness).
+_FITNESS_CHECK_TOL = 1e-9
 
 _DEFAULTS = {
     "n": 10,
@@ -367,6 +370,13 @@ def cmd_synthesize(cfg: RunConfig) -> None:
     best, trace = ga_optimize(basis, target, ga_config)
     classical = best_classical_fit(target)
     final_fitness = fitness(best, basis, target)
+    gap = abs(final_fitness - float(trace[-1]))
+    tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.samples**2)), np.finfo(float).tiny)
+    if not gap <= tol:
+        raise ToleranceError(
+            f"GA fitness {float(trace[-1])!r} disagrees with ladder fitness "
+            f"{final_fitness!r} by {gap:.3e} (tolerance {tol:.3e})"
+        )
     quantum = genome_profile(best, basis, target.grid_points)
     classical_curve = classical.curve(target.phis)
 

@@ -147,6 +147,8 @@ class ExposureProfile:
         expected = np.arange(g) * (2.0 * np.pi / g)
         if np.abs(phis - expected).max() > 1e-12:
             raise ValueError("phis must be the uniform grid k*2pi/G starting at 0")
+        if not np.all(np.isfinite(doses)):
+            raise ValueError("doses must be finite")
         if doses.min() < _NEGATIVE_DOSE_TOL:
             raise ToleranceError(
                 f"negative dose {doses.min():.3e} below tolerance {_NEGATIVE_DOSE_TOL}"

@@ -31,7 +31,7 @@ from .dosing import SubstrateConvention, deposition_rate, phase_grid, ExposurePr
 from .errors import ToleranceError
 from .fock import FockState, make_state
 
-_FAST_PATH_TOL = 1e-9  # agreement required between ladder and vectorized doses
+_FAST_PATH_TOL = 1e-9  # ladder/vectorized dose agreement, relative to doses above 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +330,21 @@ def trench_target(grid_points: int) -> TargetPattern:
     return TargetPattern(phis, samples)
 
 
-def _optimal_scale(unscaled: np.ndarray, target: np.ndarray) -> float:
-    """Least-squares scale: argmin_s mean((s u - p)^2) = <u,p>/<u,u>."""
-    denom = float(unscaled @ unscaled)
-    if denom <= 0.0:
-        return 1.0
-    return max(float(unscaled @ target) / denom, 1e-300)
+def _optimal_scale(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least-squares scale of each dose row: argmin_s mean((s u - p)^2) = <u,p>/<u,u>."""
+    uu = np.einsum("...g,...g->...", unscaled, unscaled)
+    scale = np.divide(unscaled @ target, uu, out=np.ones_like(uu), where=uu > 0.0)
+    return np.maximum(scale, 1e-300)
 
 
-def _scaled_mse(unscaled: np.ndarray, target: np.ndarray) -> float:
-    s = _optimal_scale(unscaled, target)
-    resid = s * unscaled - target
-    return float(resid @ resid) / len(target)
+def _scaled_mse(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """mean((s u - p)^2) of each dose row u at its optimal scale s.
+
+    Works in place: every row of ``unscaled`` is overwritten by its residual.
+    """
+    unscaled *= _optimal_scale(unscaled, target)[..., None]
+    unscaled -= target
+    return np.einsum("...g,...g->...", unscaled, unscaled) / len(target)
 
 
 def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPattern) -> float:
@@ -355,36 +358,59 @@ def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPatter
     if len(genome.coefficients) != len(basis):
         raise ValueError("genome length does not match the partition basis")
     u = _unscaled_profile_ladder(genome.coefficients, basis, target.phis)
-    return _scaled_mse(u, target.samples)
+    return float(_scaled_mse(u, target.samples))
 
 
 # ---------------------------------------------------------------------------
 # genetic optimizer
 # ---------------------------------------------------------------------------
 
-def _child_rng(seed: int, generation: int, index: int) -> np.random.Generator:
-    """Stream derived from (seed, generation, index).
+# Upper bound on the elements of the (rows x 2G) scratch array of
+# _population_mse: the population is scored in row blocks of at most this
+# size, so a large grid does not raise peak memory.
+_BLOCK_ELEMENTS = 1 << 16
 
-    Each individual's variation draws from its own counter-derived
-    stream, so results do not depend on evaluation order.
+
+def _population_mse(
+    chromosomes: np.ndarray, stacked: np.ndarray, target: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Scale-optimized MSE of every chromosome row, through the vectorized dose.
+
+    A chromosome is x = [Re alpha | Im alpha] and ``stacked`` the real
+    (2k x 2G) form of the amplitude matrix A, so that x @ stacked is
+    [Re | Im] of alpha @ A; a real product is several times faster than
+    the complex one at these shapes.  Rows are scored in blocks of
+    len(work) inside the (rows x 2G) scratch array ``work``, which the
+    caller reuses across generations: fresh G-sized temporaries in every
+    generation cost more in page faults than the arithmetic itself.
     """
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, generation, index])
+    g = len(target)
+    out = np.empty(len(chromosomes))
+    for start in range(0, len(chromosomes), len(work)):
+        block = chromosomes[start:start + len(work)]
+        amp = np.matmul(block, stacked, out=work[: len(block)])
+        np.square(amp, out=amp)
+        u = amp[:, :g]
+        u += amp[:, g:]
+        out[start:start + len(block)] = _scaled_mse(u, target)
+    return out
 
 
-def _normalize_chromosome(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm < 1e-300:
-        out = np.zeros_like(vec)
-        out[0] = 1.0
-        return out
-    return vec / norm
+def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; a vanishing row is first reset, in place, to e_0."""
+    norms = np.linalg.norm(vecs, axis=1)
+    degenerate = norms < 1e-300
+    vecs[degenerate] = np.eye(1, vecs.shape[1])
+    norms[degenerate] = 1.0
+    return vecs / norms[:, None]
 
 
 def _verify_fast_path(matrix: np.ndarray, basis: PartitionBasis, phis: np.ndarray) -> None:
     """Check the vectorized dose against the ladder algebra on a probe.
 
     Uses an equal-weight superposition on a thinned subgrid; disagreement
-    beyond 1e-9 aborts the run rather than optimizing a wrong model.
+    beyond 1e-9 relative to the largest probe dose (or absolute, for
+    doses below 1) aborts the run rather than optimizing a wrong model.
     """
     k = len(basis)
     probe = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
@@ -393,10 +419,11 @@ def _verify_fast_path(matrix: np.ndarray, basis: PartitionBasis, phis: np.ndarra
     fast = np.abs(probe @ matrix[:, idx]) ** 2
     exact = _unscaled_profile_ladder(probe, basis, phis[idx])
     worst = float(np.abs(fast - exact).max())
-    if worst > _FAST_PATH_TOL:
+    tol = _FAST_PATH_TOL * max(1.0, float(np.abs(exact).max()))
+    if not (math.isfinite(tol) and worst <= tol):
         raise ToleranceError(
             f"vectorized dose deviates from ladder algebra by {worst:.3e} "
-            f"(tolerance {_FAST_PATH_TOL})"
+            f"(tolerance {tol:.3e})"
         )
 
 
@@ -412,70 +439,61 @@ def ga_optimize(
     ``crossover_rate``, Gaussian mutation with ``mutation_sigma`` on every
     gene, renormalization to unit coefficient norm after every variation,
     and ``elite_count`` unchanged survivors per generation.  Fitness is
-    the scale-optimized mean squared error on the target grid, evaluated
-    through a vectorized dose verified against the ladder algebra.
+    the scale-optimized mean squared error on the target grid; each
+    generation scores all its children at once, through a vectorized
+    dose verified against the ladder algebra: one (children x k) @ (k x G)
+    amplitude product, taken in row blocks of bounded size.
 
     Returns the best genome ever seen (its scale set to the optimal
     least-squares value) and the per-generation best-fitness trace; entry
     0 is the initial population, so the array has generations+1 entries
-    and is non-increasing.  Fully deterministic for a given seed: every
-    individual draws from a stream derived from (seed, generation, index).
+    and is non-increasing.  Fully deterministic for a given seed:
+    generation g draws everything it needs -- the initial population for
+    g = 0; tournament picks, crossover flags and weights, and mutations
+    after that -- as arrays indexed by child position from the single
+    stream ``default_rng([seed, g])``.
     """
     if config is None:
         config = GAConfig()
     k = len(basis)
-    phis = target.phis
     p = target.samples
-    matrix = _amplitude_matrix(basis, phis)
-    _verify_fast_path(matrix, basis, phis)
+    matrix = _amplitude_matrix(basis, target.phis)
+    _verify_fast_path(matrix, basis, target.phis)
+    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
+    size, elite = config.population, config.elite_count
+    children = size - elite
+    seed = config.seed & 0xFFFFFFFFFFFFFFFF
+    width = stacked.shape[1]
+    work = np.empty((min(size, max(1, _BLOCK_ELEMENTS // width)), width))
 
-    def evaluate(vec: np.ndarray) -> float:
-        alpha = vec[0::2] + 1j * vec[1::2]
-        u = np.abs(alpha @ matrix) ** 2
-        return _scaled_mse(u, p)
-
-    pop = []
-    for i in range(config.population):
-        rng = _child_rng(config.seed, 0, i)
-        pop.append(_normalize_chromosome(rng.standard_normal(2 * k)))
-    fits = np.array([evaluate(v) for v in pop])
-
+    pop = _normalize_rows(np.random.default_rng([seed, 0]).standard_normal((size, 2 * k)))
+    fits = _population_mse(pop, stacked, p, work)
     best_idx = int(np.argmin(fits))
-    best_vec = pop[best_idx].copy()
-    best_fit = float(fits[best_idx])
+    best_vec, best_fit = pop[best_idx].copy(), float(fits[best_idx])
     trace = [best_fit]
 
     for gen in range(1, config.generations + 1):
-        order = np.argsort(fits, kind="stable")
-        new_pop = [pop[j].copy() for j in order[: config.elite_count]]
-        for i in range(config.elite_count, config.population):
-            rng = _child_rng(config.seed, gen, i)
+        rng = np.random.default_rng([seed, gen])
+        picks = rng.integers(size, size=(2, 2, children))  # parent, contender, child
+        crossed = rng.random(children) < config.crossover_rate
+        t = rng.random(children)[:, None]
+        noise = rng.normal(0.0, config.mutation_sigma, (children, 2 * k))
 
-            def pick_parent():
-                c = rng.integers(config.population, size=2)
-                return pop[c[0]] if fits[c[0]] <= fits[c[1]] else pop[c[1]]
-
-            parent_one = pick_parent()
-            parent_two = pick_parent()
-            if rng.random() < config.crossover_rate:
-                t = rng.random()
-                child = t * parent_one + (1.0 - t) * parent_two
-            else:
-                child = parent_one.copy()
-            child = child + rng.normal(0.0, config.mutation_sigma, 2 * k)
-            new_pop.append(_normalize_chromosome(child))
-        pop = new_pop
-        fits = np.array([evaluate(v) for v in pop])
+        winners = np.where(fits[picks[:, 0]] <= fits[picks[:, 1]], picks[:, 0], picks[:, 1])
+        one, two = pop[winners[0]], pop[winners[1]]
+        offspring = np.where(crossed[:, None], t * one + (1.0 - t) * two, one) + noise
+        survivors = np.argsort(fits, kind="stable")[:elite]
+        pop = np.concatenate([pop[survivors], _normalize_rows(offspring)])
+        fits = np.concatenate([fits[survivors], _population_mse(pop[elite:], stacked, p, work)])
         gen_best = int(np.argmin(fits))
         if fits[gen_best] < best_fit:
             best_fit = float(fits[gen_best])
             best_vec = pop[gen_best].copy()
         trace.append(best_fit)
 
-    alpha = _normalize_chromosome(best_vec)
-    alpha = alpha[0::2] + 1j * alpha[1::2]
+    alpha = best_vec[:k] + 1j * best_vec[k:]
     u = np.abs(alpha @ matrix) ** 2
-    best = SynthesisGenome(alpha, _optimal_scale(u, p))
+    best = SynthesisGenome(alpha, float(_optimal_scale(u, p)))
     return best, np.asarray(trace)
 
 
@@ -483,76 +501,35 @@ def ga_optimize(
 # classical benchmark
 # ---------------------------------------------------------------------------
 
-def _classical_candidates(cos_term: np.ndarray, target: np.ndarray):
-    """Optimal (a, b) for fixed theta0, projected onto a >= b >= 0."""
-    g = len(target)
-    mc = float(cos_term.sum()) / g
-    mcc = float(cos_term @ cos_term) / g
-    mp = float(target.sum()) / g
-    mpc = float(target @ cos_term) / g
-    candidates = []
-    # Unconstrained stationary point of the 2x2 normal equations.
-    det = mcc - mc * mc
-    if det > 1e-30:
-        b = (mpc - mc * mp) / det
-        a = mp - b * mc
-        if a >= b >= 0.0:
-            candidates.append((a, b))
-    # Face b = 0 (flat exposure).
-    candidates.append((max(mp, 0.0), 0.0))
-    # Face a = b (fringe touching zero).
-    base = 1.0 + cos_term
-    denom = float(base @ base)
-    if denom > 0.0:
-        ab = max(float(base @ target) / denom, 0.0)
-        candidates.append((ab, ab))
-    best = None
-    for a, b in candidates:
-        resid = a + b * cos_term - target
-        mse = float(resid @ resid) / g
-        if best is None or mse < best[0]:
-            best = (mse, a, b)
-    return best
-
-
 def best_classical_fit(target: TargetPattern) -> ClassicalFit:
     """Best constrained single-fringe exposure a + b cos(2 phi + theta0).
 
     The physical family has a >= b >= 0 (nonnegative dose, DC at least as
-    large as the fringe amplitude).  For each theta0 the optimal (a, b)
-    follow from a 2x2 linear solve projected onto that cone; theta0 is
-    scanned coarsely over [0, 2 pi) and polished by ternary search around
-    the best cell.
+    large as the fringe amplitude).  Writing the fringe as
+    c1 cos 2phi + c2 sin 2phi with b = |c|, the fit is exact: on a uniform
+    grid 1, cos 2phi and sin 2phi are orthogonal, so the error is
+    (a - p0)^2 + w |c - c_hat|^2 plus a constant, where p0 is the target
+    mean, c_hat its second Fourier coefficient and w the mean square of
+    cos 2phi on the grid.  If p0 >= |c_hat| that optimum is feasible;
+    otherwise the optimum lies on the face a = b with c along c_hat, at
+    b = max((p0 + w |c_hat|) / (1 + w), 0).  Returns 0 <= theta0 < 2 pi.
     """
-    phis = target.phis
-    p = target.samples
-
-    def mse_at(theta: float):
-        return _classical_candidates(np.cos(2.0 * phis + theta), p)
-
-    coarse = 1024
-    thetas = np.arange(coarse) * (2.0 * np.pi / coarse)
-    best_theta = 0.0
-    best = None
-    for theta in thetas:
-        cand = mse_at(float(theta))
-        if best is None or cand[0] < best[0]:
-            best = cand
-            best_theta = float(theta)
-
-    step = 2.0 * np.pi / coarse
-    lo, hi = best_theta - step, best_theta + step
-    for _ in range(90):
-        third = (hi - lo) / 3.0
-        t1, t2 = lo + third, hi - third
-        if mse_at(t1)[0] <= mse_at(t2)[0]:
-            hi = t2
-        else:
-            lo = t1
-    theta = 0.5 * (lo + hi)
-    mse, a, b = mse_at(theta)
-    if mse >= best[0]:  # keep the coarse winner if refinement didn't help
-        mse, a, b = best
-        theta = best_theta
-    theta = float(theta % (2.0 * np.pi))
-    return ClassicalFit(a=a, b=b, theta0=theta, error=mse)
+    phis, p = target.phis, target.samples
+    g = len(p)
+    # At G = 4 harmonic 2 is the Nyquist term: cos 2phi = +-1 on the grid
+    # (mean square 1) and sin 2phi vanishes, so c2 is free and set to 0.
+    w = 1.0 if g == 4 else 0.5
+    p0 = float(p.mean())
+    c1 = float(p @ np.cos(2.0 * phis)) / (g * w)
+    c2 = 0.0 if g == 4 else float(p @ np.sin(2.0 * phis)) / (g * w)
+    norm = math.hypot(c1, c2)
+    if p0 >= norm:
+        a, b = p0, norm
+    else:
+        a = b = max((p0 + w * norm) / (1.0 + w), 0.0)
+    theta = math.atan2(-c2, c1) % (2.0 * math.pi)
+    if theta >= 2.0 * math.pi:  # a tiny negative angle rounds up to 2 pi
+        theta = 0.0
+    fit = ClassicalFit(a=a, b=b, theta0=theta, error=0.0)
+    resid = fit.curve(phis) - p
+    return fit._replace(error=float(resid @ resid) / g)

@@ -48,6 +48,18 @@ def test_n_photon_mean_stays_normalized():
         assert abs(classical_n_photon(n, 0.0) - 2.0) < 1e-12
 
 
+def test_n_photon_large_n_stays_finite():
+    # 2 ((1 + cos 2phi)/2)^N never overflows; for small N it is the
+    # (1 + cos 2phi)^N / 2^(N-1) form to rounding.
+    grid = phase_grid(512)
+    dose = classical_n_photon(1100, grid)
+    assert np.all(np.isfinite(dose))
+    assert dose.max() == 2.0
+    for n in range(1, 31):
+        old = classical_one_photon(grid) ** n / 2.0 ** (n - 1)
+        assert np.allclose(classical_n_photon(n, grid), old, rtol=1e-14, atol=0.0)
+
+
 def test_noon_exposure_period():
     grid = phase_grid(128)
     for n in (1, 2, 5, 9):

@@ -176,6 +176,33 @@ def test_synthesize_is_byte_deterministic(monkeypatch, tmp_path):
     ).read_bytes() == (second / "synthesize_summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("n, partitions", [(30, "10,12,15"), (40, "15,17,20")])
+def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, partitions):
+    # Partition doses reach C(N, P) ~ 1e8..1e11 here; the self-checks
+    # compare relative to that size, so rounding at 1e-14 is no failure.
+    code = run_cli(
+        monkeypatch, tmp_path,
+        "--command", "synthesize", "--n", str(n), "--partitions", partitions,
+        "--generations", "2", "--grid", "64",
+    )
+    assert code == 0
+
+
+def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
+    # A GA whose reported trace disagrees with the ladder fitness of the
+    # genome it returns must trip the self-check.
+    real_ga = cli.ga_optimize
+
+    def skewed_ga(*args):
+        best, trace = real_ga(*args)
+        return best, trace * (1.0 + 1e-6)
+
+    monkeypatch.setattr(cli, "ga_optimize", skewed_ga)
+    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_GA)
+    assert code == 4
+    assert "tolerance violation" in capsys.readouterr().err
+
+
 def test_synthesize_flags_classical_family_target(monkeypatch, tmp_path):
     # A target the classical fringe family contains exactly must yield a
     # near-zero classical benchmark error in the summary.

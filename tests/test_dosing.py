@@ -155,6 +155,11 @@ def test_exposure_profile_validation():
     ragged[3] += 1e-6
     with pytest.raises(ValueError):
         ExposureProfile(ragged, np.ones(16))
+    for bad in (np.nan, np.inf):
+        doses = np.ones(16)
+        doses[5] = bad
+        with pytest.raises(ValueError):
+            ExposureProfile(grid, doses)
 
 
 def test_exposure_profile_clamps_rounding_noise():

@@ -25,7 +25,14 @@ from qlitho.synthesis import (
     psi_np,
     trench_target,
 )
-from qlitho.synthesis import _amplitude_matrix, _unscaled_profile_ladder
+from qlitho.errors import ToleranceError
+from qlitho.synthesis import (
+    _BLOCK_ELEMENTS,
+    _amplitude_matrix,
+    _population_mse,
+    _unscaled_profile_ladder,
+    _verify_fast_path,
+)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -180,6 +187,33 @@ def test_fast_path_matrix_matches_ladder():
         fast = np.abs(alpha @ matrix) ** 2
         exact = _unscaled_profile_ladder(alpha, basis, phis)
         assert np.max(np.abs(fast - exact)) < 1e-9
+
+
+def test_fast_path_check_is_relative_to_dose_size():
+    # Doses run from O(1) at N=2 to C(40, 20) ~ 1e11 at N=40: exact matrices
+    # pass at every size, a relative 1e-6 perturbation fails at every size.
+    phis = phase_grid(64)
+    for basis in (PartitionBasis(2, (0, 1)), PartitionBasis(30, (10, 12, 15)),
+                  PartitionBasis(40, (15, 17, 20))):
+        matrix = _amplitude_matrix(basis, phis)
+        _verify_fast_path(matrix, basis, phis)
+        with pytest.raises(ToleranceError):
+            _verify_fast_path(matrix * (1.0 + 1e-6), basis, phis)
+
+
+def test_population_mse_matches_ladder_across_blocks():
+    # Five chromosomes scored in a two-row scratch array: blocks of 2, 2, 1.
+    basis = PartitionBasis(10, (1, 2, 3, 4, 5))
+    target = trench_target(256)
+    matrix = _amplitude_matrix(basis, target.phis)
+    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
+    rng = np.random.default_rng(31)
+    chromosomes = rng.standard_normal((5, 10))
+    chromosomes /= np.linalg.norm(chromosomes, axis=1, keepdims=True)
+    batched = _population_mse(chromosomes, stacked, target.samples, np.empty((2, 512)))
+    for x, mse in zip(chromosomes, batched):
+        exact = fitness(SynthesisGenome(x[:5] + 1j * x[5:]), basis, target)
+        assert abs(mse - exact) <= 1e-12 * exact
 
 
 def test_fitness_of_matching_shape_is_zero():
@@ -361,6 +395,30 @@ def test_ga_converges_when_target_in_span():
     assert trace[-1] < 1e-6
 
 
+def test_ga_scores_children_in_several_blocks():
+    # At G = 8192 a scratch block holds fewer rows than the 6 children of
+    # a population of 8, so every generation is scored in several blocks.
+    target = trench_target(8192)
+    assert _BLOCK_ELEMENTS // (2 * target.grid_points) < 6
+    basis = PartitionBasis(4, (0, 1, 2))
+    best, trace = ga_optimize(basis, target, GAConfig(population=8, generations=2, seed=4))
+    assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1]
+
+
+def test_ga_draws_from_one_stream_per_generation(monkeypatch):
+    seeds = []
+    real_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        seeds.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    ga_optimize(PartitionBasis(10, (1, 3, 5)), trench_target(64), GAConfig(
+        population=16, generations=7, seed=3))
+    assert seeds == [[3, gen] for gen in range(8)]
+
+
 def test_ga_best_genome_agrees_with_public_fitness():
     # The vectorized fitness inside the optimizer must match the exact
     # ladder-algebra fitness for the genome it returns.
@@ -438,6 +496,38 @@ def test_classical_fit_of_trench_matches_grid_oracle():
     fit = best_classical_fit(target)
     oracle = grid_oracle_error(target.phis, target.samples, a_max=1.0)
     assert abs(fit.error - oracle) < 1e-6
+
+
+def cone_scan_error(phis, samples, steps=720):
+    """Best a >= b >= 0 fit over a theta grid, exact in (a, b) at each theta."""
+    best = np.inf
+    for theta in np.arange(steps) * (2.0 * np.pi / steps):
+        cos_term = np.cos(2.0 * phis + theta)
+        design = np.stack([np.ones_like(cos_term), cos_term], axis=1)
+        (a, b), *_ = np.linalg.lstsq(design, samples, rcond=None)
+        candidates = [(samples.mean(), 0.0)]
+        if a >= b >= 0.0:
+            candidates.append((a, b))
+        base = 1.0 + cos_term
+        face = max(float(base @ samples) / float(base @ base), 0.0)
+        candidates.append((face, face))
+        for a, b in candidates:
+            best = min(best, float(np.mean((a + b * cos_term - samples) ** 2)))
+    return best
+
+
+def test_classical_fit_beats_theta_scan_on_small_grids():
+    # G = 4 is the Nyquist case (sin 2phi vanishes on the grid); peaked
+    # targets put the optimum on the face a = b.
+    rng = np.random.default_rng(5)
+    for g in (4, 5, 6, 8):
+        phis = phase_grid(g)
+        for spread in (0.3, 3.0):
+            samples = np.exp(spread * rng.standard_normal(g))
+            fit = best_classical_fit(TargetPattern(phis, samples))
+            assert fit.a >= fit.b >= 0.0
+            assert 0.0 <= fit.theta0 < 2.0 * math.pi
+            assert fit.error <= cone_scan_error(phis, samples) + 1e-12
 
 
 def test_classical_fit_result_type():
