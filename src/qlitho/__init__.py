@@ -1,8 +1,8 @@
 """Two-mode Fock-state interferometry and N-photon exposure patterning.
 
 The package simulates how path-entangled photon-number states write
-sub-wavelength interference patterns: sparse two-mode Fock states
-(:mod:`qlitho.fock`), passive linear optics (:mod:`qlitho.optics`),
+sub-wavelength interference patterns: two-mode Fock states worked on
+per photon-number sector (:mod:`qlitho.fock`), passive linear optics (:mod:`qlitho.optics`),
 N-photon absorption doses on a substrate (:mod:`qlitho.dosing`),
 classical reference exposures (:mod:`qlitho.baselines`), and a genetic
 synthesizer that superposes photon-partition states to approximate a

@@ -28,7 +28,7 @@ from .baselines import classical_n_photon, classical_one_photon, classical_two_p
 from .dosing import (
     ExposureProfile,
     SubstrateConvention,
-    deposition_rate,
+    _grid_doses,
     exposure_profile,
     min_feature,
     noon_state,
@@ -42,7 +42,6 @@ from .synthesis import (
     PartitionBasis,
     TargetPattern,
     best_classical_fit,
-    fitness,
     ga_optimize,
     genome_profile,
     trench_target,
@@ -54,14 +53,16 @@ _CONVENTIONS = {
     "paper": SubstrateConvention.SINGLE_ARM,
 }
 _FRINGE_CHECK_TOL = 1e-9
-# GA trace against ladder fitness, relative to the target's mean square
-# (the error of a zero dose, which bounds every fitness).
+# GA trace against the fitness of the emitted dose, relative to the target's
+# mean square (the error of a zero dose, which bounds every fitness).
 _FITNESS_CHECK_TOL = 1e-9
+
+_DEFAULT_GRID = 512
 
 _DEFAULTS = {
     "n": 10,
     "partitions": "1,2,3,4,5",
-    "grid": 512,
+    "grid": None,  # the target's row count for synthesize --target, else _DEFAULT_GRID
     "convention": "symmetric",
     "wavelength_nm": None,
     "seed": 0,
@@ -98,7 +99,7 @@ class RunConfig:
     command: str
     n: int
     partitions: tuple[int, ...]
-    grid: int
+    grid: int | None  # None: synthesize takes the grid from its --target
     convention: SubstrateConvention
     wavelength_nm: float | None
     seed: int
@@ -123,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--partitions", help="comma-separated partition indices (default 1,2,3,4,5)"
     )
-    parser.add_argument("--grid", type=int, help="phase grid points (default 512)")
+    parser.add_argument(
+        "--grid", type=int,
+        help="phase grid points (default 512; synthesize --target: its row count)",
+    )
     parser.add_argument("--convention", choices=sorted(_CONVENTIONS))
     parser.add_argument(
         "--wavelength-nm", type=float, dest="wavelength_nm",
@@ -191,8 +195,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     n = int(merged["n"])
     if n < 1:
         raise ValueError("--n must be a positive integer")
-    grid = int(merged["grid"])
-    if grid < 4:
+    grid = merged["grid"]
+    if grid is None and (args.command != "synthesize" or merged["target"] is None):
+        grid = _DEFAULT_GRID
+    if grid is not None and grid < 4:
         raise ValueError("--grid must be at least 4")
     wavelength = merged["wavelength_nm"]
     if wavelength is not None and not (math.isfinite(wavelength) and wavelength > 0):
@@ -264,20 +270,16 @@ def cmd_fringe(cfg: RunConfig) -> None:
 
 
 def _noon_profile(cfg: RunConfig) -> tuple[ExposureProfile, np.ndarray]:
+    """The N-photon fringe of the path-entangled state at the substrate.
+
+    In the paper convention the NOON phase e^{i N phi} rides on the state:
+    a phase shifter sits ahead of the substrate, commuted into its field.
+    """
     phis = phase_grid(cfg.grid)
+    doses = _grid_doses(noon_state(cfg.n), cfg.n, phis, cfg.convention, shifted=True)
     if cfg.convention is SubstrateConvention.SYMMETRIC:
-        state = noon_state(cfg.n, 0.0)
-        doses = np.array(
-            [deposition_rate(state, cfg.n, phi, cfg.convention) for phi in phis]
-        )
         analytic = 1.0 + np.cos(2.0 * cfg.n * phis)
     else:
-        doses = np.array(
-            [
-                deposition_rate(noon_state(cfg.n, phi), cfg.n, phi, cfg.convention)
-                for phi in phis
-            ]
-        )
         analytic = 1.0 + np.cos(cfg.n * phis)
     return ExposureProfile(phis, doses), analytic
 
@@ -357,6 +359,11 @@ def cmd_synthesize(cfg: RunConfig) -> None:
     basis = PartitionBasis(cfg.n, cfg.partitions)
     if cfg.target is not None:
         target = _load_target(cfg.target)
+        if cfg.grid is not None and cfg.grid != target.grid_points:
+            raise ValueError(
+                f"grid {cfg.grid} differs from the {target.grid_points} rows of "
+                f"target {cfg.target}"
+            )
     else:
         target = trench_target(cfg.grid)
     ga_config = GAConfig(
@@ -369,15 +376,15 @@ def cmd_synthesize(cfg: RunConfig) -> None:
     )
     best, trace = ga_optimize(basis, target, ga_config)
     classical = best_classical_fit(target)
-    final_fitness = fitness(best, basis, target)
+    quantum = genome_profile(best, basis, target.grid_points)
+    final_fitness = float(np.mean((quantum.doses - target.samples) ** 2))
     gap = abs(final_fitness - float(trace[-1]))
     tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.samples**2)), np.finfo(float).tiny)
     if not gap <= tol:
         raise ToleranceError(
-            f"GA fitness {float(trace[-1])!r} disagrees with ladder fitness "
-            f"{final_fitness!r} by {gap:.3e} (tolerance {tol:.3e})"
+            f"GA fitness {float(trace[-1])!r} disagrees with the fitness "
+            f"{final_fitness!r} of the emitted dose by {gap:.3e} (tolerance {tol:.3e})"
         )
-    quantum = genome_profile(best, basis, target.grid_points)
     classical_curve = classical.curve(target.phis)
 
     _emit(
@@ -390,6 +397,7 @@ def cmd_synthesize(cfg: RunConfig) -> None:
         "command": "synthesize",
         "n": cfg.n,
         "partitions": list(basis.partitions),
+        "grid": target.grid_points,
         "seed": cfg.seed,
         "population": cfg.population,
         "generations": cfg.generations,

@@ -7,7 +7,15 @@ substrate), the dose at a point is
     rate = || e^N |psi> ||^2 / N!
 
 i.e. the expectation of the normally ordered absorption operator
-(e†)^N e^N / N!.
+(e†)^N e^N / N!.  It is computed per photon-number sector (see
+:mod:`qlitho.fock`): for a state in the N-photon sector, with
+psi_n = <n, N-n|psi>, it is the trigonometric polynomial
+
+    rate = | sum_n psi_n sqrt(C(N, n)) alpha^n beta^(N-n) |^2,
+
+and every sector above N adds the squared norm of its dense image.  One
+evaluator, "coefficients @ field powers", serves a single phase and the
+whole grid; the grid is taken in blocks of bounded size.
 
 Two conventions relate the point phase ``phi`` to the field:
 
@@ -20,7 +28,9 @@ Two conventions relate the point phase ``phi`` to the field:
   phase shifter diag(e^{i phi}, 1) sits in one arm and the substrate sees
   the plain sum e = c + d.  All fringe frequencies come out halved
   relative to SYMMETRIC; the two conventions agree after rescaling the
-  phase axis by two (up to a constant offset).
+  phase axis by two (up to a constant offset).  The phase shifter
+  commutes into the field: behind it, the plain sum sees a state exactly
+  as the field e^{i phi} c + d sees the unshifted state.
 """
 
 from __future__ import annotations
@@ -33,19 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .fock import (
-    FieldCoefficients,
-    FockState,
-    apply_field_power,
-    factorial_f,
-    make_state,
-    squared_norm,
-)
+from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, _sectors, make_state
 from .optics import ModeUnitary, beamsplitter, compose, evolve, mirror, phase_shifter
 
 # Doses are squared norms and cannot be negative beyond roundoff; anything
 # below this is treated as a bug rather than noise.
 _NEGATIVE_DOSE_TOL = -1e-12
+
+# Upper bound on the elements of the (terms x fields) arrays of one dose
+# block, so that large grids at large N do not raise peak memory.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class SubstrateConvention(enum.Enum):
@@ -91,6 +98,36 @@ def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
     )
 
 
+def _doses(state: FockState, n_photons: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """||e^N |state>||^2 / N! for each field alpha[g] a + beta[g] b."""
+    doses = np.zeros(len(alpha))
+    for psi in _sectors(state).values():
+        if len(psi) <= n_photons:
+            continue
+        terms, ks, norm = _lowering_terms(psi, n_photons, scaled=True)
+        step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
+        for lo in range(0, len(alpha), step):
+            block = slice(lo, lo + step)
+            amp = terms @ _field_powers(alpha[block], beta[block], n_photons, ks)
+            doses[block] += np.sum(amp.real**2 + amp.imag**2, axis=0) / norm
+    return doses
+
+
+def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention, shifted: bool):
+    """Doses of a fixed state over the phases ``phis``.
+
+    With ``shifted``, a SINGLE_ARM state still has to pass the arm's phase
+    shifter, which is commuted into the field (e^{i phi}, 1).
+    """
+    wave = np.exp(1j * phis)
+    if convention is SubstrateConvention.SYMMETRIC:
+        return _doses(state, n_photons, wave, wave.conj())
+    if convention is not SubstrateConvention.SINGLE_ARM:
+        raise ValueError(f"unknown substrate convention {convention!r}")
+    ones = np.ones_like(wave)
+    return _doses(state, n_photons, wave if shifted else ones, ones)
+
+
 def deposition_rate(
     state: FockState,
     n_photons: int,
@@ -104,11 +141,8 @@ def deposition_rate(
     """
     if n_photons < 1:
         raise ValueError("photon number must be a positive integer")
-    if state.is_zero or n_photons > state.cutoff:
-        return 0.0
     f = substrate_field(phi, convention)
-    absorbed = apply_field_power(state, f, n_photons)
-    return squared_norm(absorbed) / factorial_f(n_photons)
+    return float(_doses(state, n_photons, np.array([f.alpha]), np.array([f.beta]))[0])
 
 
 def pipeline_rate(
@@ -174,23 +208,14 @@ def exposure_profile(
     """Sample the dose over the full phase grid.
 
     With ``from_input`` the source sits at the interferometer inputs and
-    is pushed through the optics (once for SYMMETRIC, whose chain is
-    phase-independent; per point for SINGLE_ARM); otherwise the source is
+    is pushed once through the splitter and mirror; the SINGLE_ARM phase
+    shifter is commuted into the substrate field.  Otherwise the source is
     taken to be already at the substrate.
     """
     phis = phase_grid(grid_points)
-    doses = np.empty(grid_points)
-    if from_input and convention is SubstrateConvention.SYMMETRIC:
-        fixed = evolve(source, interferometer(0.0, convention))
-        for i, phi in enumerate(phis):
-            doses[i] = deposition_rate(fixed, n_photons, phi, convention)
-    elif from_input:
-        for i, phi in enumerate(phis):
-            doses[i] = pipeline_rate(source, n_photons, phi, convention)
-    else:
-        for i, phi in enumerate(phis):
-            doses[i] = deposition_rate(source, n_photons, phi, convention)
-    return ExposureProfile(phis, doses)
+    if from_input:
+        source = evolve(source, compose(mirror(), beamsplitter()))
+    return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, from_input))
 
 
 def fourier_components(profile: ExposureProfile, max_harmonic: int) -> np.ndarray:

@@ -1,14 +1,27 @@
-"""Two-mode photon-number states on a truncated ladder.
+"""Two-mode photon-number states, worked on one photon-number sector at a time.
 
-A state is stored sparsely as a map from occupation pairs ``(n, m)`` to
-complex amplitudes, with ``n + m`` bounded by a cutoff fixed at
-construction.  Operators act by explicit ladder algebra on that map, so
-no dense basis is ever materialized and occupation pairs stay exact
-integers.
+A state is a map from occupation pairs ``(n, m)`` to complex amplitudes,
+with ``n + m`` bounded by a cutoff fixed at construction.  Operators work
+on the dense array of each photon-number sector instead: the M-photon
+amplitudes form ``psi[n] = <n, M-n|psi>`` of length M+1, every operator is
+a dense map between sector arrays, and amplitudes below ``PRUNE_EPS`` are
+dropped when the result is turned back into a map.
 
-The only non-trivial operator here is a power of a linear combination of
-the two annihilation operators, ``(alpha*a + beta*b)**N``, which is the
-workhorse for computing N-photon absorption amplitudes.
+The workhorse is a power of the field operator e = alpha*a + beta*b.  The
+normalized power e^N / sqrt(N!) maps sector M to sector M-N,
+
+    out[j] = sum_k alpha^k beta^(N-k) w(j, k) psi[j+k],
+    w(j, k)^2 = C(N, k) C(j+k, k) C(M-j-k, N-k),
+
+so an N-photon dose is a sum of squared "coefficients @ field powers".
+The squared weights are exact integers, rounded once and formed only
+where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
+is one) never meets a zero amplitude.  Doses use the coefficients of e^N
+itself, sqrt(N!) w, scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in
+float range at any N, and divide the squared sum by N!/4^s.  Dividing
+after squaring, rather than normalizing each coefficient, lets the
+roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the two-photon
+fringe of |1,1> through a balanced splitter peaks at exactly 2.
 """
 
 from __future__ import annotations
@@ -16,35 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Amplitudes smaller than this (in absolute value) are dropped after every
-# operation; it is far below any tolerance used by callers.
+import numpy as np
+
+# Amplitudes smaller than this (in absolute value) are dropped from the
+# result of every operation; it is far below any tolerance used by callers.
 PRUNE_EPS = 1e-15
-
-# Factorial-like prefactors use exact integer arithmetic up to here and
-# switch to log-gamma beyond, so large occupation numbers stay finite.
-_EXACT_FACTORIAL_LIMIT = 20
-
-
-def factorial_f(n: int) -> float:
-    """n! as a float, exact for small n, via log-gamma for large n."""
-    if n < 0:
-        raise ValueError("factorial of a negative occupation number")
-    if n < _EXACT_FACTORIAL_LIMIT:
-        return float(math.factorial(n))
-    return math.exp(math.lgamma(n + 1))
-
-
-def sqrt_falling(n: int, k: int) -> float:
-    """sqrt(n * (n-1) * ... * (n-k+1)), the prefactor for k annihilations.
-
-    Equal to sqrt(n! / (n-k)!).  Requires 0 <= k <= n.
-    """
-    if n < _EXACT_FACTORIAL_LIMIT:
-        prod = 1
-        for t in range(k):
-            prod *= n - t
-        return math.sqrt(prod)
-    return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n - k + 1)))
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class FieldCoefficients:
 
 @dataclass(frozen=True)
 class FockState:
-    """Sparse two-mode number state.
+    """Two-mode number state.
 
     ``amplitudes`` maps occupation pairs ``(n, m)`` to complex amplitudes.
     States returned by operators may be unnormalized (or the zero vector,
@@ -125,6 +114,68 @@ def squared_norm(state: FockState) -> float:
     return sum(abs(v) ** 2 for v in state.amplitudes.values())
 
 
+def _sectors(state: FockState) -> dict[int, np.ndarray]:
+    """The array psi[n] = <n, M-n|state> of every occupied sector M."""
+    out: dict[int, np.ndarray] = {}
+    for (n, m), amp in state.amplitudes.items():
+        if n + m not in out:
+            out[n + m] = np.zeros(n + m + 1, dtype=complex)
+        out[n + m][n] = amp
+    return out
+
+
+def _from_sectors(cutoff: int, sectors: dict[int, np.ndarray]) -> FockState:
+    """The state holding the given sector arrays, pruned at PRUNE_EPS."""
+    amps: dict[tuple[int, int], complex] = {}
+    for total, psi in sectors.items():
+        for n in np.flatnonzero(np.abs(psi) >= PRUNE_EPS):
+            amps[(int(n), total - int(n))] = complex(psi[n])
+    return FockState(cutoff, amps)
+
+
+def _create(vecs: np.ndarray, x: complex, y: complex) -> np.ndarray:
+    """(x a† + y b†) on the columns of vecs, sector M to sector M+1.
+
+    Row n of ``vecs`` is the amplitude of |n, M-n>:
+    a† |n, M-n> = sqrt(n+1) |n+1, M-n> and b† |n, M-n> = sqrt(M-n+1) |n, M-n+1>.
+    """
+    size = len(vecs)
+    root = np.sqrt(np.arange(size + 1.0))[:, None]
+    out = np.zeros((size + 1, vecs.shape[1]), dtype=complex)
+    out[1:] += x * root[1:] * vecs
+    out[:-1] += y * root[:0:-1] * vecs
+    return out
+
+
+def _lowering_terms(psi: np.ndarray, power: int, scaled: bool = False):
+    """Coefficients of e^power on one sector array.
+
+    Returns ``(terms, ks, norm)``: terms[j, i] = psi[j+k] sqrt(power!) w(j, k)
+    is the coefficient of alpha^k beta^(power-k), k = ks[i], for output
+    pair (j, M-power-j); only columns holding a nonzero coefficient are
+    kept.  ``scaled`` divides the terms by 2^s, 4^s <= power! < 4^(s+1),
+    and ``norm`` = power!/4^s (else 1) divides their squared sum into the
+    dose.  Requires len(psi) > power; raises OverflowError if a term
+    leaves the float range.
+    """
+    total = len(psi) - 1
+    amp = psi[np.arange(total - power + 1)[:, None] + np.arange(power + 1)]
+    terms = np.zeros(amp.shape, dtype=complex)
+    fact = math.factorial(power)
+    shift = (fact.bit_length() - 1) // 2 if scaled else 0
+    for j, k in zip(*np.nonzero(amp)):
+        n = j + k
+        square = fact * math.comb(power, k) * math.comb(n, k) * math.comb(total - n, power - k)
+        terms[j, k] = amp[j, k] * math.sqrt(square / (1 << 2 * shift))
+    ks = np.flatnonzero(terms.any(axis=0))
+    return terms[:, ks], ks, fact / (1 << 2 * shift) if scaled else 1.0
+
+
+def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarray) -> np.ndarray:
+    """alpha^k beta^(power-k): one row per k in ks, one column per field."""
+    return alpha ** ks[:, None] * beta ** (power - ks)[:, None]
+
+
 def _mode_index(mode) -> int:
     if mode in (0, "a"):
         return 0
@@ -140,19 +191,9 @@ def apply_annihilation(state: FockState, mode) -> FockState:
     mode simply drops it, so the result may be the zero vector.
     """
     idx = _mode_index(mode)
-    out: dict[tuple[int, int], complex] = {}
-    for (n, m), amp in state.amplitudes.items():
-        occ = n if idx == 0 else m
-        if occ == 0:
-            continue
-        key = (n - 1, m) if idx == 0 else (n, m - 1)
-        new = amp * math.sqrt(occ)
-        acc = out.get(key, 0j) + new
-        if abs(acc) >= PRUNE_EPS:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return FockState(state.cutoff, out)
+    if state.cutoff == 0:
+        return FockState(0, {})
+    return apply_field_power(state, FieldCoefficients(1.0 - idx, float(idx)), 1)
 
 
 def _apply_creation(state: FockState, mode) -> FockState:
@@ -161,33 +202,24 @@ def _apply_creation(state: FockState, mode) -> FockState:
     Raises if any resulting pair would exceed the cutoff.
     """
     idx = _mode_index(mode)
-    out: dict[tuple[int, int], complex] = {}
-    for (n, m), amp in state.amplitudes.items():
-        if n + m + 1 > state.cutoff:
-            raise ValueError(
-                f"creation on pair ({n}, {m}) exceeds cutoff {state.cutoff}"
-            )
-        key = (n + 1, m) if idx == 0 else (n, m + 1)
-        occ = n if idx == 0 else m
-        acc = out.get(key, 0j) + amp * math.sqrt(occ + 1)
-        if abs(acc) >= PRUNE_EPS:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return FockState(state.cutoff, out)
+    sectors = _sectors(state)
+    if sectors and max(sectors) + 1 > state.cutoff:
+        raise ValueError(
+            f"creation on a {max(sectors)}-photon state exceeds cutoff {state.cutoff}"
+        )
+    return _from_sectors(state.cutoff, {
+        total + 1: _create(psi[:, None], 1.0 - idx, idx)[:, 0]
+        for total, psi in sectors.items()
+    })
 
 
 def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> FockState:
     """Apply (alpha*a + beta*b)**power to the state.
 
-    Expands the power binomially -- the two annihilation operators
-    commute -- so the term with k annihilations in mode a contributes
-
-        C(power, k) * alpha**k * beta**(power-k)
-            * sqrt(n!/(n-k)!) * sqrt(m!/(m-power+k)!)
-
-    on each occupation pair (n, m).  Returns an unnormalized state (the
-    zero vector if the state holds fewer than ``power`` photons).
+    Each sector M >= power maps densely to sector M - power (see the
+    module docstring); sectors below ``power`` are annihilated.  Returns
+    an unnormalized state (the zero vector if the state holds fewer than
+    ``power`` photons).
     """
     if power < 1:
         raise ValueError("field power must be a positive integer")
@@ -195,26 +227,10 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
         raise ValueError(
             f"field power {power} exceeds state cutoff {state.cutoff}"
         )
-    a, b = complex(f.alpha), complex(f.beta)
-    out: dict[tuple[int, int], complex] = {}
-    for (n, m), amp in state.amplitudes.items():
-        if n + m < power:
-            continue
-        k_lo = max(0, power - m)
-        k_hi = min(n, power)
-        for k in range(k_lo, k_hi + 1):
-            j = power - k
-            coeff = (
-                math.comb(power, k)
-                * a**k
-                * b**j
-                * sqrt_falling(n, k)
-                * sqrt_falling(m, j)
-            )
-            key = (n - k, m - j)
-            acc = out.get(key, 0j) + amp * coeff
-            if abs(acc) >= PRUNE_EPS:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return FockState(state.cutoff, out)
+    alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
+    out = {}
+    for total, psi in _sectors(state).items():
+        if total >= power:
+            terms, ks, _ = _lowering_terms(psi, power)
+            out[total - power] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
+    return _from_sectors(state.cutoff, out)

@@ -7,8 +7,8 @@ ones,
 
     a† -> T11 c† + T21 d†,      b† -> T12 c† + T22 d†,
 
-and re-expanding occupation monomials binomially.  Photon number is
-conserved, so the truncation cutoff never overflows.
+acting on each photon-number sector as one dense matrix.  Photon number
+is conserved, so the truncation cutoff never overflows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PRUNE_EPS, FockState, factorial_f
+from .fock import FockState, _create, _from_sectors, _sectors
 
 _UNITARITY_TOL = 1e-9
 
@@ -72,42 +72,23 @@ def compose(outer: ModeUnitary, inner: ModeUnitary) -> ModeUnitary:
 def evolve(state: FockState, u: ModeUnitary) -> FockState:
     """Push a state through a linear element in the Schroedinger picture.
 
-    Each occupation pair (n, m) is the monomial a†^n b†^m / sqrt(n! m!)
-    on vacuum.  Substituting the output-mode expansion of a† and b† and
-    collecting powers gives, for every output pair (p, q) with
-    p + q = n + m,
-
-        sum over k+l=p of  C(n,k) C(m,l) T11^k T21^(n-k) T12^l T22^(m-l)
-                           * sqrt(p! q! / (n! m!)).
+    Sector M evolves by the (M+1)x(M+1) symmetric-power matrix of T,
+    S_M[p, n] = <p, M-p| U |n, M-n>.  Input creation operators become
+    a† -> T11 c† + T21 d† and b† -> T12 c† + T22 d†, so column n of S_M is
+    column n-1 of S_{M-1} after one such a† step, divided by sqrt(n)
+    (column 0 takes a b† step, divided by sqrt(M)).  Photon number is
+    conserved, so the truncation cutoff never overflows.
     """
     t = u.matrix
-    out: dict[tuple[int, int], complex] = {}
-    for (n, m), amp in state.amplitudes.items():
-        # Binomial expansions of (T11 c† + T21 d†)^n and (T12 c† + T22 d†)^m.
-        wa = [
-            math.comb(n, k) * t[0, 0] ** k * t[1, 0] ** (n - k)
-            for k in range(n + 1)
-        ]
-        wb = [
-            math.comb(m, l) * t[0, 1] ** l * t[1, 1] ** (m - l)
-            for l in range(m + 1)
-        ]
-        base = amp / math.sqrt(factorial_f(n) * factorial_f(m))
-        total = n + m
-        for k in range(n + 1):
-            for l in range(m + 1):
-                p = k + l
-                q = total - p
-                key = (p, q)
-                contrib = (
-                    base
-                    * wa[k]
-                    * wb[l]
-                    * math.sqrt(factorial_f(p) * factorial_f(q))
-                )
-                acc = out.get(key, 0j) + contrib
-                if abs(acc) >= PRUNE_EPS:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return FockState(state.cutoff, out)
+    sectors = _sectors(state)
+    out = {}
+    sym = np.ones((1, 1), dtype=complex)  # S_0: the vacuum stays put
+    for total in range(max(sectors, default=-1) + 1):
+        if total:
+            raised = np.empty((total + 1, total + 1), dtype=complex)
+            raised[:, 1:] = _create(sym, t[0, 0], t[1, 0]) / np.sqrt(np.arange(1.0, total + 1))
+            raised[:, :1] = _create(sym[:, :1], t[0, 1], t[1, 1]) / math.sqrt(total)
+            sym = raised
+        if total in sectors:
+            out[total] = sym @ sectors[total]
+    return _from_sectors(state.cutoff, out)

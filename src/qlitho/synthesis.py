@@ -16,6 +16,11 @@ is invisible in any single-partition dose but sets the relative phases
 between partitions, making cross terms position-dependent; those cross
 terms supply the odd harmonics without which a square target could
 never be approximated better than by a constant.
+
+Every dose here reads one amplitude matrix: row P is e^{i P phi} times
+the N-photon amplitude of the pair state at the substrate, taken from
+the per-sector dose core of :mod:`qlitho.fock`, so that
+dose(alpha) = |alpha @ A|^2 for unit-norm coefficients alpha.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import SubstrateConvention, deposition_rate, phase_grid, ExposureProfile
-from .errors import ToleranceError
-from .fock import FockState, make_state
+from .dosing import ExposureProfile, phase_grid
+from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
-_FAST_PATH_TOL = 1e-9  # ladder/vectorized dose agreement, relative to doses above 1
+# Largest dose a basis may deposit: the fit squares doses and sums the
+# squares over the grid, which must stay finite.
+_MAX_DOSE = 10**150
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +63,15 @@ class PartitionBasis:
             )
         if any(b <= a for a, b in zip(parts, parts[1:])):
             raise ValueError("partitions must be strictly increasing (no duplicates)")
+        # A unit superposition doses at most sum_P w_P^2 (Cauchy-Schwarz
+        # over the rows of the amplitude matrix), w_P^2 = 2 C(N, P).
+        bound = sum(math.comb(self.n_photons, p) * (1 if 2 * p == self.n_photons else 2)
+                    for p in parts)
+        if bound > _MAX_DOSE:
+            raise ValueError(
+                f"N={self.n_photons} with partitions {parts} doses up to "
+                f"10^{math.log10(bound):.1f}, above the limit of 10^150"
+            )
         object.__setattr__(self, "partitions", parts)
 
     def __len__(self) -> int:
@@ -244,46 +259,16 @@ def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
 
 
 def component_profile(n_photons: int, partition: int, grid_points: int) -> ExposureProfile:
-    """Dose of a single partition sampled on the grid via the ladder algebra."""
-    phis = phase_grid(grid_points)
-    doses = np.empty(grid_points)
-    for i, phi in enumerate(phis):
-        state = component_state(n_photons, partition, phi)
-        doses[i] = deposition_rate(
-            state, n_photons, phi, SubstrateConvention.SYMMETRIC
-        )
-    return ExposureProfile(phis, doses)
-
-
-def _superposition_state(coefficients: np.ndarray, basis: PartitionBasis, phi: float) -> FockState:
-    """Normalized sum of weighted partition states at one phase point."""
-    amps: dict[tuple[int, int], complex] = {}
-    for alpha, p in zip(coefficients, basis.partitions):
-        comp = component_state(basis.n_photons, p, phi)
-        for key, value in comp.amplitudes.items():
-            amps[key] = amps.get(key, 0j) + alpha * value
-    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    if norm == 0:
-        raise ValueError("superposition collapsed to the zero vector")
-    return FockState(basis.n_photons, {k: v / norm for k, v in amps.items()})
-
-
-def _unscaled_profile_ladder(coefficients: np.ndarray, basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
-    """Exact dose of the superposition at each grid phase (scale = 1)."""
-    n = basis.n_photons
-    doses = np.empty(len(phis))
-    for i, phi in enumerate(phis):
-        state = _superposition_state(coefficients, basis, phi)
-        doses[i] = deposition_rate(state, n, phi, SubstrateConvention.SYMMETRIC)
-    return doses
+    """Dose of a single partition sampled on the grid."""
+    basis = PartitionBasis(n_photons, (partition,))
+    return genome_profile(SynthesisGenome(np.ones(1)), basis, grid_points)
 
 
 def genome_profile(genome: SynthesisGenome, basis: PartitionBasis, grid_points: int) -> ExposureProfile:
     """Dose pattern of a coefficient superposition, times the genome scale.
 
-    Built pointwise from the ladder algebra: form the superposition of
-    partition states at each phase, renormalize, dose.  Cross terms
-    between partitions arise automatically from the amplitude addition.
+    The superposition's amplitude is alpha @ A (see _amplitude_matrix);
+    cross terms between partitions arise from adding the rows.
     """
     if len(genome.coefficients) != len(basis):
         raise ValueError(
@@ -291,27 +276,25 @@ def genome_profile(genome: SynthesisGenome, basis: PartitionBasis, grid_points: 
             f"{len(basis)}-partition basis"
         )
     phis = phase_grid(grid_points)
-    doses = genome.scale * _unscaled_profile_ladder(genome.coefficients, basis, phis)
-    return ExposureProfile(phis, doses)
+    amp = genome.coefficients @ _amplitude_matrix(basis, phis)
+    return ExposureProfile(phis, genome.scale * np.abs(amp) ** 2)
 
 
 def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
     """Rows A[P] with dose(alpha) = |alpha @ A|^2 for unit-norm alpha.
 
-    Row P is e^{i P phi} * w_P * cos((N-2P) phi) with w_P^2 = 2 C(N, P)
-    (or C(N, P) for the degenerate split, whose basis state is a single
-    term).  This is the vectorized twin of the ladder-algebra dose; the
-    optimizer verifies the two against each other before trusting it.
+    Row P is the partition's global propagation factor e^{i P phi} times
+    the N-photon amplitude of its pair state under the SYMMETRIC field
+    (e^{i phi}, e^{-i phi}), which works out to
+    sqrt(2 C(N, P)) cos((N-2P) phi) (sqrt(C(N, P)) for the degenerate split).
     """
     n = basis.n_photons
+    wave = np.exp(1j * phis)
     rows = []
     for p in basis.partitions:
-        c = float(math.comb(n, p))
-        if 2 * p == n:
-            w = math.sqrt(c)
-        else:
-            w = math.sqrt(2.0 * c)
-        rows.append(w * np.cos((n - 2 * p) * phis) * np.exp(1j * p * phis))
+        terms, ks, norm = _lowering_terms(_sectors(component_state(n, p, 0.0))[n], n, scaled=True)
+        amp = (terms @ _field_powers(wave, wave.conj(), n, ks))[0] / math.sqrt(norm)
+        rows.append(amp * np.exp(1j * p * phis))
     return np.array(rows)
 
 
@@ -352,12 +335,11 @@ def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPatter
 
     The genome's stored scale is ignored: for a fixed dose shape u the
     best scale is s* = <u, p> / <u, u> (one-variable least squares), and
-    the value returned is mean((s* u - p)^2).  Computed via the exact
-    ladder-algebra dose.
+    the value returned is mean((s* u - p)^2).
     """
     if len(genome.coefficients) != len(basis):
         raise ValueError("genome length does not match the partition basis")
-    u = _unscaled_profile_ladder(genome.coefficients, basis, target.phis)
+    u = np.abs(genome.coefficients @ _amplitude_matrix(basis, target.phis)) ** 2
     return float(_scaled_mse(u, target.samples))
 
 
@@ -374,7 +356,7 @@ _BLOCK_ELEMENTS = 1 << 16
 def _population_mse(
     chromosomes: np.ndarray, stacked: np.ndarray, target: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Scale-optimized MSE of every chromosome row, through the vectorized dose.
+    """Scale-optimized MSE of every chromosome row.
 
     A chromosome is x = [Re alpha | Im alpha] and ``stacked`` the real
     (2k x 2G) form of the amplitude matrix A, so that x @ stacked is
@@ -405,28 +387,6 @@ def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _verify_fast_path(matrix: np.ndarray, basis: PartitionBasis, phis: np.ndarray) -> None:
-    """Check the vectorized dose against the ladder algebra on a probe.
-
-    Uses an equal-weight superposition on a thinned subgrid; disagreement
-    beyond 1e-9 relative to the largest probe dose (or absolute, for
-    doses below 1) aborts the run rather than optimizing a wrong model.
-    """
-    k = len(basis)
-    probe = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
-    step = max(1, len(phis) // 16)
-    idx = np.arange(0, len(phis), step)
-    fast = np.abs(probe @ matrix[:, idx]) ** 2
-    exact = _unscaled_profile_ladder(probe, basis, phis[idx])
-    worst = float(np.abs(fast - exact).max())
-    tol = _FAST_PATH_TOL * max(1.0, float(np.abs(exact).max()))
-    if not (math.isfinite(tol) and worst <= tol):
-        raise ToleranceError(
-            f"vectorized dose deviates from ladder algebra by {worst:.3e} "
-            f"(tolerance {tol:.3e})"
-        )
-
-
 def ga_optimize(
     basis: PartitionBasis,
     target: TargetPattern,
@@ -440,9 +400,8 @@ def ga_optimize(
     gene, renormalization to unit coefficient norm after every variation,
     and ``elite_count`` unchanged survivors per generation.  Fitness is
     the scale-optimized mean squared error on the target grid; each
-    generation scores all its children at once, through a vectorized
-    dose verified against the ladder algebra: one (children x k) @ (k x G)
-    amplitude product, taken in row blocks of bounded size.
+    generation scores all its children at once: one (children x k) @ (k x G)
+    product with the amplitude matrix, taken in row blocks of bounded size.
 
     Returns the best genome ever seen (its scale set to the optimal
     least-squares value) and the per-generation best-fitness trace; entry
@@ -458,7 +417,6 @@ def ga_optimize(
     k = len(basis)
     p = target.samples
     matrix = _amplitude_matrix(basis, target.phis)
-    _verify_fast_path(matrix, basis, target.phis)
     stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
     size, elite = config.population, config.elite_count
     children = size - elite

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is written against dense matrices and explicit
-permutations, deliberately sharing no code with the package's sparse
-ladder algebra, so agreement between the two is meaningful.
+permutations, deliberately sharing no code with the package's per-sector
+dose core, so agreement between the two is meaningful.
 """
 
 import itertools

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line driver (in-process where possible)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,14 +77,18 @@ def test_noon_outputs_and_feature_size(monkeypatch, tmp_path, capsys):
 
 
 def test_compare_matches_peaks(monkeypatch, tmp_path):
-    code = run_cli(
-        monkeypatch, tmp_path, "--command", "compare", "--n", "6", "--grid", "32"
-    )
-    assert code == 0
-    header, rows = read_rows(tmp_path / "compare.csv")
-    assert header == "phi,classical,quantum"
-    assert float(rows[0][1]) == pytest.approx(2.0, abs=1e-12)
-    assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-9)
+    # N = 171 is past the range of N! in floating point.
+    for n, grid in ((6, 32), (171, 512)):
+        code = run_cli(
+            monkeypatch, tmp_path, "--command", "compare", "--n", str(n), "--grid", str(grid)
+        )
+        assert code == 0
+        header, rows = read_rows(tmp_path / "compare.csv")
+        assert header == "phi,classical,quantum"
+        assert float(rows[0][1]) == pytest.approx(2.0, abs=1e-12)
+        assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-9)
+        quantum = np.array([float(r[2]) for r in rows])
+        assert np.max(np.abs(quantum - (1.0 + np.cos(2.0 * n * phase_grid(grid))))) <= 1e-9
 
 
 def test_out_stem_strips_known_suffixes(monkeypatch, tmp_path):
@@ -151,6 +157,7 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
     summary = json.loads((tmp_path / "synthesize_summary.json").read_text())
     assert summary["n"] == 10
     assert summary["partitions"] == [1, 2, 3]
+    assert summary["grid"] == 64
     assert summary["seed"] == 7
     assert summary["trace_final"] <= summary["trace_initial"]
     assert len(summary["coefficients"]) == 3
@@ -176,9 +183,11 @@ def test_synthesize_is_byte_deterministic(monkeypatch, tmp_path):
     ).read_bytes() == (second / "synthesize_summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("n, partitions", [(30, "10,12,15"), (40, "15,17,20")])
+@pytest.mark.parametrize("n, partitions", [
+    (30, "10,12,15"), (40, "15,17,20"), (200, "60,70,80"), (160, "60,70,80"),
+])
 def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, partitions):
-    # Partition doses reach C(N, P) ~ 1e8..1e11 here; the self-checks
+    # Partition doses reach C(N, P) ~ 1e8..1e57 here; the self-checks
     # compare relative to that size, so rounding at 1e-14 is no failure.
     code = run_cli(
         monkeypatch, tmp_path,
@@ -189,8 +198,8 @@ def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, parti
 
 
 def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
-    # A GA whose reported trace disagrees with the ladder fitness of the
-    # genome it returns must trip the self-check.
+    # A GA whose reported trace disagrees with the fitness of the dose it
+    # emits must trip the self-check.
     real_ga = cli.ga_optimize
 
     def skewed_ga(*args):
@@ -223,12 +232,17 @@ def test_synthesize_flags_classical_family_target(monkeypatch, tmp_path):
 
 
 def test_noon_single_photon_matches_classical_fringe(monkeypatch, tmp_path):
-    code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--n", "1", "--grid", "32")
-    assert code == 0
-    _, rows = read_rows(tmp_path / "noon.csv")
-    phis = phase_grid(32)
-    simulated = np.array([float(r[1]) for r in rows])
-    assert np.max(np.abs(simulated - (1.0 + np.cos(2.0 * phis)))) < 1e-9
+    # At N = 1 the fringe is the classical 1 + cos 2phi; N = 171 and 10^4
+    # are past the range of N! in floating point.
+    for n, grid in ((1, 32), (171, 512), (10000, 512)):
+        code = run_cli(
+            monkeypatch, tmp_path, "--command", "noon", "--n", str(n), "--grid", str(grid)
+        )
+        assert code == 0
+        _, rows = read_rows(tmp_path / "noon.csv")
+        phis = phase_grid(grid)
+        simulated = np.array([float(r[1]) for r in rows])
+        assert np.max(np.abs(simulated - (1.0 + np.cos(2.0 * n * phis)))) <= 1e-9
 
 
 def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
@@ -247,6 +261,25 @@ def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
     _, rows = read_rows(tmp_path / "synthesize.csv")
     assert len(rows) == 32
     assert float(rows[0][1]) == 1.0
+
+
+def test_synthesize_target_fixes_the_grid(monkeypatch, tmp_path, capsys):
+    # A grid set by flag or config file must match the target's rows.
+    target = trench_target(64)
+    lines = [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.samples)]
+    target_path = tmp_path / "pattern.csv"
+    target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 32\n", encoding="ascii")
+    base = ["--command", "synthesize", "--population", "8", "--generations", "2",
+            "--partitions", "1,2", "--target", str(target_path)]
+    assert run_cli(monkeypatch, tmp_path, *base, "--grid", "4096") == 2
+    assert run_cli(monkeypatch, tmp_path, *base, "--config", str(cfg)) == 2
+    assert "differs from the 64 rows" in capsys.readouterr().err
+    assert not (tmp_path / "synthesize.csv").exists()
+    assert run_cli(monkeypatch, tmp_path, *base, "--grid", "64") == 0
+    summary = json.loads((tmp_path / "synthesize_summary.json").read_text())
+    assert summary["grid"] == 64
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +334,16 @@ def test_bad_values_exit_two(monkeypatch, tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "bad arguments" in err
+    # Doses of C(1100, 550) ~ 1e329 are beyond the float range.
+    assert (
+        run_cli(
+            monkeypatch, tmp_path,
+            "--command", "synthesize", "--n", "1100", "--partitions", "500,550",
+            "--generations", "2", "--grid", "64",
+        )
+        == 2
+    )
+    assert "above the limit of 10^150" in capsys.readouterr().err
 
 
 def test_missing_config_exits_three(monkeypatch, tmp_path, capsys):
@@ -325,7 +368,7 @@ def test_unwritable_out_exits_three(monkeypatch, tmp_path, capsys):
 def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
     # Sabotage the dose routine so the noon self-check must trip.
     monkeypatch.setattr(
-        cli, "deposition_rate", lambda state, n, phi, convention: 42.0
+        cli, "_grid_doses", lambda state, n, phis, convention, shifted: np.full(len(phis), 42.0)
     )
     code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--grid", "8")
     assert code == 4
@@ -338,6 +381,9 @@ def test_help_exits_zero(monkeypatch, tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the package the tests import, wherever it lives.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [
             sys.executable, "-m", "qlitho",
@@ -346,6 +392,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert (tmp_path / "direct.csv").exists()

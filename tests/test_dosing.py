@@ -87,6 +87,29 @@ def test_deposition_matches_dense_oracle():
             assert abs(got - expected) < 1e-10
 
 
+def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
+    # The grid path on states holding more photons than are absorbed, at
+    # every grid point; a state at the inputs is checked in the Heisenberg
+    # picture, with the field (alpha, beta) @ T of the whole interferometer.
+    rng = np.random.default_rng(59)
+    for _ in range(6):
+        cutoff = int(rng.integers(3, 7))
+        amps = random_state_map(rng, cutoff, max_terms=6)
+        amps[(1, cutoff - 1)] = amps.get((1, cutoff - 1), 0j) + 0.5
+        state = make_state(amps, cutoff=cutoff)
+        n_photons = int(rng.integers(1, cutoff))
+        for convention in SubstrateConvention:
+            for from_input in (False, True):
+                profile = exposure_profile(state, n_photons, 8, convention, from_input)
+                for phi, dose in zip(profile.phis, profile.doses):
+                    f = substrate_field(phi, convention)
+                    field = np.array([f.alpha, f.beta])
+                    if from_input:
+                        field = field @ interferometer(phi, convention).matrix
+                    expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
+                    assert abs(dose - expected) < 1e-10 * max(1.0, expected)
+
+
 def test_single_photon_pipeline_fringes():
     source = make_state({(1, 0): 1.0})
     for phi in np.linspace(0.0, 2.0 * math.pi, 17):

@@ -1,4 +1,4 @@
-"""Tests for the sparse two-mode Fock state module."""
+"""Tests for the two-mode Fock state module."""
 
 import math
 
@@ -10,33 +10,10 @@ from qlitho.fock import (
     FockState,
     apply_annihilation,
     apply_field_power,
-    factorial_f,
     make_state,
-    sqrt_falling,
     squared_norm,
 )
 from qlitho.fock import _apply_creation
-
-
-def test_factorial_small_values_exact():
-    assert factorial_f(0) == 1.0
-    assert factorial_f(1) == 1.0
-    assert factorial_f(5) == 120.0
-    assert factorial_f(12) == 479001600.0
-
-
-def test_factorial_large_values_match_lgamma():
-    for n in (25, 40, 60):
-        expected = math.exp(math.lgamma(n + 1))
-        assert abs(factorial_f(n) - expected) <= 1e-9 * expected
-
-
-def test_sqrt_falling_examples():
-    # sqrt(4!/2!) = sqrt(12)
-    assert abs(sqrt_falling(4, 2) - math.sqrt(12.0)) < 1e-14
-    assert sqrt_falling(3, 0) == 1.0
-    # k > n annihilates the state entirely
-    assert sqrt_falling(2, 3) == 0.0
 
 
 def test_make_state_normalizes():
@@ -192,7 +169,7 @@ def test_creation_respects_cutoff():
 
 
 def test_high_occupancy_is_finite():
-    # Large-N states must stay in floating range (log-gamma factorials).
+    # Large-N states must stay in floating range.
     state = make_state({(30, 0): 1.0, (0, 30): 1.0})
     out = apply_field_power(state, FieldCoefficients(1.0, 1.0), 30)
     value = squared_norm(out)
