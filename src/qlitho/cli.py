@@ -36,7 +36,7 @@ from .dosing import (
 )
 from .errors import ToleranceError
 from .fock import make_state
-from .svgplot import write_line_chart
+from .svgplot import format_rows, write_line_chart
 from .synthesis import (
     GAConfig,
     PartitionBasis,
@@ -229,11 +229,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV with '.' decimals, ',' separators, LF endings, 17 significant digits."""
-    rows = len(columns[0])
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
+        fh.writelines(format_rows(columns, row_format))
 
 
 def _emit(cfg: RunConfig, header: list[str], columns: list[np.ndarray], title: str) -> None:
@@ -450,6 +449,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"bad arguments: a dose exceeds the float range ({exc})", file=sys.stderr)
         return 2
     return 0
 

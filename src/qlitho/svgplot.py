@@ -1,12 +1,15 @@
 """Minimal deterministic SVG line charts (fixed 800x500 viewport).
 
 Hand-rolled so that identical data produces byte-identical files; no
-plotting library is involved.
+plotting library is involved.  Each polyline carries every data point
+at 0.01 px, so a file grows with points x series.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .dosing import _BLOCK_ELEMENTS
 
 WIDTH = 800
 HEIGHT = 500
@@ -16,6 +19,19 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def format_rows(columns, row_format: str):
+    """Yield the rows of equal-length float columns formatted by ``row_format``.
+
+    One string per block of rows, made by one ``%``.  A formatted cell holds
+    about eight float64 elements of memory (a float, a list and a tuple slot,
+    its text), so a block has at most _BLOCK_ELEMENTS / 8 cells.
+    """
+    step = max(1, _BLOCK_ELEMENTS // (8 * len(columns)))
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([col[start:start + step] for col in columns])
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def render_line_chart(x, series, title: str = "", x_label: str = "phi", y_label: str = "dose") -> str:
@@ -97,11 +113,9 @@ def render_line_chart(x, series, title: str = "", x_label: str = "phi", y_label:
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{y_label}</text>'
     )
 
-    for s_idx, (label, y) in enumerate(series):
+    for s_idx, ((label, _), y) in enumerate(zip(series, ys)):
         color = _COLORS[s_idx % len(_COLORS)]
-        pts = " ".join(
-            f"{_fmt(sx(xv))},{_fmt(sy(yv))}" for xv, yv in zip(x, np.asarray(y, float))
-        )
+        pts = "".join(format_rows((sx(x), sy(y)), "%.2f,%.2f "))[:-1]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import ExposureProfile, phase_grid
+from .dosing import _BLOCK_ELEMENTS, ExposureProfile, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
 # Largest dose a basis may deposit: the fit squares doses and sums the
@@ -346,12 +346,6 @@ def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPatter
 # ---------------------------------------------------------------------------
 # genetic optimizer
 # ---------------------------------------------------------------------------
-
-# Upper bound on the elements of the (rows x 2G) scratch array of
-# _population_mse: the population is scored in row blocks of at most this
-# size, so a large grid does not raise peak memory.
-_BLOCK_ELEMENTS = 1 << 16
-
 
 def _population_mse(
     chromosomes: np.ndarray, stacked: np.ndarray, target: np.ndarray, work: np.ndarray

@@ -98,3 +98,39 @@ def random_state_map(rng, cutoff, max_terms=4, headroom=0):
         amps[pairs[idx]] = complex(rng.standard_normal(), rng.standard_normal())
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
     return {k: v / norm for k, v in amps.items()}
+
+
+def csv_text(header, columns):
+    """CSV text formatted one cell at a time, 17 significant digits, LF endings."""
+    lines = [",".join(header) + "\n"]
+    for i in range(len(columns[0])):
+        lines.append(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
+    return "".join(lines)
+
+
+def polyline_points(x, ys):
+    """The points attribute of each series' polyline, one point at a time.
+
+    The 800x500 chart plots into [70, 780] x [40, 450] px over the data
+    limits: x as given (width 1 if constant), y padded by 5% of its range
+    (range 1 if constant).  Coordinates are Python floats, not numpy arrays.
+    """
+    x = [float(v) for v in x]
+    ys = [[float(v) for v in y] for y in ys]
+    x_lo, x_hi = min(x), max(x)
+    y_lo = min(min(y) for y in ys)
+    y_hi = max(max(y) for y in ys)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+
+    def sx(v):
+        return 70 + (v - x_lo) / (x_hi - x_lo) * 710
+
+    def sy(v):
+        return 40 + (y_hi - v) / (y_hi - y_lo) * 410
+
+    return [" ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y)) for y in ys]

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import qlitho.cli as cli
+from oracles import csv_text
 from qlitho.dosing import phase_grid
+from qlitho.svgplot import format_rows
 from qlitho.synthesis import trench_target
 
 
@@ -58,6 +60,28 @@ def test_csv_uses_lf_and_ascii(monkeypatch, tmp_path):
     assert b"\r" not in data
     assert data.endswith(b"\n")
     data.decode("ascii")  # raises if any non-ascii byte slipped in
+
+
+# Cells whose %.17g text is easy to get wrong: signed zero, infinities, NaN,
+# the smallest subnormal, a huge value, an integer beyond 2**53, and 0.1.
+_SPECIAL_CELLS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, float(2**53 + 1), 0.1]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_csv_matches_per_cell_oracle(tmp_path, k):
+    # Row counts around the formatter's block of rows, read off the formatter.
+    block = next(format_rows([np.zeros(1 << 16)] * k, "%g" * k + "\n")).count("\n")
+    assert block < 1 << 16
+    rng = np.random.default_rng(k)
+    header = [f"c{j}" for j in range(k)]
+    for rows in (1, block - 1, block, block + 1, 32768):
+        cells = rng.standard_normal(rows * k) * 10.0 ** rng.integers(-20, 20, rows * k)
+        cells[: len(_SPECIAL_CELLS)] = _SPECIAL_CELLS[: rows * k]
+        cells[-len(_SPECIAL_CELLS):] = _SPECIAL_CELLS[-rows * k:]
+        columns = list(cells.reshape(rows, k).T)
+        path = tmp_path / f"{rows}.csv"
+        cli._write_csv(str(path), header, columns)
+        assert path.read_bytes() == csv_text(header, columns).encode("ascii"), rows
 
 
 def test_noon_outputs_and_feature_size(monkeypatch, tmp_path, capsys):
@@ -373,6 +397,19 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
     code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--grid", "8")
     assert code == 4
     assert "tolerance violation" in capsys.readouterr().err
+
+
+def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
+    # A dose beyond the float range surfaces as OverflowError, not ValueError.
+    def overflow(state, n, phis, convention, shifted):
+        raise OverflowError("integer division result too large for a float")
+
+    monkeypatch.setattr(cli, "_grid_doses", overflow)
+    code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--grid", "8")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "exceeds the float range" in err
+    assert "Traceback" not in err
 
 
 def test_help_exits_zero(monkeypatch, tmp_path, capsys):
