@@ -163,6 +163,12 @@ def phase_grid(grid_points: int) -> np.ndarray:
     return np.arange(grid_points) * (2.0 * np.pi / grid_points)
 
 
+def _check_phase_grid(phis: np.ndarray) -> None:
+    """Reject phases (NaN included) off the uniform grid of their length."""
+    if not np.abs(phis - phase_grid(len(phis))).max() <= 1e-12:
+        raise ValueError("phis must be the uniform grid k*2pi/G starting at 0")
+
+
 @dataclass(frozen=True)
 class ExposureProfile:
     """Doses sampled on the uniform phase grid over [0, 2 pi)."""
@@ -175,12 +181,9 @@ class ExposureProfile:
         doses = np.asarray(self.doses, dtype=float)
         if phis.ndim != 1 or phis.shape != doses.shape:
             raise ValueError("phis and doses must be 1-d arrays of equal length")
-        g = len(phis)
-        if g < 1:
+        if len(phis) < 1:
             raise ValueError("profile needs at least one sample")
-        expected = np.arange(g) * (2.0 * np.pi / g)
-        if np.abs(phis - expected).max() > 1e-12:
-            raise ValueError("phis must be the uniform grid k*2pi/G starting at 0")
+        _check_phase_grid(phis)
         if not np.all(np.isfinite(doses)):
             raise ValueError("doses must be finite")
         if doses.min() < _NEGATIVE_DOSE_TOL:

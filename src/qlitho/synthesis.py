@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import _BLOCK_ELEMENTS, ExposureProfile, phase_grid
+from .dosing import _BLOCK_ELEMENTS, ExposureProfile, _check_phase_grid, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
 # Largest dose a basis may deposit: the fit squares doses and sums the
@@ -124,12 +124,9 @@ class TargetPattern:
         samples = np.asarray(self.samples, dtype=float)
         if phis.ndim != 1 or phis.shape != samples.shape:
             raise ValueError("phis and samples must be 1-d arrays of equal length")
-        g = len(phis)
-        if g < 4:
+        if len(phis) < 4:
             raise ValueError("target needs at least four samples")
-        expected = np.arange(g) * (2.0 * np.pi / g)
-        if np.abs(phis - expected).max() > 1e-12:
-            raise ValueError("phis must be the uniform grid k*2pi/G starting at 0")
+        _check_phase_grid(phis)
         if not np.all(np.isfinite(samples)):
             raise ValueError("target samples must be finite")
         if samples.min() < 0:

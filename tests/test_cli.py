@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,116 @@ def test_config_file_rejects_unknown_keys(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# option contract: every option, from a flag or from a config file
+# ---------------------------------------------------------------------------
+
+# Small runs; the option under test is dropped from them.
+_SMALL = {"n": "6", "partitions": "1,2", "grid": "32", "population": "8", "generations": "3"}
+
+# option -> (command, two valid values with different outputs, malformed values);
+# "{tmp}" is the test's directory, which holds the target files below.
+OPTION_CASES = {
+    "n": ("noon", "3", "5", ["three", "0"]),
+    "partitions": ("synthesize", "1,2", "1", ["1,x", "9"]),
+    "grid": ("classical", "16", "8", ["sixteen", "2"]),
+    "convention": ("fringe", "paper", "symmetric", ["sideways"]),
+    "wavelength_nm": ("noon", "248", "193", ["blue", "-1", "nan"]),
+    "seed": ("synthesize", "3", "4", ["x", "1.5"]),
+    "population": ("synthesize", "8", "10", ["many", "2"]),
+    "generations": ("synthesize", "3", "4", ["abc", "0"]),
+    "mutation_sigma": ("synthesize", "0.05", "0.2", ["wide", "nan"]),
+    "crossover_rate": ("synthesize", "0.7", "0.3", ["half", "1.5"]),
+    "elite": ("synthesize", "2", "1", ["two", "8"]),
+    "out": ("classical", "result", "other.csv", ["bad\0stem"]),
+    "format": ("classical", "svg", "both", ["pdf"]),
+    "target": ("synthesize", "{tmp}/trench.csv", "{tmp}/fringe.csv",
+               ["{tmp}/words.csv", "{tmp}/short.csv", "{tmp}/nan_phase.csv"]),
+}
+
+
+def _write_targets(where):
+    phis = phase_grid(32)
+    # NaN compares false against any bound, so it must not pass the grid check.
+    nan_phase = np.where(np.arange(32) == 7, np.nan, phis)
+    for name, grid, samples in (("trench", phis, trench_target(32).samples),
+                                ("fringe", phis, 1.0 + np.cos(2.0 * phis)),
+                                ("nan_phase", nan_phase, np.ones(32))):
+        rows = [f"{phi:.17g},{val:.17g}" for phi, val in zip(grid, samples)]
+        (where / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    (where / "words.csv").write_text("phi,value\n0,one\n", encoding="ascii")
+    (where / "short.csv").write_text("0,1\n1.5,1\n3,1\n", encoding="ascii")
+
+
+class _Runner:
+    """Runs the CLI in fresh directories and collects what each run leaves."""
+
+    def __init__(self, monkeypatch, tmp_path, capsys, option):
+        self.monkeypatch, self.tmp, self.capsys = monkeypatch, tmp_path, capsys
+        _write_targets(tmp_path)
+        self.command, self.a, self.b, self.bad = OPTION_CASES[option]
+        self.flag = "--" + option.replace("_", "-")
+        base = {k: v for k, v in _SMALL.items() if k != option}
+        self.base = ["--command", self.command]
+        for key, value in base.items():
+            self.base += ["--" + key, value]
+        self.runs = 0
+
+    def value(self, text):
+        return text.replace("{tmp}", str(self.tmp))
+
+    def config(self, key, text):
+        self.runs += 1
+        path = self.tmp / f"run{self.runs}.cfg"
+        path.write_text(f"{key} = {self.value(text)}\n", encoding="utf-8")
+        return ["--config", str(path)]
+
+    def __call__(self, *argv):
+        self.runs += 1
+        where = self.tmp / f"run{self.runs}"
+        where.mkdir()
+        code = run_cli(self.monkeypatch, where, *self.base, *argv)
+        out, err = self.capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in where.iterdir()}
+        return code, out, err, files
+
+
+def test_option_cases_cover_every_option():
+    dests = {action.dest for action in cli.build_parser()._actions}
+    assert sorted(OPTION_CASES) == sorted(dests - {"help", "command", "config"})
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_CASES))
+def test_option_from_flag_or_file_gives_same_bytes(monkeypatch, tmp_path, capsys, option):
+    run = _Runner(monkeypatch, tmp_path, capsys, option)
+    from_flag = run(run.flag, run.value(run.a))
+    assert from_flag[0] == 0, from_flag[2]
+    assert from_flag[3]
+    for key in (option, option.replace("_", "-")):
+        assert run(*run.config(key, run.a)) == from_flag, key
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_CASES))
+def test_option_flag_beats_file(monkeypatch, tmp_path, capsys, option):
+    run = _Runner(monkeypatch, tmp_path, capsys, option)
+    only_a = run(run.flag, run.value(run.a))
+    only_b = run(run.flag, run.value(run.b))
+    assert only_a[0] == only_b[0] == 0
+    assert only_a != only_b
+    assert run(*run.config(option, run.a), run.flag, run.value(run.b)) == only_b
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_CASES))
+def test_malformed_option_exits_two(monkeypatch, tmp_path, capsys, option):
+    run = _Runner(monkeypatch, tmp_path, capsys, option)
+    for bad in run.bad:
+        for argv in ([run.flag, run.value(bad)], run.config(option, bad)):
+            code, _, err, files = run(*argv)
+            assert code == 2, (argv, err)
+            assert err and "Traceback" not in err
+            assert not files, argv
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 
@@ -390,13 +501,47 @@ def test_unwritable_out_exits_three(monkeypatch, tmp_path, capsys):
 
 
 def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
-    # Sabotage the dose routine so the noon self-check must trip.
+    # Sabotage the dose routine so the fringe self-check must trip.
     monkeypatch.setattr(
         cli, "_grid_doses", lambda state, n, phis, convention, shifted: np.full(len(phis), 42.0)
     )
-    code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--grid", "8")
-    assert code == 4
-    assert "tolerance violation" in capsys.readouterr().err
+    for command in ("noon", "compare"):
+        code = run_cli(monkeypatch, tmp_path, "--command", command, "--grid", "8")
+        assert code == 4
+        assert "tolerance violation" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("offset, expected", [(2e-9, 0), (1e-6, 4)])
+def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expected):
+    # Phase roundoff grows with the fringe frequency: at N = 10^6 the check
+    # allows 8 pi N eps ~ 5.6e-9, not the 1e-9 that holds up to N ~ 1.8e5.
+    def shifted_fringe(state, n, phis, convention, shifted):
+        return 1.0 + np.cos(2.0 * n * phis) + offset
+
+    monkeypatch.setattr(cli, "_grid_doses", shifted_fringe)
+    for command in ("noon", "compare"):
+        code = run_cli(
+            monkeypatch, tmp_path, "--command", command, "--n", "1000000", "--grid", "8"
+        )
+        assert code == expected, command
+        assert ("tolerance violation" in capsys.readouterr().err) == (expected == 4)
+
+
+@pytest.mark.parametrize("command, target", [
+    ("noon", "_grid_doses"), ("synthesize", "ga_optimize"),
+])
+def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target):
+    # numpy raises a MemoryError subclass when an array cannot be allocated.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.24 GiB for an array")
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    code = run_cli(monkeypatch, tmp_path, "--command", command, "--grid", "8")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "more memory" in err
+    assert "Traceback" not in err
 
 
 def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
@@ -415,6 +560,17 @@ def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
 def test_help_exits_zero(monkeypatch, tmp_path, capsys):
     assert run_cli(monkeypatch, tmp_path, "--help") == 0
     assert "--command" in capsys.readouterr().out
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Common flags", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    documented = [flag for cell in rows for flag in re.findall(r"`(--[a-z-]+)`", cell)]
+    options = [
+        flag for action in cli.build_parser()._actions for flag in action.option_strings
+    ]
+    assert sorted(documented) == sorted(set(options) - {"-h", "--help", "--command"})
 
 
 def test_module_entry_point(tmp_path):

@@ -179,6 +179,11 @@ def test_exposure_profile_validation():
     with pytest.raises(ValueError):
         ExposureProfile(ragged, np.ones(16))
     for bad in (np.nan, np.inf):
+        phis = grid.copy()
+        phis[3] = bad
+        with pytest.raises(ValueError):
+            ExposureProfile(phis, np.ones(16))
+    for bad in (np.nan, np.inf):
         doses = np.ones(16)
         doses[5] = bad
         with pytest.raises(ValueError):

@@ -285,6 +285,11 @@ def test_target_pattern_validation():
         TargetPattern(phase_grid(3), np.ones(3))
     with pytest.raises(ValueError):
         TargetPattern(phis, np.ones(8))
+    for bad in (np.nan, np.inf):
+        ragged = phis.copy()
+        ragged[5] = bad
+        with pytest.raises(ValueError):
+            TargetPattern(ragged, np.ones(16))
 
 
 # ---------------------------------------------------------------------------
