@@ -301,6 +301,11 @@ def _load_target(path: str) -> TargetPattern:
 
 def cmd_synthesize(cfg: argparse.Namespace) -> None:
     """Evolve a partition superposition toward the target pattern."""
+    if cfg.convention is not SubstrateConvention.SYMMETRIC:
+        raise ValueError(
+            "synthesize supports only --convention symmetric: its partition "
+            "basis is modelled in the symmetric substrate convention"
+        )
     basis = PartitionBasis(cfg.n, cfg.partitions)
     if cfg.target is not None:
         target = _load_target(cfg.target)
@@ -336,6 +341,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         "n": cfg.n,
         "partitions": list(basis.partitions),
         "grid": target.grid_points,
+        "convention": "symmetric",
         **{name: getattr(cfg, name) for name in _GA_FIELDS},
         "fitness": final_fitness,
         "classical_error": classical.error,

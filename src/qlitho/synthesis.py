@@ -35,8 +35,9 @@ import numpy as np
 from .dosing import _BLOCK_ELEMENTS, ExposureProfile, _check_phase_grid, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
-# Largest dose a basis may deposit: the fit squares doses and sums the
-# squares over the grid, which must stay finite.
+# Largest dose a basis may deposit: the GA's QR takes the column norms of
+# the dose monomials over the grid, and the fitness sums squared doses over
+# the grid; both square doses and must stay finite.
 _MAX_DOSE = 10**150
 
 
@@ -317,14 +318,14 @@ def _optimal_scale(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.maximum(scale, 1e-300)
 
 
-def _scaled_mse(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """mean((s u - p)^2) of each dose row u at its optimal scale s.
+def _scaled_sse(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """sum((s u - p)^2) of each dose row u at its optimal scale s.
 
     Works in place: every row of ``unscaled`` is overwritten by its residual.
     """
     unscaled *= _optimal_scale(unscaled, target)[..., None]
     unscaled -= target
-    return np.einsum("...g,...g->...", unscaled, unscaled) / len(target)
+    return np.einsum("...g,...g->...", unscaled, unscaled)
 
 
 def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPattern) -> float:
@@ -337,36 +338,103 @@ def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPatter
     if len(genome.coefficients) != len(basis):
         raise ValueError("genome length does not match the partition basis")
     u = np.abs(genome.coefficients @ _amplitude_matrix(basis, target.phis)) ** 2
-    return float(_scaled_mse(u, target.samples))
+    return float(_scaled_sse(u, target.samples) / len(u))
 
 
 # ---------------------------------------------------------------------------
 # genetic optimizer
 # ---------------------------------------------------------------------------
 
-def _population_mse(
-    chromosomes: np.ndarray, stacked: np.ndarray, target: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Scale-optimized MSE of every chromosome row.
+def _grid_scorer(matrix: np.ndarray, target: np.ndarray, rows: int):
+    """Scale-optimized MSE of chromosome rows, from their doses on the grid.
 
     A chromosome is x = [Re alpha | Im alpha] and ``stacked`` the real
     (2k x 2G) form of the amplitude matrix A, so that x @ stacked is
     [Re | Im] of alpha @ A; a real product is several times faster than
-    the complex one at these shapes.  Rows are scored in blocks of
-    len(work) inside the (rows x 2G) scratch array ``work``, which the
-    caller reuses across generations: fresh G-sized temporaries in every
-    generation cost more in page faults than the arithmetic itself.
+    the complex one at these shapes.  At most ``rows`` chromosomes are
+    scored at once, in blocks inside one (block x 2G) scratch array that
+    every call reuses: fresh G-sized temporaries in every generation cost
+    more in page faults than the arithmetic itself.
     """
     g = len(target)
-    out = np.empty(len(chromosomes))
-    for start in range(0, len(chromosomes), len(work)):
-        block = chromosomes[start:start + len(work)]
-        amp = np.matmul(block, stacked, out=work[: len(block)])
-        np.square(amp, out=amp)
-        u = amp[:, :g]
-        u += amp[:, g:]
-        out[start:start + len(block)] = _scaled_mse(u, target)
-    return out
+    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
+    work = np.empty((min(rows, max(1, _BLOCK_ELEMENTS // (2 * g))), 2 * g))
+
+    def score(chromosomes: np.ndarray) -> np.ndarray:
+        out = np.empty(len(chromosomes))
+        for start in range(0, len(chromosomes), len(work)):
+            block = chromosomes[start:start + len(work)]
+            amp = np.matmul(block, stacked, out=work[: len(block)])
+            np.square(amp, out=amp)
+            u = amp[:, :g]
+            u += amp[:, g:]
+            out[start:start + len(block)] = _scaled_sse(u, target)
+        return out / g
+
+    return score
+
+
+def _dose_space_scorer(matrix: np.ndarray, target: np.ndarray):
+    """Scale-optimized MSE of chromosome rows, from k^2 numbers each.
+
+    The dose |alpha @ A|^2 is linear in the lifted matrix alpha alpha^H:
+    it is V m, where the k^2 columns of V are the real dose monomials
+    |A_i|^2, Re(A_i conj A_j) and Im(A_i conj A_j) (i < j) on the grid,
+    and m holds the chromosome's matching coefficients |alpha_i|^2,
+    2 Re(alpha_i conj alpha_j) and -2 Im(alpha_i conj alpha_j), a linear
+    map ``pick`` of x x^T for x = [Re alpha | Im alpha].  With
+    [V | p] = Q R, Q orthonormal, every residual s V m - p has the norm
+    of R [s m; -1] = s R_V m - c, where c is the last column of R; its
+    last row holds the part of p outside the span of V.  So a chromosome
+    is scored from w = R_V m = vec(x x^T) @ lift against c, and no step
+    after the QR depends on G.  R is accumulated over row blocks of the
+    grid (TSQR), so [V | p] is never formed whole.  The closed form
+    mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error is roundoff
+    of mean(p^2), not of the residual, so a target the basis reaches
+    exactly would not score near zero.
+    """
+    k, g = matrix.shape
+    i, j = np.triu_indices(k, 1)
+    width = k * k + 1
+    tri = np.empty((0, width))
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, g, step):
+        amp = matrix[:, start:start + step]
+        cross = amp[i] * amp[j].conj()
+        block = np.concatenate(
+            [amp.real**2 + amp.imag**2, cross.real, cross.imag, target[None, start:start + step]]
+        )
+        tri = np.linalg.qr(np.concatenate([tri, block.T]), mode="r")
+    # With alpha = a + ib: |alpha_i|^2 = a_i a_i + b_i b_i,
+    # 2 Re(alpha_i conj alpha_j) = 2 (a_i a_j + b_i b_j) and
+    # -2 Im(alpha_i conj alpha_j) = 2 (a_i b_j - b_i a_j).
+    pick = np.zeros((2 * k, 2 * k, width - 1))
+    d, re_ij, im_ij = np.arange(k), np.arange(k, k + len(i)), np.arange(k + len(i), width - 1)
+    pick[d, d, d] = pick[k + d, k + d, d] = 1.0
+    pick[i, j, re_ij] = pick[k + i, k + j, re_ij] = 2.0
+    pick[i, k + j, im_ij], pick[k + i, j, im_ij] = 2.0, -2.0
+    lift, c = pick.reshape(4 * k * k, -1) @ tri[:, :-1].T, tri[:, -1].copy()
+
+    def score(chromosomes: np.ndarray) -> np.ndarray:
+        outer = chromosomes[:, :, None] * chromosomes[:, None, :]
+        return _scaled_sse(outer.reshape(len(chromosomes), -1) @ lift, c) / g
+
+    return score
+
+
+def _population_scorer(matrix: np.ndarray, target: np.ndarray, rows: int, evaluations: int):
+    """The cheaper scorer for ``evaluations`` chromosomes, at most ``rows`` at a time.
+
+    For a k x G amplitude matrix a chromosome costs about 4kG operations
+    on the grid and k^4 in the dose space (timed at 62 chromosomes a call,
+    the two cross near k^3 = 4G), and the dose space first spends about
+    2Gk^4 on its QR, once per run.  Its (k^2+1)-square triangle must also
+    fit one block, which caps k at 15.
+    """
+    k, g = matrix.shape
+    if k**3 * (2 * g + evaluations) <= 4 * g * evaluations and (k * k + 1) ** 2 <= _BLOCK_ELEMENTS:
+        return _dose_space_scorer(matrix, target)
+    return _grid_scorer(matrix, target, rows)
 
 
 def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
@@ -390,9 +458,14 @@ def ga_optimize(
     ``crossover_rate``, Gaussian mutation with ``mutation_sigma`` on every
     gene, renormalization to unit coefficient norm after every variation,
     and ``elite_count`` unchanged survivors per generation.  Fitness is
-    the scale-optimized mean squared error on the target grid; each
-    generation scores all its children at once: one (children x k) @ (k x G)
-    product with the amplitude matrix, taken in row blocks of bounded size.
+    the scale-optimized mean squared error on the target grid, and each
+    generation scores all its children at once, in whichever space costs
+    less for the run's size (see _population_scorer): in the k^2-dimensional
+    dose space, from one QR of the dose monomials taken before the first
+    generation (_dose_space_scorer), or on the grid, by one
+    (children x k) @ (k x G) product with the amplitude matrix taken in
+    row blocks of bounded size (_grid_scorer).  The two agree with
+    ``fitness`` to roundoff.
 
     Returns the best genome ever seen (its scale set to the optimal
     least-squares value) and the per-generation best-fitness trace; entry
@@ -408,15 +481,13 @@ def ga_optimize(
     k = len(basis)
     p = target.samples
     matrix = _amplitude_matrix(basis, target.phis)
-    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
     size, elite = config.population, config.elite_count
     children = size - elite
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
-    width = stacked.shape[1]
-    work = np.empty((min(size, max(1, _BLOCK_ELEMENTS // width)), width))
+    score = _population_scorer(matrix, p, size, size + config.generations * children)
 
     pop = _normalize_rows(np.random.default_rng([seed, 0]).standard_normal((size, 2 * k)))
-    fits = _population_mse(pop, stacked, p, work)
+    fits = score(pop)
     best_idx = int(np.argmin(fits))
     best_vec, best_fit = pop[best_idx].copy(), float(fits[best_idx])
     trace = [best_fit]
@@ -433,7 +504,7 @@ def ga_optimize(
         offspring = np.where(crossed[:, None], t * one + (1.0 - t) * two, one) + noise
         survivors = np.argsort(fits, kind="stable")[:elite]
         pop = np.concatenate([pop[survivors], _normalize_rows(offspring)])
-        fits = np.concatenate([fits[survivors], _population_mse(pop[elite:], stacked, p, work)])
+        fits = np.concatenate([fits[survivors], score(pop[elite:])])
         gen_best = int(np.argmin(fits))
         if fits[gen_best] < best_fit:
             best_fit = float(fits[gen_best])

@@ -183,6 +183,7 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
     assert summary["n"] == 10
     assert summary["partitions"] == [1, 2, 3]
     assert summary["grid"] == 64
+    assert summary["convention"] == "symmetric"
     assert summary["seed"] == 7
     assert summary["trace_final"] <= summary["trace_initial"]
     assert len(summary["coefficients"]) == 3
@@ -192,6 +193,19 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
 
     out = capsys.readouterr().out
     assert "GA fitness" in out and "classical error" in out and "(seed 7)" in out
+
+
+def test_synthesize_rejects_paper_convention(monkeypatch, tmp_path, capsys):
+    # The partition basis is modelled in the symmetric convention only.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("convention = paper\n", encoding="ascii")
+    for source in (["--convention", "paper"], ["--config", str(cfg)]):
+        code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_GA, *source)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "synthesize supports only --convention symmetric" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_synthesize_is_byte_deterministic(monkeypatch, tmp_path):

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import qlitho.synthesis as synthesis
 from oracles import dense_dose
 from qlitho.dosing import phase_grid
 from qlitho.synthesis import (
@@ -25,7 +29,14 @@ from qlitho.synthesis import (
     psi_np,
     trench_target,
 )
-from qlitho.synthesis import _BLOCK_ELEMENTS, _amplitude_matrix, _population_mse
+from qlitho.synthesis import (
+    _BLOCK_ELEMENTS,
+    _amplitude_matrix,
+    _dose_space_scorer,
+    _grid_scorer,
+    _normalize_rows,
+    _population_scorer,
+)
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -192,19 +203,95 @@ def test_fast_path_matrix_matches_ladder():
         assert np.max(np.abs(fast - exact)) < 1e-9
 
 
-def test_population_mse_matches_ladder_across_blocks():
-    # Five chromosomes scored in a two-row scratch array: blocks of 2, 2, 1.
+def test_population_mse_matches_ladder_across_blocks(monkeypatch):
+    # Five chromosomes scored on the grid in two-row blocks (2, 2, 1), and
+    # in the dose space from a QR accumulated over 39-row grid blocks.
+    monkeypatch.setattr(synthesis, "_BLOCK_ELEMENTS", 1024)
     basis = PartitionBasis(10, (1, 2, 3, 4, 5))
     target = trench_target(256)
     matrix = _amplitude_matrix(basis, target.phis)
-    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
     rng = np.random.default_rng(31)
     chromosomes = rng.standard_normal((5, 10))
     chromosomes /= np.linalg.norm(chromosomes, axis=1, keepdims=True)
-    batched = _population_mse(chromosomes, stacked, target.samples, np.empty((2, 512)))
-    for x, mse in zip(chromosomes, batched):
-        exact = fitness(SynthesisGenome(x[:5] + 1j * x[5:]), basis, target)
-        assert abs(mse - exact) <= 1e-12 * exact
+    for scorer in (_grid_scorer(matrix, target.samples, 5),
+                   _dose_space_scorer(matrix, target.samples)):
+        for x, mse in zip(chromosomes, scorer(chromosomes)):
+            exact = fitness(SynthesisGenome(x[:5] + 1j * x[5:]), basis, target)
+            assert abs(mse - exact) <= 1e-12 * exact
+
+
+def test_population_scorer_picks_the_cheaper_space(monkeypatch):
+    monkeypatch.setattr(synthesis, "_dose_space_scorer", lambda matrix, target: "dose")
+    monkeypatch.setattr(synthesis, "_grid_scorer", lambda matrix, target, rows: "grid")
+
+    def pick(k, grid, evaluations):
+        return _population_scorer(np.zeros((k, grid)), np.zeros(grid), 64, evaluations)
+
+    runs = 64 + 500 * 62  # evaluations of the default GA
+    assert pick(5, 512, runs) == "dose"
+    assert pick(1, 4, 8) == "dose"
+    assert pick(5, 8, runs) == "grid"  # k^3 > 4G
+    assert pick(11, 512, runs) == "dose"
+    assert pick(13, 512, runs) == "grid"
+    assert pick(15, 8192, runs) == "dose"
+    assert pick(15, 8192, 64 + 2 * 62) == "grid"  # the QR outweighs two generations
+    assert pick(16, 8192, runs) == "grid"  # the triangle outgrows one block
+    assert pick(31, 512, 64 + 50 * 62) == "grid"
+
+
+@pytest.mark.parametrize("grid", [4, 5, 6, 7, 8, 9, 8192])
+@pytest.mark.parametrize("n, partitions", [
+    (10, (2,)), (10, (5,)), (10, (0,)), (200, (60, 70, 80)), (60, tuple(range(31))),
+])
+def test_ga_scores_match_fitness_on_edge_grids_and_bases(n, partitions, grid):
+    # Nyquist and aliasing grids, several QR blocks, one-term and
+    # degenerate bases, doses near 1e58, and a basis scored on the grid.
+    basis = PartitionBasis(n, partitions)
+    target = trench_target(grid)
+    matrix = _amplitude_matrix(basis, target.phis)
+    k = len(basis)
+    chromosomes = _normalize_rows(np.random.default_rng(grid).standard_normal((6, 2 * k)))
+    exact = np.array([fitness(SynthesisGenome(x[:k] + 1j * x[k:]), basis, target)
+                      for x in chromosomes])
+    scorers = [_grid_scorer(matrix, target.samples, 6)]
+    if (k * k + 1) ** 2 <= _BLOCK_ELEMENTS:
+        scorers.append(_dose_space_scorer(matrix, target.samples))
+    for score in scorers:
+        assert np.all(np.abs(score(chromosomes) - exact) <= 1e-12 * exact)
+    best, trace = ga_optimize(basis, target, GAConfig(population=6, generations=1, seed=grid))
+    assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1]
+
+
+@st.composite
+def _scoring_cases(draw):
+    n = draw(st.integers(1, 12))
+    partitions = sorted(draw(st.sets(st.integers(0, n // 2), min_size=1)))
+    grid = draw(st.integers(4, 300))
+    samples = draw(arrays(float, grid, elements=st.floats(0.0, 1e6)))
+    k = len(partitions)
+    rows = draw(arrays(float, (draw(st.integers(1, 8)), 2 * k), elements=st.floats(-1.0, 1.0)))
+    return PartitionBasis(n, tuple(partitions)), TargetPattern(phase_grid(grid), samples), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scoring_cases())
+def test_ga_scores_equal_fitness_property(case):
+    basis, target, rows = case
+    # A row below ~1e-150 loses its unit norm to underflow; GA rows have norm ~1.
+    norms = np.linalg.norm(rows, axis=1)
+    assume(np.all((norms == 0.0) | (norms > 1e-100)))
+    k = len(basis)
+    chromosomes = _normalize_rows(rows)
+    exact = np.array([fitness(SynthesisGenome(x[:k] + 1j * x[k:]), basis, target)
+                      for x in chromosomes])
+    # Relative to the fitness, down to 1e-16 of the error of a zero dose:
+    # below that both values are roundoff of the target (a constant target
+    # in the span of the basis scores 0 on the grid and 1e-33 in the dose space).
+    tol = 1e-12 * exact + 1e-16 * np.mean(target.samples**2) + 1e-300
+    matrix = _amplitude_matrix(basis, target.phis)
+    for score in (_grid_scorer(matrix, target.samples, len(rows)),
+                  _dose_space_scorer(matrix, target.samples)):
+        assert np.all(np.abs(score(chromosomes) - exact) <= tol)
 
 
 def test_fitness_of_matching_shape_is_zero():
@@ -391,13 +478,23 @@ def test_ga_converges_when_target_in_span():
     assert trace[-1] < 1e-6
 
 
-def test_ga_scores_children_in_several_blocks():
-    # At G = 8192 a scratch block holds fewer rows than the 6 children of
-    # a population of 8, so every generation is scored in several blocks.
+def test_ga_scores_in_dose_space_over_several_qr_blocks(monkeypatch):
+    # At G = 8192 one QR block holds fewer grid rows than the grid has, so
+    # the dose-space triangle is accumulated over several blocks.
     target = trench_target(8192)
-    assert _BLOCK_ELEMENTS // (2 * target.grid_points) < 6
     basis = PartitionBasis(4, (0, 1, 2))
+    step = _BLOCK_ELEMENTS // (len(basis) ** 2 + 1)
+    assert step < target.grid_points
+    calls = []
+    real_qr = np.linalg.qr
+
+    def counting_qr(a, mode):
+        calls.append(len(a))
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     best, trace = ga_optimize(basis, target, GAConfig(population=8, generations=2, seed=4))
+    assert len(calls) == -(-target.grid_points // step) > 1
     assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1]
 
 
