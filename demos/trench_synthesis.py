@@ -4,41 +4,37 @@ A classical interferometric exposure at fixed wavelength is limited to
 the family a + b cos(2 phi + theta0); against the square trench target
 its best mean squared error is exactly 1/4 (the flat half-dose).  A
 superposition of ten-photon partition states carries harmonics at many
-frequencies at once, and a small genetic algorithm over the complex
+frequencies at once, and a least-squares fit of the complex
 superposition coefficients finds a pattern well below the classical
 floor.
 
-This is the library's headline capability; expect about a second of
-optimization.  Run from the repository root:
+This is the library's headline capability; expect well under a second
+of optimization.  Run from the repository root:
 
     python3 demos/trench_synthesis.py
 """
 
 from qlitho import (
-    GAConfig,
     PartitionBasis,
     best_classical_fit,
+    fit_superposition,
     fitness,
-    ga_optimize,
     genome_profile,
     trench_target,
 )
 from qlitho import write_line_chart
 
 GRID = 512
+SEED = 0
 
 
 def main():
     basis = PartitionBasis(10, (1, 2, 3, 4, 5))
     target = trench_target(GRID)
-    config = GAConfig(seed=0)
 
     print(f"target: square trench on {GRID} phase samples")
     print(f"basis : N = {basis.n_photons}, partitions {basis.partitions}")
-    print(
-        f"GA    : population {config.population}, generations "
-        f"{config.generations}, seed {config.seed}"
-    )
+    print(f"solver: Levenberg-Marquardt least squares, seed {SEED}")
 
     classical = best_classical_fit(target)
     print(
@@ -46,9 +42,9 @@ def main():
         f" -> mse {classical.error:.4f}"
     )
 
-    best, trace = ga_optimize(basis, target, config)
+    best, trace = fit_superposition(basis, target, seed=SEED)
     final = fitness(best, basis, target)
-    print(f"GA result            : mse {final:.4f}  (started at {trace[0]:.4f})")
+    print(f"synthesis result     : mse {final:.4f}  (started at {trace[0]:.4f})")
     print(f"improvement over classical floor: {100 * (1 - final / classical.error):.1f}%")
 
     print("\nwinning superposition (coefficient magnitude per partition):")

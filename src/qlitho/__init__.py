@@ -4,9 +4,9 @@ The package simulates how path-entangled photon-number states write
 sub-wavelength interference patterns: two-mode Fock states worked on
 per photon-number sector (:mod:`qlitho.fock`), passive linear optics (:mod:`qlitho.optics`),
 N-photon absorption doses on a substrate (:mod:`qlitho.dosing`),
-classical reference exposures (:mod:`qlitho.baselines`), and a genetic
-synthesizer that superposes photon-partition states to approximate a
-requested pattern (:mod:`qlitho.synthesis`).
+classical reference exposures (:mod:`qlitho.baselines`), and a
+least-squares synthesizer that superposes photon-partition states to
+approximate a requested pattern (:mod:`qlitho.synthesis`).
 """
 
 from .baselines import (
@@ -48,7 +48,6 @@ from .optics import (
 )
 from .synthesis import (
     ClassicalFit,
-    GAConfig,
     PartitionBasis,
     SynthesisGenome,
     TargetPattern,
@@ -56,8 +55,8 @@ from .synthesis import (
     component_closed_form,
     component_profile,
     component_state,
+    fit_superposition,
     fitness,
-    ga_optimize,
     genome_profile,
     normalized_genome,
     psi_np,
@@ -71,7 +70,6 @@ __all__ = [
     "ExposureProfile",
     "FieldCoefficients",
     "FockState",
-    "GAConfig",
     "ModeUnitary",
     "PartitionBasis",
     "SubstrateConvention",
@@ -92,9 +90,9 @@ __all__ = [
     "deposition_rate",
     "evolve",
     "exposure_profile",
+    "fit_superposition",
     "fitness",
     "fourier_components",
-    "ga_optimize",
     "genome_profile",
     "interferometer",
     "make_state",

@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -40,11 +39,11 @@ from .errors import ToleranceError
 from .fock import make_state
 from .svgplot import format_rows, write_line_chart
 from .synthesis import (
-    GAConfig,
+    _ITERATIONS,
     PartitionBasis,
     TargetPattern,
     best_classical_fit,
-    ga_optimize,
+    fit_superposition,
     genome_profile,
     trench_target,
 )
@@ -56,12 +55,11 @@ _CONVENTIONS = {
 _FORMATS = ("csv", "svg", "both")
 # Fringe self-check tolerance for N below ~1.8e5; see _fringe_errors.
 _FRINGE_CHECK_TOL = 1e-9
-# GA trace against the fitness of the emitted dose, relative to the target's
+# Solver trace against the fitness of the emitted dose, relative to the target's
 # mean square (the error of a zero dose, which bounds every fitness).
 _FITNESS_CHECK_TOL = 1e-9
 
 _DEFAULT_GRID = 512
-_GA = GAConfig()
 
 # name -> (type, default, help).  A default of None means "unset".
 _OPTIONS = {
@@ -71,18 +69,12 @@ _OPTIONS = {
                         "synthesize --target: its row count)"),
     "convention": (str, "symmetric", "substrate convention: " + " or ".join(_CONVENTIONS)),
     "wavelength_nm": (float, None, "if given, noon prints the minimum feature size"),
-    "seed": (int, _GA.seed, "optimizer seed"),
-    "population": (int, _GA.population, "GA population size"),
-    "generations": (int, _GA.generations, "GA generations"),
-    "mutation_sigma": (float, _GA.mutation_sigma, "GA mutation step"),
-    "crossover_rate": (float, _GA.crossover_rate, "GA crossover probability"),
-    "elite": (int, _GA.elite_count, "GA elites carried into each generation"),
+    "seed": (int, 0, "synthesize: seed of the solver's starts"),
+    "generations": (int, _ITERATIONS, "synthesize: solver iterations"),
     "out": (str, None, "output stem (default: the command name)"),
     "format": (str, "csv", "output format: " + ", ".join(_FORMATS)),
     "target": (str, None, "synthesize: target CSV of phi,value rows"),
 }
-# Option -> GAConfig field; they agree but for elite -> elite_count.
-_GA_FIELDS = {f.name.removesuffix("_count"): f.name for f in fields(GAConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +292,7 @@ def _load_target(path: str) -> TargetPattern:
 
 
 def cmd_synthesize(cfg: argparse.Namespace) -> None:
-    """Evolve a partition superposition toward the target pattern."""
+    """Fit a partition superposition to the target pattern."""
     if cfg.convention is not SubstrateConvention.SYMMETRIC:
         raise ValueError(
             "synthesize supports only --convention symmetric: its partition "
@@ -316,8 +308,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
             )
     else:
         target = trench_target(cfg.grid)
-    ga_config = GAConfig(**{field: getattr(cfg, name) for name, field in _GA_FIELDS.items()})
-    best, trace = ga_optimize(basis, target, ga_config)
+    best, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
     quantum = genome_profile(best, basis, target.grid_points)
     final_fitness = float(np.mean((quantum.doses - target.samples) ** 2))
@@ -325,7 +316,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
     tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.samples**2)), np.finfo(float).tiny)
     if not gap <= tol:
         raise ToleranceError(
-            f"GA fitness {float(trace[-1])!r} disagrees with the fitness "
+            f"solver fitness {float(trace[-1])!r} disagrees with the fitness "
             f"{final_fitness!r} of the emitted dose by {gap:.3e} (tolerance {tol:.3e})"
         )
     classical_curve = classical.curve(target.phis)
@@ -342,7 +333,8 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         "partitions": list(basis.partitions),
         "grid": target.grid_points,
         "convention": "symmetric",
-        **{name: getattr(cfg, name) for name in _GA_FIELDS},
+        "seed": cfg.seed,
+        "generations": cfg.generations,
         "fitness": final_fitness,
         "classical_error": classical.error,
         "classical_fit": {"a": classical.a, "b": classical.b, "theta0": classical.theta0},
@@ -358,7 +350,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
-        f"GA fitness {final_fitness:.6e} vs classical error {classical.error:.6e} "
+        f"synthesis fitness {final_fitness:.6e} vs classical error {classical.error:.6e} "
         f"(seed {cfg.seed})"
     )
 

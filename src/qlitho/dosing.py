@@ -50,8 +50,8 @@ from .optics import ModeUnitary, beamsplitter, compose, evolve, mirror, phase_sh
 # below this is treated as a bug rather than noise.
 _NEGATIVE_DOSE_TOL = -1e-12
 
-# Upper bound on the elements of one block of work (dose arrays, GA scratch,
-# formatted output rows), so that large grids do not raise peak memory.
+# Upper bound on the elements of one block of work (dose arrays, synthesis QR
+# rows, formatted output rows), so that large grids do not raise peak memory.
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -1,8 +1,8 @@
 """Pattern synthesis from superpositions of N-photon partition states.
 
 Splitting N photons P / (N-P) between the two arms gives a family of
-substrate states whose doses are pure harmonics; a genetic algorithm
-searches complex superposition coefficients so that the combined dose
+substrate states whose doses are pure harmonics; a least-squares solve
+fits complex superposition coefficients so that the combined dose
 approximates a requested exposure pattern, and a constrained classical
 single-fringe fit provides the benchmark to beat.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +35,20 @@ import numpy as np
 from .dosing import _BLOCK_ELEMENTS, ExposureProfile, _check_phase_grid, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
-# Largest dose a basis may deposit: the GA's QR takes the column norms of
-# the dose monomials over the grid, and the fitness sums squared doses over
-# the grid; both square doses and must stay finite.
+# Largest dose a basis may deposit: the solver's QR takes the column norms
+# of the dose monomials over the grid, and the fitness sums squared doses
+# over the grid; both square doses and must stay finite.
 _MAX_DOSE = 10**150
+
+# Solver starts, and its default iteration count: every start has
+# converged by then on the default trench basis.
+_STARTS = 64
+_ITERATIONS = 50
+# Levenberg-Marquardt damping range, relative to the mean diagonal of the
+# Gauss-Newton matrix, and its factor per step.  The lower end keeps the
+# systems nonsingular: a global phase of alpha leaves the dose unchanged.
+_DAMPING = (1e-9, 1e6)
+_DAMPING_FACTOR = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +117,13 @@ class SynthesisGenome:
 def normalized_genome(coefficients, scale: float = 1.0) -> SynthesisGenome:
     """Build a genome, normalizing the coefficient vector first."""
     coeff = np.asarray(coefficients, dtype=complex)
-    norm = np.linalg.norm(coeff)
-    if norm == 0 or not np.isfinite(norm):
+    # Scale by the largest magnitude before the norm, whose squares could
+    # underflow; part by part, since complex division by a subnormal overflows.
+    peak = np.max(np.abs(coeff), initial=0.0)
+    if not (0 < peak < np.inf):
         raise ValueError("degenerate coefficient vector")
-    return SynthesisGenome(coeff / norm, scale)
+    coeff = coeff.real / peak + 1j * (coeff.imag / peak)
+    return SynthesisGenome(coeff / np.linalg.norm(coeff), scale)
 
 
 @dataclass(frozen=True)
@@ -140,32 +153,6 @@ class TargetPattern:
     @property
     def grid_points(self) -> int:
         return len(self.phis)
-
-
-@dataclass(frozen=True)
-class GAConfig:
-    """Knobs for the generational optimizer (all defaults battle-tested)."""
-
-    population: int = 64
-    generations: int = 500
-    mutation_sigma: float = 0.05
-    crossover_rate: float = 0.7
-    elite_count: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
-        if not (math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0):
-            raise ValueError("mutation_sigma must be positive")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if not (1 <= self.elite_count < self.population):
-            raise ValueError("elite_count must lie in [1, population)")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
 
 
 class ClassicalFit(NamedTuple):
@@ -342,62 +329,35 @@ def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPatter
 
 
 # ---------------------------------------------------------------------------
-# genetic optimizer
+# least-squares solver
 # ---------------------------------------------------------------------------
 
-def _grid_scorer(matrix: np.ndarray, target: np.ndarray, rows: int):
-    """Scale-optimized MSE of chromosome rows, from their doses on the grid.
-
-    A chromosome is x = [Re alpha | Im alpha] and ``stacked`` the real
-    (2k x 2G) form of the amplitude matrix A, so that x @ stacked is
-    [Re | Im] of alpha @ A; a real product is several times faster than
-    the complex one at these shapes.  At most ``rows`` chromosomes are
-    scored at once, in blocks inside one (block x 2G) scratch array that
-    every call reuses: fresh G-sized temporaries in every generation cost
-    more in page faults than the arithmetic itself.
-    """
-    g = len(target)
-    stacked = np.block([[matrix.real, matrix.imag], [-matrix.imag, matrix.real]])
-    work = np.empty((min(rows, max(1, _BLOCK_ELEMENTS // (2 * g))), 2 * g))
-
-    def score(chromosomes: np.ndarray) -> np.ndarray:
-        out = np.empty(len(chromosomes))
-        for start in range(0, len(chromosomes), len(work)):
-            block = chromosomes[start:start + len(work)]
-            amp = np.matmul(block, stacked, out=work[: len(block)])
-            np.square(amp, out=amp)
-            u = amp[:, :g]
-            u += amp[:, g:]
-            out[start:start + len(block)] = _scaled_sse(u, target)
-        return out / g
-
-    return score
-
-
-def _dose_space_scorer(matrix: np.ndarray, target: np.ndarray):
-    """Scale-optimized MSE of chromosome rows, from k^2 numbers each.
+def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map x = [Re alpha | Im alpha] to a residual whose norm is the dose error.
 
     The dose |alpha @ A|^2 is linear in the lifted matrix alpha alpha^H:
     it is V m, where the k^2 columns of V are the real dose monomials
     |A_i|^2, Re(A_i conj A_j) and Im(A_i conj A_j) (i < j) on the grid,
-    and m holds the chromosome's matching coefficients |alpha_i|^2,
-    2 Re(alpha_i conj alpha_j) and -2 Im(alpha_i conj alpha_j), a linear
-    map ``pick`` of x x^T for x = [Re alpha | Im alpha].  With
-    [V | p] = Q R, Q orthonormal, every residual s V m - p has the norm
-    of R [s m; -1] = s R_V m - c, where c is the last column of R; its
-    last row holds the part of p outside the span of V.  So a chromosome
-    is scored from w = R_V m = vec(x x^T) @ lift against c, and no step
-    after the QR depends on G.  R is accumulated over row blocks of the
-    grid (TSQR), so [V | p] is never formed whole.  The closed form
-    mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error is roundoff
-    of mean(p^2), not of the residual, so a target the basis reaches
-    exactly would not score near zero.
+    and m holds their coefficients |alpha_i|^2, 2 Re(alpha_i conj alpha_j)
+    and -2 Im(alpha_i conj alpha_j), each a quadratic form (1/2) x^T H x.
+    With [V | p] = Q R, Q orthonormal, the residual V m - p has the norm
+    of w - c for w = R_V m and c the last column of R; its last row holds
+    the part of p outside the span of V.  R has min(G, k^2+1) rows and is
+    accumulated over row blocks of the grid (TSQR), so [V | p] is never
+    formed whole; a block holds at least k^2+1 rows, which keeps the
+    stacked QRs near the cost of one QR of [V | p].
+
+    Returns ``jac`` (2k x 2k r, r the rows of R) and c.  The Jacobian of
+    w at x is x @ jac (as 2k x r), and w is half of x applied to it.  The
+    closed form mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error
+    is roundoff of mean(p^2), not of the residual, so a target the basis
+    reaches exactly would not score near zero.
     """
     k, g = matrix.shape
     i, j = np.triu_indices(k, 1)
     width = k * k + 1
     tri = np.empty((0, width))
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = max(width, _BLOCK_ELEMENTS // width)
     for start in range(0, g, step):
         amp = matrix[:, start:start + step]
         cross = amp[i] * amp[j].conj()
@@ -405,116 +365,86 @@ def _dose_space_scorer(matrix: np.ndarray, target: np.ndarray):
             [amp.real**2 + amp.imag**2, cross.real, cross.imag, target[None, start:start + step]]
         )
         tri = np.linalg.qr(np.concatenate([tri, block.T]), mode="r")
+    # jac[a, b] = sum over monomials of (d^2 m / dx_a dx_b) times its row of R_V^T.
     # With alpha = a + ib: |alpha_i|^2 = a_i a_i + b_i b_i,
     # 2 Re(alpha_i conj alpha_j) = 2 (a_i a_j + b_i b_j) and
     # -2 Im(alpha_i conj alpha_j) = 2 (a_i b_j - b_i a_j).
-    pick = np.zeros((2 * k, 2 * k, width - 1))
+    rows = tri[:, :-1].T
     d, re_ij, im_ij = np.arange(k), np.arange(k, k + len(i)), np.arange(k + len(i), width - 1)
-    pick[d, d, d] = pick[k + d, k + d, d] = 1.0
-    pick[i, j, re_ij] = pick[k + i, k + j, re_ij] = 2.0
-    pick[i, k + j, im_ij], pick[k + i, j, im_ij] = 2.0, -2.0
-    lift, c = pick.reshape(4 * k * k, -1) @ tri[:, :-1].T, tri[:, -1].copy()
-
-    def score(chromosomes: np.ndarray) -> np.ndarray:
-        outer = chromosomes[:, :, None] * chromosomes[:, None, :]
-        return _scaled_sse(outer.reshape(len(chromosomes), -1) @ lift, c) / g
-
-    return score
+    jac = np.zeros((2 * k, 2 * k, len(tri)))
+    for a, b, m, h in ((d, d, d, 2.0), (k + d, k + d, d, 2.0),
+                       (i, j, re_ij, 2.0), (k + i, k + j, re_ij, 2.0),
+                       (i, k + j, im_ij, 2.0), (k + i, j, im_ij, -2.0)):
+        jac[a, b] = jac[b, a] = h * rows[m]
+    return jac.reshape(2 * k, -1), tri[:, -1].copy()
 
 
-def _population_scorer(matrix: np.ndarray, target: np.ndarray, rows: int, evaluations: int):
-    """The cheaper scorer for ``evaluations`` chromosomes, at most ``rows`` at a time.
-
-    For a k x G amplitude matrix a chromosome costs about 4kG operations
-    on the grid and k^4 in the dose space (timed at 62 chromosomes a call,
-    the two cross near k^3 = 4G), and the dose space first spends about
-    2Gk^4 on its QR, once per run.  Its (k^2+1)-square triangle must also
-    fit one block, which caps k at 15.
-    """
-    k, g = matrix.shape
-    if k**3 * (2 * g + evaluations) <= 4 * g * evaluations and (k * k + 1) ** 2 <= _BLOCK_ELEMENTS:
-        return _dose_space_scorer(matrix, target)
-    return _grid_scorer(matrix, target, rows)
+def _jacobians(x: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed Jacobians (starts x 2k x r) of w at the rows of x, and the w."""
+    jt = (x @ jac).reshape(*x.shape, -1)
+    return jt, 0.5 * np.einsum("sa,saj->sj", x, jt)
 
 
-def _normalize_rows(vecs: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; a vanishing row is first reset, in place, to e_0."""
-    norms = np.linalg.norm(vecs, axis=1)
-    degenerate = norms < 1e-300
-    vecs[degenerate] = np.eye(1, vecs.shape[1])
-    norms[degenerate] = 1.0
-    return vecs / norms[:, None]
-
-
-def ga_optimize(
+def fit_superposition(
     basis: PartitionBasis,
     target: TargetPattern,
-    config: GAConfig | None = None,
+    iterations: int = _ITERATIONS,
+    seed: int = 0,
 ) -> tuple[SynthesisGenome, np.ndarray]:
-    """Evolve superposition coefficients to match a target pattern.
+    """Fit superposition coefficients to a target pattern by least squares.
 
-    Generational GA on the real/imaginary parts of the coefficients:
-    tournament selection of size 2, arithmetic crossover with probability
-    ``crossover_rate``, Gaussian mutation with ``mutation_sigma`` on every
-    gene, renormalization to unit coefficient norm after every variation,
-    and ``elite_count`` unchanged survivors per generation.  Fitness is
-    the scale-optimized mean squared error on the target grid, and each
-    generation scores all its children at once, in whichever space costs
-    less for the run's size (see _population_scorer): in the k^2-dimensional
-    dose space, from one QR of the dose monomials taken before the first
-    generation (_dose_space_scorer), or on the grid, by one
-    (children x k) @ (k x G) product with the amplitude matrix taken in
-    row blocks of bounded size (_grid_scorer).  The two agree with
-    ``fitness`` to roundoff.
+    The unknown is x = [Re alpha | Im alpha] in R^{2k} with no norm
+    constraint: the dose scale is |x|^2.  The residual w(x) - c of
+    _dose_space is quadratic in x, and its norm squared over G is the
+    mean squared error of the dose, so the fit is a Levenberg-Marquardt
+    solve in 2k reals that never touches the grid after one QR.
+    ``_STARTS`` starts are drawn from ``default_rng([seed, 0])``, each
+    moved to its optimal scale, and then solved together for
+    ``iterations`` steps: per start, one damped 2k x 2k Gauss-Newton
+    system, a step kept only if it lowers the residual, and the damping
+    divided on success and multiplied on failure within a fixed range.
 
-    Returns the best genome ever seen (its scale set to the optimal
-    least-squares value) and the per-generation best-fitness trace; entry
-    0 is the initial population, so the array has generations+1 entries
-    and is non-increasing.  Fully deterministic for a given seed:
-    generation g draws everything it needs -- the initial population for
-    g = 0; tournament picks, crossover flags and weights, and mutations
-    after that -- as arrays indexed by child position from the single
-    stream ``default_rng([seed, g])``.
+    Returns the best genome seen (unit coefficients, its scale set to the
+    optimal least-squares value on the grid) and the trace whose entry i
+    is the best scale-optimized mean squared error over all starts after
+    i iterations; it has iterations+1 entries and is non-increasing.
+    Fully deterministic for a given seed.
     """
-    if config is None:
-        config = GAConfig()
+    if not isinstance(iterations, int) or iterations < 1:
+        raise ValueError("iterations must be a positive integer")
+    if not isinstance(seed, int):
+        raise ValueError("seed must be an integer")
     k = len(basis)
-    p = target.samples
     matrix = _amplitude_matrix(basis, target.phis)
-    size, elite = config.population, config.elite_count
-    children = size - elite
-    seed = config.seed & 0xFFFFFFFFFFFFFFFF
-    score = _population_scorer(matrix, p, size, size + config.generations * children)
+    jac, c = _dose_space(matrix, target.samples)
 
-    pop = _normalize_rows(np.random.default_rng([seed, 0]).standard_normal((size, 2 * k)))
-    fits = score(pop)
-    best_idx = int(np.argmin(fits))
-    best_vec, best_fit = pop[best_idx].copy(), float(fits[best_idx])
-    trace = [best_fit]
-
-    for gen in range(1, config.generations + 1):
-        rng = np.random.default_rng([seed, gen])
-        picks = rng.integers(size, size=(2, 2, children))  # parent, contender, child
-        crossed = rng.random(children) < config.crossover_rate
-        t = rng.random(children)[:, None]
-        noise = rng.normal(0.0, config.mutation_sigma, (children, 2 * k))
-
-        winners = np.where(fits[picks[:, 0]] <= fits[picks[:, 1]], picks[:, 0], picks[:, 1])
-        one, two = pop[winners[0]], pop[winners[1]]
-        offspring = np.where(crossed[:, None], t * one + (1.0 - t) * two, one) + noise
-        survivors = np.argsort(fits, kind="stable")[:elite]
-        pop = np.concatenate([pop[survivors], _normalize_rows(offspring)])
-        fits = np.concatenate([fits[survivors], score(pop[elite:])])
-        gen_best = int(np.argmin(fits))
-        if fits[gen_best] < best_fit:
-            best_fit = float(fits[gen_best])
-            best_vec = pop[gen_best].copy()
+    x = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0]).standard_normal((_STARTS, 2 * k))
+    x *= np.sqrt(_optimal_scale(_jacobians(x, jac)[1], c))[:, None]
+    jt, w = _jacobians(x, jac)
+    damping = np.ones(_STARTS)  # adds the mean Gauss-Newton diagonal: a short first step
+    trace, best_fit, best_vec = [], np.inf, x[0].copy()
+    for step in range(iterations + 1):
+        fits = _scaled_sse(w.copy(), c) / target.grid_points
+        idx = int(np.argmin(fits))
+        if fits[idx] < best_fit:
+            best_fit, best_vec = float(fits[idx]), x[idx].copy()
         trace.append(best_fit)
+        if step == iterations:
+            break
+        res = w - c
+        normal = jt @ jt.transpose(0, 2, 1)
+        shift = damping * np.trace(normal, axis1=1, axis2=2) / (2 * k) + np.finfo(float).tiny
+        normal += shift[:, None, None] * np.eye(2 * k)
+        trial = x - np.linalg.solve(normal, jt @ res[:, :, None])[:, :, 0]
+        trial_jt, trial_w = _jacobians(trial, jac)
+        better = np.sum((trial_w - c) ** 2, axis=1) < np.sum(res**2, axis=1)
+        x[better], jt[better], w[better] = trial[better], trial_jt[better], trial_w[better]
+        damping = np.clip(np.where(better, damping / _DAMPING_FACTOR, damping * _DAMPING_FACTOR),
+                          *_DAMPING)
 
-    alpha = best_vec[:k] + 1j * best_vec[k:]
-    u = np.abs(alpha @ matrix) ** 2
-    best = SynthesisGenome(alpha, float(_optimal_scale(u, p)))
-    return best, np.asarray(trace)
+    alpha = normalized_genome(best_vec[:k] + 1j * best_vec[k:]).coefficients
+    scale = _optimal_scale(np.abs(alpha @ matrix) ** 2, target.samples)
+    return SynthesisGenome(alpha, float(scale)), np.asarray(trace)
 
 
 # ---------------------------------------------------------------------------

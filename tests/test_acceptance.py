@@ -25,13 +25,12 @@ from qlitho.dosing import (
 from qlitho.fock import FieldCoefficients, apply_field_power, make_state, squared_norm
 from qlitho.optics import ModeUnitary, beamsplitter, evolve
 from qlitho.synthesis import (
-    GAConfig,
     PartitionBasis,
     best_classical_fit,
     component_closed_form,
     component_profile,
+    fit_superposition,
     fitness,
-    ga_optimize,
     trench_target,
 )
 
@@ -162,21 +161,20 @@ def test_criterion_7_synthesis_beats_classical():
     start = time.perf_counter()
     basis = PartitionBasis(10, (1, 2, 3, 4, 5))
     target = trench_target(GRID)
-    config = GAConfig()  # library defaults, fixed seed
-    best, trace = ga_optimize(basis, target, config)
+    best, trace = fit_superposition(basis, target)  # library defaults, fixed seed
     elapsed = time.perf_counter() - start
     classical = best_classical_fit(target)
     quantum_error = fitness(best, basis, target)
 
     assert quantum_error < classical.error  # strictly better than any classical fringe
     assert np.all(np.diff(trace) <= 0.0)
-    best_again, trace_again = ga_optimize(basis, target, config)
+    best_again, trace_again = fit_superposition(basis, target)
     assert trace.tobytes() == trace_again.tobytes()
     assert best.coefficients.tobytes() == best_again.coefficients.tobytes()
     assert best.scale == best_again.scale
     assert elapsed < 60.0
     print(
-        f"criterion 7 PASS: GA {quantum_error:.4f} < classical {classical.error:.4f}, "
+        f"criterion 7 PASS: synthesis {quantum_error:.4f} < classical {classical.error:.4f}, "
         f"monotone trace, byte-identical rerun, {elapsed:.1f}s"
     )
 

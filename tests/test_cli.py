@@ -166,14 +166,13 @@ def test_svg_output_is_deterministic(monkeypatch, tmp_path):
 # synthesize
 # ---------------------------------------------------------------------------
 
-SMALL_GA = [
-    "--population", "12", "--generations", "8", "--grid", "64",
-    "--partitions", "1,2,3", "--seed", "7",
+SMALL_SYNTH = [
+    "--generations", "8", "--grid", "64", "--partitions", "1,2,3", "--seed", "7",
 ]
 
 
 def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
-    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_GA)
+    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
     assert code == 0
     header, rows = read_rows(tmp_path / "synthesize.csv")
     assert header == "phi,target,classical_best,quantum_best"
@@ -185,6 +184,7 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
     assert summary["grid"] == 64
     assert summary["convention"] == "symmetric"
     assert summary["seed"] == 7
+    assert summary["generations"] == 8
     assert summary["trace_final"] <= summary["trace_initial"]
     assert len(summary["coefficients"]) == 3
     norm = sum(c["re"] ** 2 + c["im"] ** 2 for c in summary["coefficients"])
@@ -192,7 +192,7 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
     assert summary["scale"] > 0.0
 
     out = capsys.readouterr().out
-    assert "GA fitness" in out and "classical error" in out and "(seed 7)" in out
+    assert "synthesis fitness" in out and "classical error" in out and "(seed 7)" in out
 
 
 def test_synthesize_rejects_paper_convention(monkeypatch, tmp_path, capsys):
@@ -200,7 +200,7 @@ def test_synthesize_rejects_paper_convention(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("convention = paper\n", encoding="ascii")
     for source in (["--convention", "paper"], ["--config", str(cfg)]):
-        code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_GA, *source)
+        code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH, *source)
         assert code == 2
         err = capsys.readouterr().err
         assert "synthesize supports only --convention symmetric" in err
@@ -214,7 +214,7 @@ def test_synthesize_is_byte_deterministic(monkeypatch, tmp_path):
     first.mkdir()
     second.mkdir()
     for where in (first, second):
-        code = run_cli(monkeypatch, where, "--command", "synthesize", *SMALL_GA)
+        code = run_cli(monkeypatch, where, "--command", "synthesize", *SMALL_SYNTH)
         assert code == 0
     assert (first / "synthesize.csv").read_bytes() == (second / "synthesize.csv").read_bytes()
     assert (
@@ -237,16 +237,16 @@ def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, parti
 
 
 def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
-    # A GA whose reported trace disagrees with the fitness of the dose it
-    # emits must trip the self-check.
-    real_ga = cli.ga_optimize
+    # A solver whose reported trace disagrees with the fitness of the dose
+    # it emits must trip the self-check.
+    real_fit = cli.fit_superposition
 
-    def skewed_ga(*args):
-        best, trace = real_ga(*args)
+    def skewed_fit(*args):
+        best, trace = real_fit(*args)
         return best, trace * (1.0 + 1e-6)
 
-    monkeypatch.setattr(cli, "ga_optimize", skewed_ga)
-    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_GA)
+    monkeypatch.setattr(cli, "fit_superposition", skewed_fit)
+    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
     assert code == 4
     assert "tolerance violation" in capsys.readouterr().err
 
@@ -262,7 +262,7 @@ def test_synthesize_flags_classical_family_target(monkeypatch, tmp_path):
     code = run_cli(
         monkeypatch, tmp_path,
         "--command", "synthesize",
-        "--population", "8", "--generations", "2", "--partitions", "1",
+        "--generations", "2", "--partitions", "1",
         "--target", str(target_path),
     )
     assert code == 0
@@ -293,7 +293,7 @@ def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
     code = run_cli(
         monkeypatch, tmp_path,
         "--command", "synthesize",
-        "--population", "8", "--generations", "4", "--partitions", "1,2",
+        "--generations", "4", "--partitions", "1,2",
         "--target", str(target_path),
     )
     assert code == 0
@@ -310,7 +310,7 @@ def test_synthesize_target_fixes_the_grid(monkeypatch, tmp_path, capsys):
     target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 32\n", encoding="ascii")
-    base = ["--command", "synthesize", "--population", "8", "--generations", "2",
+    base = ["--command", "synthesize", "--generations", "2",
             "--partitions", "1,2", "--target", str(target_path)]
     assert run_cli(monkeypatch, tmp_path, *base, "--grid", "4096") == 2
     assert run_cli(monkeypatch, tmp_path, *base, "--config", str(cfg)) == 2
@@ -357,7 +357,7 @@ def test_config_file_rejects_unknown_keys(monkeypatch, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 # Small runs; the option under test is dropped from them.
-_SMALL = {"n": "6", "partitions": "1,2", "grid": "32", "population": "8", "generations": "3"}
+_SMALL = {"n": "6", "partitions": "1,2", "grid": "32", "generations": "3"}
 
 # option -> (command, two valid values with different outputs, malformed values);
 # "{tmp}" is the test's directory, which holds the target files below.
@@ -368,15 +368,20 @@ OPTION_CASES = {
     "convention": ("fringe", "paper", "symmetric", ["sideways"]),
     "wavelength_nm": ("noon", "248", "193", ["blue", "-1", "nan"]),
     "seed": ("synthesize", "3", "4", ["x", "1.5"]),
-    "population": ("synthesize", "8", "10", ["many", "2"]),
-    "generations": ("synthesize", "3", "4", ["abc", "0"]),
-    "mutation_sigma": ("synthesize", "0.05", "0.2", ["wide", "nan"]),
-    "crossover_rate": ("synthesize", "0.7", "0.3", ["half", "1.5"]),
-    "elite": ("synthesize", "2", "1", ["two", "8"]),
+    "generations": ("synthesize", "3", "4", ["abc", "0", "-1"]),
     "out": ("classical", "result", "other.csv", ["bad\0stem"]),
     "format": ("classical", "svg", "both", ["pdf"]),
     "target": ("synthesize", "{tmp}/trench.csv", "{tmp}/fringe.csv",
                ["{tmp}/words.csv", "{tmp}/short.csv", "{tmp}/nan_phase.csv"]),
+}
+
+# Options of the genetic optimizer that the least-squares solver replaced:
+# any value of them, their old defaults included, is malformed.
+REMOVED_OPTIONS = {
+    "population": ("synthesize", None, None, ["64"]),
+    "mutation_sigma": ("synthesize", None, None, ["0.05"]),
+    "crossover_rate": ("synthesize", None, None, ["0.7"]),
+    "elite": ("synthesize", None, None, ["2"]),
 }
 
 
@@ -399,7 +404,7 @@ class _Runner:
     def __init__(self, monkeypatch, tmp_path, capsys, option):
         self.monkeypatch, self.tmp, self.capsys = monkeypatch, tmp_path, capsys
         _write_targets(tmp_path)
-        self.command, self.a, self.b, self.bad = OPTION_CASES[option]
+        self.command, self.a, self.b, self.bad = {**OPTION_CASES, **REMOVED_OPTIONS}[option]
         self.flag = "--" + option.replace("_", "-")
         base = {k: v for k, v in _SMALL.items() if k != option}
         self.base = ["--command", self.command]
@@ -429,6 +434,7 @@ class _Runner:
 def test_option_cases_cover_every_option():
     dests = {action.dest for action in cli.build_parser()._actions}
     assert sorted(OPTION_CASES) == sorted(dests - {"help", "command", "config"})
+    assert not set(REMOVED_OPTIONS) & set(OPTION_CASES)
 
 
 @pytest.mark.parametrize("option", sorted(OPTION_CASES))
@@ -451,7 +457,7 @@ def test_option_flag_beats_file(monkeypatch, tmp_path, capsys, option):
     assert run(*run.config(option, run.a), run.flag, run.value(run.b)) == only_b
 
 
-@pytest.mark.parametrize("option", sorted(OPTION_CASES))
+@pytest.mark.parametrize("option", sorted({**OPTION_CASES, **REMOVED_OPTIONS}))
 def test_malformed_option_exits_two(monkeypatch, tmp_path, capsys, option):
     run = _Runner(monkeypatch, tmp_path, capsys, option)
     for bad in run.bad:
@@ -543,7 +549,7 @@ def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expec
 
 
 @pytest.mark.parametrize("command, target", [
-    ("noon", "_grid_doses"), ("synthesize", "ga_optimize"),
+    ("noon", "_grid_doses"), ("synthesize", "fit_superposition"),
 ])
 def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target):
     # numpy raises a MemoryError subclass when an array cannot be allocated.
