@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dosing import SubstrateConvention
+
 
 def classical_one_photon(phi):
     """Single-photon / coherent fringe 1 + cos(2 phi)."""
@@ -27,8 +29,9 @@ def classical_n_photon(n_photons: int, phi):
     return 2.0 * (classical_one_photon(phi) / 2.0) ** n_photons
 
 
-def noon_exposure(n_photons: int, phi):
-    """Path-entangled N-photon fringe 1 + cos(2 N phi)."""
+def noon_exposure(n_photons: int, phi, convention=SubstrateConvention.SYMMETRIC):
+    """Path-entangled N-photon fringe 1 + cos(2 N phi), 1 + cos(N phi) in SINGLE_ARM."""
     if n_photons < 1:
         raise ValueError("photon number must be a positive integer")
-    return 1.0 + np.cos(2.0 * n_photons * np.asarray(phi, dtype=float))
+    rate = 2.0 if convention is SubstrateConvention.SYMMETRIC else 1.0
+    return 1.0 + np.cos(rate * n_photons * np.asarray(phi, dtype=float))

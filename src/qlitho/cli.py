@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .baselines import classical_n_photon, classical_one_photon, classical_two_photon
+from .baselines import classical_n_photon, classical_one_photon, classical_two_photon, noon_exposure
 from .dosing import (
     ExposureProfile,
     SubstrateConvention,
@@ -193,19 +193,13 @@ def _fringe_errors(doses: np.ndarray, analytic: np.ndarray, n: int) -> np.ndarra
 
 def cmd_fringe(cfg: argparse.Namespace) -> None:
     """One- and two-photon fringes: classical baselines vs the simulated pair."""
-    phis = phase_grid(cfg.grid)
-    two_photon = exposure_profile(
-        make_state({(1, 1): 1.0}), 2, cfg.grid, cfg.convention, from_input=True
-    )
-    if cfg.convention is SubstrateConvention.SYMMETRIC:
-        analytic = 1.0 + np.cos(4.0 * phis)
-    else:
-        analytic = 1.0 + np.cos(2.0 * phis)
-    worst = float(_fringe_errors(two_photon.doses, analytic, 2).max())
+    pair = exposure_profile(make_state({(1, 1): 1.0}), 2, cfg.grid, cfg.convention, from_input=True)
+    phis = pair.phis
+    worst = float(_fringe_errors(pair.doses, noon_exposure(2, phis, cfg.convention), 2).max())
     _emit(
         cfg,
         ["phi", "delta_1_classical", "delta_2_classical", "delta_2_quantum"],
-        [phis, classical_one_photon(phis), classical_two_photon(phis), two_photon.doses],
+        [phis, classical_one_photon(phis), classical_two_photon(phis), pair.doses],
         title="Exposure fringes",
     )
     print(f"two-photon fringe check: max deviation {worst:.3e}")
@@ -218,12 +212,9 @@ def _noon_profile(cfg: argparse.Namespace) -> tuple[ExposureProfile, np.ndarray,
     a phase shifter sits ahead of the substrate, commuted into its field.
     """
     phis = phase_grid(cfg.grid)
-    doses = _grid_doses(noon_state(cfg.n), cfg.n, phis, cfg.convention, shifted=True)
+    doses = _grid_doses(noon_state(cfg.n), cfg.n, phis, cfg.convention, "shifter")
     profile = ExposureProfile(phis, doses)
-    if cfg.convention is SubstrateConvention.SYMMETRIC:
-        analytic = 1.0 + np.cos(2.0 * cfg.n * phis)
-    else:
-        analytic = 1.0 + np.cos(cfg.n * phis)
+    analytic = noon_exposure(cfg.n, phis, cfg.convention)
     return profile, analytic, _fringe_errors(profile.doses, analytic, cfg.n)
 
 

@@ -28,9 +28,13 @@ Two conventions relate the point phase ``phi`` to the field:
   phase shifter diag(e^{i phi}, 1) sits in one arm and the substrate sees
   the plain sum e = c + d.  All fringe frequencies come out halved
   relative to SYMMETRIC; the two conventions agree after rescaling the
-  phase axis by two (up to a constant offset).  The phase shifter
-  commutes into the field: behind it, the plain sum sees a state exactly
-  as the field e^{i phi} c + d sees the unshifted state.
+  phase axis by two (up to a constant offset).
+
+A state is dosed where it sits, by the field pulled back to it (Heisenberg
+picture): e^{i phi} c + d behind the SINGLE_ARM phase shifter, and
+(alpha, beta) T at the inputs, ahead of the splitter and mirror
+T = [[1, -i], [-i, 1]] / sqrt2.  That is taken as half of (alpha, beta) @
+sqrt2 T, exact and at most 1 in size, and the dose is doubled N times.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, _sectors, make_state
-from .optics import ModeUnitary, beamsplitter, compose, evolve, mirror, phase_shifter
+from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Doses are squared norms and cannot be negative beyond roundoff; anything
 # below this is treated as a bug rather than noise.
@@ -54,6 +58,8 @@ _NEGATIVE_DOSE_TOL = -1e-12
 # rows, formatted output rows), so that large grids do not raise peak memory.
 _BLOCK_ELEMENTS = 1 << 16
 
+_INPUT_CHAIN = np.array([[1, -1j], [-1j, 1]])  # sqrt2 compose(mirror(), beamsplitter())
+
 
 class SubstrateConvention(enum.Enum):
     """How the point phase enters the substrate field."""
@@ -62,15 +68,27 @@ class SubstrateConvention(enum.Enum):
     SINGLE_ARM = "single-arm"
 
 
+def _field(phis, convention: SubstrateConvention, site: str):
+    """Field arrays (alpha, beta) that dose a state at ``site`` ("substrate",
+    "shifter" or "inputs"), and the dose's doublings per absorbed photon."""
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("substrate phase must be finite")
+    wave = np.exp(1j * np.atleast_1d(phis))
+    if convention is SubstrateConvention.SYMMETRIC:
+        field = (wave, wave.conj())
+    elif convention is SubstrateConvention.SINGLE_ARM:
+        field = (np.ones_like(wave) if site == "substrate" else wave, np.ones_like(wave))
+    else:
+        raise ValueError(f"unknown substrate convention {convention!r}")
+    if site == "inputs":
+        return _INPUT_CHAIN.T @ field / 2, 1
+    return field, 0
+
+
 def substrate_field(phi: float, convention: SubstrateConvention = SubstrateConvention.SYMMETRIC) -> FieldCoefficients:
     """Coefficients of the field operator at substrate phase ``phi``."""
-    if not math.isfinite(phi):
-        raise ValueError("substrate phase must be finite")
-    if convention is SubstrateConvention.SYMMETRIC:
-        return FieldCoefficients(cmath.exp(1j * phi), cmath.exp(-1j * phi))
-    if convention is SubstrateConvention.SINGLE_ARM:
-        return FieldCoefficients(1.0 + 0j, 1.0 + 0j)
-    raise ValueError(f"unknown substrate convention {convention!r}")
+    (alpha, beta), _ = _field(float(phi), convention, "substrate")
+    return FieldCoefficients(complex(alpha[0]), complex(beta[0]))
 
 
 def interferometer(phi: float, convention: SubstrateConvention = SubstrateConvention.SYMMETRIC) -> ModeUnitary:
@@ -98,34 +116,29 @@ def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
     )
 
 
-def _doses(state: FockState, n_photons: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """||e^N |state>||^2 / N! for each field alpha[g] a + beta[g] b."""
-    doses = np.zeros(len(alpha))
+def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray:
+    """2^(doubling N) ||e^N |state>||^2 / N! for each field (alpha[g], beta[g]); the
+    amplitudes take 2^floor(doubling N / 2) before squaring, to square at dose size."""
+    half, odd = divmod(doubling * n_photons, 2)
+    doses = np.zeros(len(field[0]))
     for psi in _sectors(state).values():
         if len(psi) <= n_photons:
             continue
         terms, ks, norm = _lowering_terms(psi, n_photons, scaled=True)
         step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
-        for lo in range(0, len(alpha), step):
+        for lo in range(0, len(doses), step):
             block = slice(lo, lo + step)
-            amp = terms @ _field_powers(alpha[block], beta[block], n_photons, ks)
-            doses[block] += np.sum(amp.real**2 + amp.imag**2, axis=0) / norm
-    return doses
+            amp = terms @ _field_powers(field[0][block], field[1][block], n_photons, ks)
+            re, im = np.ldexp(amp.real, half), np.ldexp(amp.imag, half)
+            doses[block] += np.sum(re**2 + im**2, axis=0) / norm
+    return np.ldexp(doses, odd)
 
 
-def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention, shifted: bool):
-    """Doses of a fixed state over the phases ``phis``.
-
-    With ``shifted``, a SINGLE_ARM state still has to pass the arm's phase
-    shifter, which is commuted into the field (e^{i phi}, 1).
-    """
-    wave = np.exp(1j * phis)
-    if convention is SubstrateConvention.SYMMETRIC:
-        return _doses(state, n_photons, wave, wave.conj())
-    if convention is not SubstrateConvention.SINGLE_ARM:
-        raise ValueError(f"unknown substrate convention {convention!r}")
-    ones = np.ones_like(wave)
-    return _doses(state, n_photons, wave if shifted else ones, ones)
+def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention, site: str):
+    """Doses over the phases ``phis`` of a fixed state sitting at ``site``."""
+    if n_photons < 1:
+        raise ValueError("photon number must be a positive integer")
+    return _doses(state, n_photons, *_field(phis, convention, site))
 
 
 def deposition_rate(
@@ -139,10 +152,7 @@ def deposition_rate(
     Equals ||e(phi)^N |state>||^2 / N!.  If the state cannot supply N
     photons the rate is exactly zero (never an error).
     """
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
-    f = substrate_field(phi, convention)
-    return float(_doses(state, n_photons, np.array([f.alpha]), np.array([f.beta]))[0])
+    return float(_grid_doses(state, n_photons, float(phi), convention, "substrate")[0])
 
 
 def pipeline_rate(
@@ -152,8 +162,7 @@ def pipeline_rate(
     convention: SubstrateConvention = SubstrateConvention.SYMMETRIC,
 ) -> float:
     """Dose at ``phi`` for a state fed into the interferometer inputs."""
-    at_substrate = evolve(input_state, interferometer(phi, convention))
-    return deposition_rate(at_substrate, n_photons, phi, convention)
+    return float(_grid_doses(input_state, n_photons, float(phi), convention, "inputs")[0])
 
 
 def phase_grid(grid_points: int) -> np.ndarray:
@@ -210,15 +219,12 @@ def exposure_profile(
 ) -> ExposureProfile:
     """Sample the dose over the full phase grid.
 
-    With ``from_input`` the source sits at the interferometer inputs and
-    is pushed once through the splitter and mirror; the SINGLE_ARM phase
-    shifter is commuted into the substrate field.  Otherwise the source is
-    taken to be already at the substrate.
+    With ``from_input`` the source sits at the interferometer inputs (see
+    the module docstring); otherwise it is taken to be at the substrate.
     """
     phis = phase_grid(grid_points)
-    if from_input:
-        source = evolve(source, compose(mirror(), beamsplitter()))
-    return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, from_input))
+    site = "inputs" if from_input else "substrate"
+    return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, site))
 
 
 def fourier_components(profile: ExposureProfile, max_harmonic: int) -> np.ndarray:

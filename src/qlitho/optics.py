@@ -7,8 +7,8 @@ ones,
 
     a† -> T11 c† + T21 d†,      b† -> T12 c† + T22 d†,
 
-acting on each photon-number sector as one dense matrix.  Photon number
-is conserved, so the truncation cutoff never overflows.
+acting on each photon-number sector as one dense matrix.  No dose evolves
+a state: :mod:`qlitho.dosing` pulls the field back through T instead.
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ import numpy as np
 from .dosing import _BLOCK_ELEMENTS, ExposureProfile, _check_phase_grid, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
-# Largest dose a basis may deposit: the solver's QR takes the column norms
-# of the dose monomials over the grid, and the fitness sums squared doses
-# over the grid; both square doses and must stay finite.
+# Largest dose a basis may deposit, and largest target sample: the solver's
+# QR takes the column norms of the dose monomials and the target over the
+# grid, and the fitness sums squared errors; both must stay finite.
 _MAX_DOSE = 10**150
 
 # Solver starts, and its default iteration count: every start has
@@ -141,8 +141,8 @@ class TargetPattern:
         if len(phis) < 4:
             raise ValueError("target needs at least four samples")
         _check_phase_grid(phis)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("target samples must be finite")
+        if not np.all(np.abs(samples) <= _MAX_DOSE):
+            raise ValueError("target samples must be finite and at most the limit of 10^150")
         if samples.min() < 0:
             raise ValueError("target samples must be nonnegative")
         phis.flags.writeable = False

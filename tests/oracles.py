@@ -42,6 +42,23 @@ def dense_dose(amplitudes, cutoff, n_photons, alpha, beta):
     return float(np.vdot(v, v).real) / math.factorial(n_photons)
 
 
+def number_state_dose(n, m, n_photons, weight_a, weight_b):
+    """Exact dose of |n, m> under a field with |alpha|^2, |beta|^2 = weight_a, weight_b.
+
+    e^N |n, m> = sum_k C(N, k) alpha^k beta^(N-k) a^k b^(N-k) |n, m> puts
+    each k on its own pair (n-k, m-N+k), so no two terms interfere and
+
+        dose = sum_k C(N, k) C(n, k) C(m, N-k) weight_a^k weight_b^(N-k).
+
+    With Fraction weights the result is an exact Fraction.
+    """
+    return sum(
+        math.comb(n_photons, k) * math.comb(n, k) * math.comb(m, n_photons - k)
+        * weight_a**k * weight_b ** (n_photons - k)
+        for k in range(n_photons + 1)
+    )
+
+
 def permanent(matrix):
     """Matrix permanent by explicit permutation sum (small matrices only)."""
     n = matrix.shape[0]

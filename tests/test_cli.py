@@ -302,6 +302,29 @@ def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
     assert float(rows[0][1]) == 1.0
 
 
+@pytest.mark.parametrize("peak, expected", [(1e155, 2), (1e150, 0)])
+def test_synthesize_bounds_the_target_scale(monkeypatch, tmp_path, capsys, peak, expected):
+    # The fit squares the target and sums it over the grid; beyond 10^150 the
+    # sums could overflow, so such a target is refused before anything is written.
+    target = trench_target(32)
+    lines = [f"{phi:.17g},{val * peak:.17g}" for phi, val in zip(target.phis, target.samples)]
+    target_path = tmp_path / "pattern.csv"
+    target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code = run_cli(
+        monkeypatch, tmp_path,
+        "--command", "synthesize", "--generations", "4", "--target", str(target_path),
+    )
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected:
+        assert "limit of 10^150" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["pattern.csv"]
+    else:
+        summary = json.loads((tmp_path / "synthesize_summary.json").read_text())
+        assert summary["fitness"] < summary["classical_error"]
+
+
 def test_synthesize_target_fixes_the_grid(monkeypatch, tmp_path, capsys):
     # A grid set by flag or config file must match the target's rows.
     target = trench_target(64)
@@ -523,7 +546,7 @@ def test_unwritable_out_exits_three(monkeypatch, tmp_path, capsys):
 def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
     # Sabotage the dose routine so the fringe self-check must trip.
     monkeypatch.setattr(
-        cli, "_grid_doses", lambda state, n, phis, convention, shifted: np.full(len(phis), 42.0)
+        cli, "_grid_doses", lambda state, n, phis, convention, site: np.full(len(phis), 42.0)
     )
     for command in ("noon", "compare"):
         code = run_cli(monkeypatch, tmp_path, "--command", command, "--grid", "8")
@@ -536,7 +559,7 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
 def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expected):
     # Phase roundoff grows with the fringe frequency: at N = 10^6 the check
     # allows 8 pi N eps ~ 5.6e-9, not the 1e-9 that holds up to N ~ 1.8e5.
-    def shifted_fringe(state, n, phis, convention, shifted):
+    def shifted_fringe(state, n, phis, convention, site):
         return 1.0 + np.cos(2.0 * n * phis) + offset
 
     monkeypatch.setattr(cli, "_grid_doses", shifted_fringe)
@@ -566,7 +589,7 @@ def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target)
 
 def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
     # A dose beyond the float range surfaces as OverflowError, not ValueError.
-    def overflow(state, n, phis, convention, shifted):
+    def overflow(state, n, phis, convention, site):
         raise OverflowError("integer division result too large for a float")
 
     monkeypatch.setattr(cli, "_grid_doses", overflow)

@@ -1,15 +1,21 @@
 """Tests for interferometer dosing, exposure profiles and Fourier analysis."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_dose, random_state_map
+from oracles import dense_dose, number_state_dose, random_state_map
 from qlitho.baselines import classical_two_photon, noon_exposure
 from qlitho.dosing import (
+    _INPUT_CHAIN,
     ExposureProfile,
     SubstrateConvention,
+    _grid_doses,
     deposition_rate,
     exposure_profile,
     fourier_components,
@@ -41,6 +47,11 @@ def test_interferometer_matrices():
     arm = interferometer(0.4, SubstrateConvention.SINGLE_ARM).matrix
     chained = compose(phase_shifter(0.4), compose(mirror(), beamsplitter())).matrix
     assert np.max(np.abs(arm - chained)) < 1e-15
+
+
+def test_input_chain_is_the_scaled_splitter_and_mirror():
+    chain = compose(mirror(), beamsplitter()).matrix
+    assert np.max(np.abs(_INPUT_CHAIN / math.sqrt(2.0) - chain)) < 1e-16
 
 
 def test_noon_state_amplitudes():
@@ -108,6 +119,77 @@ def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
                         field = field @ interferometer(phi, convention).matrix
                     expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
                     assert abs(dose - expected) < 1e-10 * max(1.0, expected)
+
+
+@st.composite
+def _small_states(draw):
+    """States of cutoff at most 6 on up to six occupation pairs."""
+    cutoff = draw(st.integers(1, 6))
+    pairs = [(n, m) for n in range(cutoff + 1) for m in range(cutoff + 1 - n)]
+    part = st.floats(-1.0, 1.0)
+    amps = draw(st.dictionaries(
+        st.sampled_from(pairs), st.builds(complex, part, part), min_size=1, max_size=6
+    ))
+    if sum(abs(v) ** 2 for v in amps.values()) < 1e-12:
+        amps[pairs[-1]] = 1.0
+    return make_state(amps, cutoff=cutoff)
+
+
+@settings(max_examples=150)
+@given(_small_states(), st.data(), st.sampled_from(SubstrateConvention), st.booleans(),
+       st.integers(4, 9))
+def test_doses_are_nonnegative_and_match_the_pulled_back_field(
+    state, data, convention, from_input, grid
+):
+    # The oracle takes the substrate field from first principles and, for a
+    # state at the inputs, pulls it back through the Schroedinger-side matrix.
+    n_photons = data.draw(st.integers(1, state.cutoff))
+    profile = exposure_profile(state, n_photons, grid, convention, from_input)
+    site = "inputs" if from_input else "substrate"
+    assert np.all(_grid_doses(state, n_photons, profile.phis, convention, site) >= 0.0)
+    for phi, dose in zip(profile.phis, profile.doses):
+        if convention is SubstrateConvention.SYMMETRIC:
+            field = np.array([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
+        else:
+            field = np.array([1.0, 1.0])
+        if from_input:
+            field = field @ interferometer(phi, convention).matrix
+        expected = dense_dose(state.amplitudes, state.cutoff, n_photons, *field)
+        assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
+
+
+# At grid points 0, 1 and 7 of a 24-point (SYMMETRIC) or 12-point (SINGLE_ARM)
+# grid, sin 2phi or sin phi is 0, 1/2 and -1/2.  The input field then has
+# |alpha|^2 = 1 - sin and |beta|^2 = 1 + sin, and a number state doses an
+# exact rational.
+@pytest.mark.parametrize("pair, n_photons", [((120, 80), 50), ((200, 0), 150)])
+@pytest.mark.parametrize("convention, grid", [
+    (SubstrateConvention.SYMMETRIC, 24), (SubstrateConvention.SINGLE_ARM, 12),
+])
+def test_number_state_doses_match_exact_rationals(pair, n_photons, convention, grid):
+    state = make_state({pair: 1.0})
+    profile = exposure_profile(state, n_photons, grid, convention, from_input=True)
+    for k, sine in [(0, Fraction(0)), (1, Fraction(1, 2)), (7, Fraction(-1, 2))]:
+        exact = float(number_state_dose(*pair, n_photons, 1 - sine, 1 + sine))
+        assert abs(profile.doses[k] - exact) <= 1e-12 * exact, k
+        piped = pipeline_rate(state, n_photons, profile.phis[k], convention)
+        assert abs(piped - exact) <= 1e-12 * exact, k
+
+
+def test_input_port_doses_of_order_one_survive_large_n():
+    # |N,0> at the inputs doses (1 - sin 2phi)^N, so 1 at phi = 0, while the
+    # halved input field's squared amplitudes are 2^-N of that: below the
+    # float range beyond N = 1074.
+    for n in (1100, 2000):
+        assert abs(pipeline_rate(make_state({(n, 0): 1.0}), n, 0.0) - 1.0) <= 1e-12, n
+
+
+@pytest.mark.parametrize("rate", [deposition_rate, pipeline_rate])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("convention", list(SubstrateConvention))
+def test_rates_reject_non_finite_phases(rate, phi, convention):
+    with pytest.raises(ValueError, match="finite"):
+        rate(noon_state(2), 2, phi, convention)
 
 
 def test_single_photon_pipeline_fringes():

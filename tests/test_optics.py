@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_state_map, random_unitary, transition_amplitude
 from qlitho.fock import FieldCoefficients, apply_field_power, make_state, squared_norm
@@ -144,6 +146,28 @@ def test_photon_number_is_conserved():
         for (p, q), amp in out.amplitudes.items():
             assert p + q == n + m
             assert abs(amp) > 0.0
+
+
+def _sector_norms(state):
+    norms = {}
+    for (n, m), amp in state.amplitudes.items():
+        norms[n + m] = norms.get(n + m, 0.0) + abs(amp) ** 2
+    return norms
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 28), st.integers(0, 2**63))
+def test_evolve_conserves_photon_number_and_norm_property(cutoff, terms, seed):
+    # Every photon-number sector keeps its own norm: no amplitude moves
+    # between sectors, and the total norm stays 1.
+    rng = np.random.default_rng(seed)
+    state = make_state(random_state_map(rng, cutoff, max_terms=terms), cutoff=cutoff)
+    out = evolve(state, ModeUnitary(random_unitary(rng)))
+    before, after = _sector_norms(state), _sector_norms(out)
+    assert set(after) <= set(before)
+    for total, norm in before.items():
+        assert abs(after.get(total, 0.0) - norm) < 1e-12
+    assert abs(squared_norm(out) - 1.0) < 1e-12
 
 
 def test_evolution_is_a_homomorphism():

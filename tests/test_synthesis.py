@@ -53,18 +53,18 @@ def manual_superposition_map(n, partitions, coeffs, phi):
     return {k: v / norm for k, v in amps.items()}
 
 
-def dose_space_mse(basis, target, chromosomes):
+def dose_space_mse(basis, target, points):
     """Scale-optimized MSE of rows x = [Re alpha | Im alpha], from the solver's residual."""
     jac, c = _dose_space(_amplitude_matrix(basis, target.phis), target.samples)
-    _, w = _jacobians(chromosomes, jac)
+    _, w = _jacobians(points, jac)
     return _scaled_sse(w, c) / target.grid_points
 
 
-def grid_mse(basis, target, chromosomes):
+def grid_mse(basis, target, points):
     """Public fitness of the same rows, each normalized to a genome."""
     k = len(basis)
     return np.array([fitness(normalized_genome(x[:k] + 1j * x[k:]), basis, target)
-                     for x in chromosomes])
+                     for x in points])
 
 
 def oracle_doses(n, partitions, coeffs, phis):
@@ -201,7 +201,7 @@ def test_genome_profile_is_nonnegative():
         assert np.all(profile.doses >= 0.0)
 
 
-def test_fast_path_matrix_matches_ladder():
+def test_amplitude_matrix_matches_dense_oracle():
     # The amplitude matrix every synthesis dose reads, against the dense oracle.
     basis = PartitionBasis(10, (0, 1, 2, 3, 4, 5))
     phis = phase_grid(32)
@@ -215,15 +215,15 @@ def test_fast_path_matrix_matches_ladder():
         assert np.max(np.abs(fast - exact)) < 1e-9
 
 
-def test_population_mse_matches_ladder_across_blocks(monkeypatch):
+def test_dose_space_mse_matches_fitness_across_blocks(monkeypatch):
     # Five rows of any norm scored in the dose space, from a QR accumulated
     # over 39-row grid blocks.
     monkeypatch.setattr(synthesis, "_BLOCK_ELEMENTS", 1024)
     basis = PartitionBasis(10, (1, 2, 3, 4, 5))
     target = trench_target(256)
-    chromosomes = np.random.default_rng(31).standard_normal((5, 10))
-    exact = grid_mse(basis, target, chromosomes)
-    assert np.all(np.abs(dose_space_mse(basis, target, chromosomes) - exact) <= 1e-12 * exact)
+    points = np.random.default_rng(31).standard_normal((5, 10))
+    exact = grid_mse(basis, target, points)
+    assert np.all(np.abs(dose_space_mse(basis, target, points) - exact) <= 1e-12 * exact)
 
 
 @pytest.mark.parametrize("grid", [4, 5, 6, 7, 8, 9, 8192])
@@ -236,9 +236,9 @@ def test_ga_scores_match_fitness_on_edge_grids_and_bases(n, partitions, grid):
     # bases, doses near 1e58, and a basis whose triangle has G < k^2 + 1 rows.
     basis = PartitionBasis(n, partitions)
     target = trench_target(grid)
-    chromosomes = np.random.default_rng(grid).standard_normal((6, 2 * len(basis)))
-    exact = grid_mse(basis, target, chromosomes)
-    assert np.all(np.abs(dose_space_mse(basis, target, chromosomes) - exact) <= 1e-12 * exact)
+    points = np.random.default_rng(grid).standard_normal((6, 2 * len(basis)))
+    exact = grid_mse(basis, target, points)
+    assert np.all(np.abs(dose_space_mse(basis, target, points) - exact) <= 1e-12 * exact)
     best, trace = fit_superposition(basis, target, 1, seed=grid)
     assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1]
 
@@ -256,20 +256,20 @@ def _scoring_cases(draw):
 
 @settings(max_examples=100)
 @given(_scoring_cases(), st.integers(0, 2**63))
-def test_ga_scores_equal_fitness_property(case, seed):
+def test_solver_scores_equal_fitness_property(case, seed):
     basis, target, rows = case
     k = len(basis)
     # Rows of unit norm, as the returned genome has; any row but zero normalizes.
     genomes = [normalized_genome(x[:k] + 1j * x[k:]) for x in rows if np.any(x)]
-    chromosomes = np.array([np.concatenate([g.coefficients.real, g.coefficients.imag])
-                            for g in genomes]).reshape(-1, 2 * k)
+    points = np.array([np.concatenate([g.coefficients.real, g.coefficients.imag])
+                       for g in genomes]).reshape(-1, 2 * k)
     # Relative to the fitness, down to 1e-16 of the error of a zero dose:
     # below that both values are roundoff of the target (a constant target
     # in the span of the basis scores 0 on the grid and 1e-33 in the dose space).
     floor = 1e-16 * np.mean(target.samples**2) + 1e-300
-    if len(chromosomes):
-        exact = grid_mse(basis, target, chromosomes)
-        assert np.all(np.abs(dose_space_mse(basis, target, chromosomes) - exact)
+    if len(points):
+        exact = grid_mse(basis, target, points)
+        assert np.all(np.abs(dose_space_mse(basis, target, points) - exact)
                       <= 1e-12 * exact + floor)
     best, trace = fit_superposition(basis, target, 2, seed)
     assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1] + floor
@@ -404,7 +404,7 @@ def test_normalized_genome_survives_tiny_vectors():
             normalized_genome(np.array(bad))
 
 
-def test_ga_config_validation():
+def test_solver_config_validation():
     basis, target = PartitionBasis(10, (1, 3, 5)), trench_target(16)
     for iterations in (0, -1, 2.5):
         with pytest.raises(ValueError):
