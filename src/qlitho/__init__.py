@@ -54,7 +54,6 @@ from .synthesis import (
     best_classical_fit,
     component_closed_form,
     component_profile,
-    component_state,
     fit_superposition,
     fitness,
     genome_profile,
@@ -85,7 +84,6 @@ __all__ = [
     "classical_two_photon",
     "component_closed_form",
     "component_profile",
-    "component_state",
     "compose",
     "deposition_rate",
     "evolve",

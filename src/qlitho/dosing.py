@@ -59,6 +59,8 @@ _NEGATIVE_DOSE_TOL = -1e-12
 _BLOCK_ELEMENTS = 1 << 16
 
 _INPUT_CHAIN = np.array([[1, -1j], [-1j, 1]])  # sqrt2 compose(mirror(), beamsplitter())
+# Powers alpha^k beta^(N-k) of the halved input field reach 2^(-N/2): subnormal past this N.
+_MAX_INPUT_PHOTONS = 2044
 
 
 class SubstrateConvention(enum.Enum):
@@ -138,6 +140,8 @@ def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateCon
     """Doses over the phases ``phis`` of a fixed state sitting at ``site``."""
     if n_photons < 1:
         raise ValueError("photon number must be a positive integer")
+    if site == "inputs" and n_photons > _MAX_INPUT_PHOTONS:
+        raise ValueError(f"input-port doses need N <= {_MAX_INPUT_PHOTONS} (got {n_photons})")
     return _doses(state, n_photons, *_field(phis, convention, site))
 
 

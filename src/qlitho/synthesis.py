@@ -7,20 +7,20 @@ approximates a requested exposure pattern, and a constrained classical
 single-fringe fit provides the benchmark to beat.
 
 Phase bookkeeping (the subtle part): every partition contributes the
-pair state (|N-P, P> + |P, N-P>)/sqrt2.  Under the SYMMETRIC substrate
-convention the position phase within each pair is carried by the field
-operator e(phi) itself, which doubles the single-partition fringe
-frequency to 2(N-2P).  Propagation through the instrument additionally
-stamps each partition with the global factor e^{i P phi}.  That factor
-is invisible in any single-partition dose but sets the relative phases
-between partitions, making cross terms position-dependent; those cross
-terms supply the odd harmonics without which a square target could
-never be approximated better than by a constant.
+paper's state psi_NP at phi = 0, the pair (|N-P, P> + |P, N-P>)/sqrt2,
+dosed where it sits by the SYMMETRIC substrate field of
+:mod:`qlitho.dosing`.  That field carries the position phase within each
+pair and doubles the single-partition fringe frequency to 2(N-2P).  The
+model then multiplies each partition's row by e^{i P phi}.  This is the
+model's per-partition factor, not a propagation phase: it is invisible
+in any single-partition dose but puts odd harmonics into the cross terms
+between partitions, and no state dosed in the SYMMETRIC convention has
+those (a known defect of the model, listed in ROADMAP.md).
 
 Every dose here reads one amplitude matrix: row P is e^{i P phi} times
-the N-photon amplitude of the pair state at the substrate, taken from
-the per-sector dose core of :mod:`qlitho.fock`, so that
-dose(alpha) = |alpha @ A|^2 for unit-norm coefficients alpha.
+the N-photon amplitude of psi_NP at phi = 0, taken from the per-sector
+dose core of :mod:`qlitho.fock`, so that dose(alpha) = |alpha @ A|^2 for
+unit-norm coefficients alpha.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import _BLOCK_ELEMENTS, ExposureProfile, _check_phase_grid, phase_grid
+from .dosing import (_BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _check_phase_grid,
+                     _field, phase_grid)
 from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
 
 # Largest dose a basis may deposit, and largest target sample: the solver's
@@ -174,17 +175,18 @@ class ClassicalFit(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def psi_np(n_photons: int, partition: int, phi: float) -> FockState:
-    """Fully phase-carrying pair state for one partition.
+    """The paper's partition state psi_NP at phase ``phi``.
 
-    The two occupations carry the explicit propagation phases
+    The two occupations carry the phases
 
         e^{i P phi} / sqrt2     on (N-P, P)
         e^{i (N-P) phi} / sqrt2 on (P, N-P)
 
-    appropriate when every position phase lives in the state (the
-    SINGLE_ARM picture).  For the degenerate split 2P = N both terms
-    coincide and the normalized single term e^{i P phi} |P, P> is
-    returned.
+    as in the SINGLE_ARM picture, where every position phase lives in the
+    state.  At phi = 0 it is the pair (|N-P, P> + |P, N-P>)/sqrt2, the
+    synthesis basis state (see _amplitude_matrix).  For the degenerate
+    split 2P = N both terms coincide and the normalized single term
+    e^{i P phi} |P, P> is returned.
     """
     n, p = n_photons, partition
     if n < 1:
@@ -201,29 +203,6 @@ def psi_np(n_photons: int, partition: int, phi: float) -> FockState:
             (p, n - p): cmath.exp(1j * (n - p) * phi),
         }
     )
-
-
-def component_state(n_photons: int, partition: int, phi: float) -> FockState:
-    """Substrate-stage basis state of one partition, SYMMETRIC convention.
-
-    The pair state (|N-P, P> + |P, N-P>)/sqrt2 times the partition's
-    global propagation factor e^{i P phi}.  The phase *within* the pair
-    is supplied by the substrate field, so dosing this state reproduces
-    the doubled-frequency component harmonics; the global factor only
-    matters once several partitions are superposed, where it fixes their
-    relative phases (see the module docstring).
-    """
-    n, p = n_photons, partition
-    if n < 1:
-        raise ValueError("photon number must be a positive integer")
-    if not 0 <= 2 * p <= n:
-        raise ValueError(f"partition {p} out of range 0..{n // 2}")
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    g = cmath.exp(1j * p * phi)
-    if 2 * p == n:
-        return make_state({(p, p): g})
-    return make_state({(n - p, p): g, (p, n - p): g})
 
 
 def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
@@ -268,17 +247,17 @@ def genome_profile(genome: SynthesisGenome, basis: PartitionBasis, grid_points: 
 def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
     """Rows A[P] with dose(alpha) = |alpha @ A|^2 for unit-norm alpha.
 
-    Row P is the partition's global propagation factor e^{i P phi} times
-    the N-photon amplitude of its pair state under the SYMMETRIC field
-    (e^{i phi}, e^{-i phi}), which works out to
-    sqrt(2 C(N, P)) cos((N-2P) phi) (sqrt(C(N, P)) for the degenerate split).
+    Row P is the N-photon amplitude of psi_np(N, P, 0) under the
+    SYMMETRIC substrate field of :mod:`qlitho.dosing`,
+    sqrt(2 C(N, P)) cos((N-2P) phi) (sqrt(C(N, P)) for the degenerate
+    split), times the model's per-partition factor e^{i P phi}.
     """
     n = basis.n_photons
-    wave = np.exp(1j * phis)
+    (alpha, beta), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
     rows = []
     for p in basis.partitions:
-        terms, ks, norm = _lowering_terms(_sectors(component_state(n, p, 0.0))[n], n, scaled=True)
-        amp = (terms @ _field_powers(wave, wave.conj(), n, ks))[0] / math.sqrt(norm)
+        terms, ks, norm = _lowering_terms(_sectors(psi_np(n, p, 0.0))[n], n, scaled=True)
+        amp = (terms @ _field_powers(alpha, beta, n, ks))[0] / math.sqrt(norm)
         rows.append(amp * np.exp(1j * p * phis))
     return np.array(rows)
 

@@ -180,8 +180,41 @@ def test_input_port_doses_of_order_one_survive_large_n():
     # |N,0> at the inputs doses (1 - sin 2phi)^N, so 1 at phi = 0, while the
     # halved input field's squared amplitudes are 2^-N of that: below the
     # float range beyond N = 1074.
-    for n in (1100, 2000):
+    for n in (1100, 2000, 2044):
         assert abs(pipeline_rate(make_state({(n, 0): 1.0}), n, 0.0) - 1.0) <= 1e-12, n
+
+
+def test_input_port_doses_are_refused_past_the_float_limit():
+    # Past N = 2044 the halved input field's powers 2^(-N/2) are subnormal,
+    # while a state at the substrate, whose field powers have size 1, is
+    # still dosed.
+    state = make_state({(2045, 0): 1.0})
+    with pytest.raises(ValueError, match="N <= 2044"):
+        pipeline_rate(state, 2045, 0.0)
+    with pytest.raises(ValueError, match="N <= 2044"):
+        exposure_profile(state, 2045, 8, SubstrateConvention.SINGLE_ARM, from_input=True)
+    assert abs(deposition_rate(state, 2045, 0.3) - 1.0) <= 1e-12
+
+
+@settings(max_examples=150)
+@given(_small_states(), st.data(), st.booleans(), st.integers(2, 16))
+def test_symmetric_doses_are_single_arm_doses_at_twice_the_phase(
+    state, data, from_input, half_grid
+):
+    # (e^{i phi}, e^{-i phi}) = e^{-i phi} (e^{2i phi}, 1): the SYMMETRIC field
+    # is the field behind the SINGLE_ARM phase shifter at 2 phi times a phase
+    # that no dose sees, at the substrate and pulled back to the inputs alike.
+    # So a SYMMETRIC dose has only even harmonics of phi; on an even grid
+    # aliasing maps even harmonics onto even ones.
+    n_photons = data.draw(st.integers(1, state.cutoff))
+    profile = exposure_profile(state, n_photons, 2 * half_grid, SubstrateConvention.SYMMETRIC,
+                               from_input)
+    single_arm = _grid_doses(state, n_photons, 2.0 * profile.phis, SubstrateConvention.SINGLE_ARM,
+                             "inputs" if from_input else "shifter")
+    assert np.all(np.abs(profile.doses - single_arm)
+                  <= 1e-12 * np.maximum(1.0, np.abs(profile.doses)))
+    odd = fourier_components(profile, half_grid - 1)[1::2]
+    assert np.all(np.abs(odd) <= 1e-12 * max(1.0, profile.doses.max()))
 
 
 @pytest.mark.parametrize("rate", [deposition_rate, pipeline_rate])

@@ -20,7 +20,6 @@ from qlitho.synthesis import (
     best_classical_fit,
     component_closed_form,
     component_profile,
-    component_state,
     fit_superposition,
     fitness,
     genome_profile,
@@ -108,21 +107,6 @@ def test_psi_np_allows_partitions_up_to_n():
     assert abs(state.amplitude(3, 0) - ROOT_HALF) < 1e-12
     with pytest.raises(ValueError):
         psi_np(3, 4, 0.0)
-
-
-def test_component_state_shares_one_global_phase():
-    state = component_state(10, 3, 0.2)
-    expected = cmath.exp(0.6j) * ROOT_HALF
-    assert abs(state.amplitude(7, 3) - expected) < 1e-12
-    assert abs(state.amplitude(3, 7) - expected) < 1e-12
-
-
-def test_component_state_degenerate_split():
-    state = component_state(6, 3, 1.1)
-    assert set(state.amplitudes) == {(3, 3)}
-    assert abs(state.amplitude(3, 3) - cmath.exp(3.3j)) < 1e-12
-    with pytest.raises(ValueError):
-        component_state(6, 4, 0.0)
 
 
 def test_component_profile_matches_closed_form():
