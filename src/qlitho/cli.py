@@ -259,20 +259,19 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
 
 
 def _load_target(path: str) -> TargetPattern:
+    """Rows of ``phi,value``; the first non-blank line may be a header."""
     phis = []
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
+        rows = ((lineno, raw.strip()) for lineno, raw in enumerate(fh, 1) if raw.strip())
+        for index, (lineno, line) in enumerate(rows):
             cells = line.split(",")
             if len(cells) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'phi,value'")
             try:
                 phi, value = float(cells[0]), float(cells[1])
             except ValueError:
-                if lineno == 1:
+                if index == 0:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: non-numeric row")
             phis.append(phi)

@@ -46,13 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError
 from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, _sectors, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
-
-# Doses are squared norms and cannot be negative beyond roundoff; anything
-# below this is treated as a bug rather than noise.
-_NEGATIVE_DOSE_TOL = -1e-12
 
 # Upper bound on the elements of one block of work (dose arrays, synthesis QR
 # rows, formatted output rows), so that large grids do not raise peak memory.
@@ -184,14 +179,14 @@ def _check_phase_grid(phis: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ExposureProfile:
-    """Doses sampled on the uniform phase grid over [0, 2 pi)."""
+    """Nonnegative doses sampled on the uniform phase grid over [0, 2 pi)."""
 
     phis: np.ndarray
     doses: np.ndarray
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
-        doses = np.asarray(self.doses, dtype=float)
+        phis = np.array(self.phis, dtype=float)
+        doses = np.array(self.doses, dtype=float)
         if phis.ndim != 1 or phis.shape != doses.shape:
             raise ValueError("phis and doses must be 1-d arrays of equal length")
         if len(phis) < 1:
@@ -199,11 +194,8 @@ class ExposureProfile:
         _check_phase_grid(phis)
         if not np.all(np.isfinite(doses)):
             raise ValueError("doses must be finite")
-        if doses.min() < _NEGATIVE_DOSE_TOL:
-            raise ToleranceError(
-                f"negative dose {doses.min():.3e} below tolerance {_NEGATIVE_DOSE_TOL}"
-            )
-        doses = np.maximum(doses, 0.0)
+        if doses.min() < 0:
+            raise ValueError("doses must be nonnegative")
         phis.flags.writeable = False
         doses.flags.writeable = False
         object.__setattr__(self, "phis", phis)

@@ -1,11 +1,11 @@
 """Two-mode photon-number states, worked on one photon-number sector at a time.
 
 A state is a map from occupation pairs ``(n, m)`` to complex amplitudes,
-with ``n + m`` bounded by a cutoff fixed at construction.  Operators work
-on the dense array of each photon-number sector instead: the M-photon
-amplitudes form ``psi[n] = <n, M-n|psi>`` of length M+1, every operator is
-a dense map between sector arrays, and amplitudes below ``PRUNE_EPS`` are
-dropped when the result is turned back into a map.
+with no bound on ``n + m``: a pair it does not hold has amplitude zero.
+Operators work on the dense array of each photon-number sector instead:
+the M-photon amplitudes form ``psi[n] = <n, M-n|psi>`` of length M+1, every
+operator is a dense map between sector arrays, and amplitudes below
+``PRUNE_EPS`` are dropped when the result is turned back into a map.
 
 The workhorse is a power of the field operator e = alpha*a + beta*b.  The
 normalized power e^N / sqrt(N!) maps sector M to sector M-N,
@@ -61,7 +61,6 @@ class FockState:
     always build a fresh state.
     """
 
-    cutoff: int
     amplitudes: dict[tuple[int, int], complex]
 
     @property
@@ -72,15 +71,11 @@ class FockState:
         return self.amplitudes.get((n, m), 0j)
 
 
-def _validated_pairs(pairs, cutoff: int) -> dict[tuple[int, int], complex]:
+def _validated_pairs(pairs) -> dict[tuple[int, int], complex]:
     out: dict[tuple[int, int], complex] = {}
     for (n, m), amp in pairs.items():
         if n < 0 or m < 0:
             raise ValueError(f"negative occupation in pair ({n}, {m})")
-        if n + m > cutoff:
-            raise ValueError(
-                f"occupation pair ({n}, {m}) exceeds cutoff {cutoff}"
-            )
         z = complex(amp)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("state amplitudes must be finite")
@@ -89,24 +84,18 @@ def _validated_pairs(pairs, cutoff: int) -> dict[tuple[int, int], complex]:
     return out
 
 
-def make_state(pairs, cutoff: int | None = None) -> FockState:
+def make_state(pairs) -> FockState:
     """Build a normalized state from a map of occupation pairs to amplitudes.
 
-    The cutoff defaults to the largest total photon number present.
-    Raises if any pair exceeds the cutoff, or if the amplitudes are all
-    (numerically) zero, which would make normalization degenerate.
+    Raises on a negative occupation or a non-finite amplitude, or if the
+    amplitudes are all (numerically) zero -- an empty map included --
+    which would make normalization degenerate.
     """
-    if cutoff is None:
-        if not pairs:
-            raise ValueError("cannot build a state from no amplitudes")
-        cutoff = max(n + m for (n, m) in pairs)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    amps = _validated_pairs(pairs, cutoff)
+    amps = _validated_pairs(pairs)
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
     if norm < PRUNE_EPS:
         raise ValueError("degenerate state: all amplitudes are zero")
-    return FockState(cutoff, {k: v / norm for k, v in amps.items()})
+    return FockState({k: v / norm for k, v in amps.items()})
 
 
 def squared_norm(state: FockState) -> float:
@@ -124,13 +113,13 @@ def _sectors(state: FockState) -> dict[int, np.ndarray]:
     return out
 
 
-def _from_sectors(cutoff: int, sectors: dict[int, np.ndarray]) -> FockState:
+def _from_sectors(sectors: dict[int, np.ndarray]) -> FockState:
     """The state holding the given sector arrays, pruned at PRUNE_EPS."""
     amps: dict[tuple[int, int], complex] = {}
     for total, psi in sectors.items():
         for n in np.flatnonzero(np.abs(psi) >= PRUNE_EPS):
             amps[(int(n), total - int(n))] = complex(psi[n])
-    return FockState(cutoff, amps)
+    return FockState(amps)
 
 
 def _create(vecs: np.ndarray, x: complex, y: complex) -> np.ndarray:
@@ -191,25 +180,15 @@ def apply_annihilation(state: FockState, mode) -> FockState:
     mode simply drops it, so the result may be the zero vector.
     """
     idx = _mode_index(mode)
-    if state.cutoff == 0:
-        return FockState(0, {})
     return apply_field_power(state, FieldCoefficients(1.0 - idx, float(idx)), 1)
 
 
 def _apply_creation(state: FockState, mode) -> FockState:
-    """Creation operator, used by consistency tests: a†|n> = sqrt(n+1)|n+1>.
-
-    Raises if any resulting pair would exceed the cutoff.
-    """
+    """Creation operator, used by consistency tests: a†|n> = sqrt(n+1)|n+1>."""
     idx = _mode_index(mode)
-    sectors = _sectors(state)
-    if sectors and max(sectors) + 1 > state.cutoff:
-        raise ValueError(
-            f"creation on a {max(sectors)}-photon state exceeds cutoff {state.cutoff}"
-        )
-    return _from_sectors(state.cutoff, {
+    return _from_sectors({
         total + 1: _create(psi[:, None], 1.0 - idx, idx)[:, 0]
-        for total, psi in sectors.items()
+        for total, psi in _sectors(state).items()
     })
 
 
@@ -218,19 +197,15 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
 
     Each sector M >= power maps densely to sector M - power (see the
     module docstring); sectors below ``power`` are annihilated.  Returns
-    an unnormalized state (the zero vector if the state holds fewer than
-    ``power`` photons).
+    an unnormalized state: the zero vector, never an error, if no sector
+    holds ``power`` photons.
     """
     if power < 1:
         raise ValueError("field power must be a positive integer")
-    if power > state.cutoff:
-        raise ValueError(
-            f"field power {power} exceeds state cutoff {state.cutoff}"
-        )
     alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
     out = {}
     for total, psi in _sectors(state).items():
         if total >= power:
             terms, ks, _ = _lowering_terms(psi, power)
             out[total - power] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
-    return _from_sectors(state.cutoff, out)
+    return _from_sectors(out)

@@ -76,8 +76,7 @@ def evolve(state: FockState, u: ModeUnitary) -> FockState:
     S_M[p, n] = <p, M-p| U |n, M-n>.  Input creation operators become
     a† -> T11 c† + T21 d† and b† -> T12 c† + T22 d†, so column n of S_M is
     column n-1 of S_{M-1} after one such a† step, divided by sqrt(n)
-    (column 0 takes a b† step, divided by sqrt(M)).  Photon number is
-    conserved, so the truncation cutoff never overflows.
+    (column 0 takes a b† step, divided by sqrt(M)).
     """
     t = u.matrix
     sectors = _sectors(state)
@@ -91,4 +90,4 @@ def evolve(state: FockState, u: ModeUnitary) -> FockState:
             sym = raised
         if total in sectors:
             out[total] = sym @ sectors[total]
-    return _from_sectors(state.cutoff, out)
+    return _from_sectors(out)

@@ -102,7 +102,7 @@ def test_criterion_5_picture_equivalence():
     worst = 0.0
     for _ in range(100):
         cutoff = int(rng.integers(1, 9))
-        state = make_state(random_state_map(rng, cutoff), cutoff=cutoff)
+        state = make_state(random_state_map(rng, cutoff))
         n_photons = int(rng.integers(1, min(cutoff, 4) + 1))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         t = random_unitary(rng)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qlitho.baselines import (
     classical_n_photon,
@@ -46,6 +47,8 @@ def test_n_photon_mean_stays_normalized():
     # rather than chasing the closed form we just pin the peak: value 2 at phi=0.
     for n in (1, 2, 3, 5, 8):
         assert abs(classical_n_photon(n, 0.0) - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="positive"):
+        classical_n_photon(0, 0.0)
 
 
 def test_n_photon_large_n_stays_finite():
@@ -65,6 +68,8 @@ def test_noon_exposure_period():
     for n in (1, 2, 5, 9):
         shifted = noon_exposure(n, grid + math.pi / n)
         assert np.max(np.abs(shifted - noon_exposure(n, grid))) < 1e-12
+    with pytest.raises(ValueError, match="positive"):
+        noon_exposure(0, grid)
 
 
 def test_simulated_single_photon_matches_classical_harmonics():

@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line driver (in-process where possible)."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlitho.cli as cli
 from oracles import csv_text
@@ -285,21 +290,23 @@ def test_noon_single_photon_matches_classical_fringe(monkeypatch, tmp_path):
 
 
 def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
+    # The header is the first non-blank line, wherever blank lines put it.
     target = trench_target(32)
     lines = ["phi,value"]
     lines += [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.samples)]
     target_path = tmp_path / "pattern.csv"
-    target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    code = run_cli(
-        monkeypatch, tmp_path,
-        "--command", "synthesize",
-        "--generations", "4", "--partitions", "1,2",
-        "--target", str(target_path),
-    )
-    assert code == 0
-    _, rows = read_rows(tmp_path / "synthesize.csv")
-    assert len(rows) == 32
-    assert float(rows[0][1]) == 1.0
+    for leading in ("", "\n  \n"):
+        target_path.write_text(leading + "\n".join(lines) + "\n", encoding="ascii")
+        code = run_cli(
+            monkeypatch, tmp_path,
+            "--command", "synthesize",
+            "--generations", "4", "--partitions", "1,2",
+            "--target", str(target_path),
+        )
+        assert code == 0, leading
+        _, rows = read_rows(tmp_path / "synthesize.csv")
+        assert len(rows) == 32
+        assert float(rows[0][1]) == 1.0
 
 
 @pytest.mark.parametrize("peak, expected", [(1e155, 2), (1e150, 0)])
@@ -350,7 +357,8 @@ def test_synthesize_target_fixes_the_grid(monkeypatch, tmp_path, capsys):
 
 def test_config_file_applies_and_flags_win(monkeypatch, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid = 16\nn = 2  # inline comment\n", encoding="ascii")
+    cfg.write_text("# a comment line\n\ngrid = 16\n   \nn = 2  # inline comment\n",
+                   encoding="ascii")
     code = run_cli(
         monkeypatch, tmp_path,
         "--command", "classical", "--config", str(cfg), "--grid", "8",
@@ -367,12 +375,15 @@ def test_config_file_applies_and_flags_win(monkeypatch, tmp_path):
 
 def test_config_file_rejects_unknown_keys(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gird = 16\n", encoding="ascii")
-    code = run_cli(
-        monkeypatch, tmp_path, "--command", "classical", "--config", str(cfg)
-    )
-    assert code == 2
-    assert "unknown option" in capsys.readouterr().err
+    for text, message in (("gird = 16\n", "run.cfg:1: unknown option 'gird'"),
+                          ("# grid\n\ngrid 16\n", "run.cfg:3: expected 'key = value'")):
+        cfg.write_text(text, encoding="ascii")
+        code = run_cli(
+            monkeypatch, tmp_path, "--command", "classical", "--config", str(cfg)
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "classical.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +397,7 @@ _SMALL = {"n": "6", "partitions": "1,2", "grid": "32", "generations": "3"}
 # "{tmp}" is the test's directory, which holds the target files below.
 OPTION_CASES = {
     "n": ("noon", "3", "5", ["three", "0"]),
-    "partitions": ("synthesize", "1,2", "1", ["1,x", "9"]),
+    "partitions": ("synthesize", "1,2", "1", ["1,x", "9", ","]),
     "grid": ("classical", "16", "8", ["sixteen", "2"]),
     "convention": ("fringe", "paper", "symmetric", ["sideways"]),
     "wavelength_nm": ("noon", "248", "193", ["blue", "-1", "nan"]),
@@ -395,7 +406,8 @@ OPTION_CASES = {
     "out": ("classical", "result", "other.csv", ["bad\0stem"]),
     "format": ("classical", "svg", "both", ["pdf"]),
     "target": ("synthesize", "{tmp}/trench.csv", "{tmp}/fringe.csv",
-               ["{tmp}/words.csv", "{tmp}/short.csv", "{tmp}/nan_phase.csv"]),
+               ["{tmp}/words.csv", "{tmp}/short.csv", "{tmp}/nan_phase.csv",
+                "{tmp}/three_cells.csv", "{tmp}/header_only.csv"]),
 }
 
 # Options of the genetic optimizer that the least-squares solver replaced:
@@ -419,6 +431,8 @@ def _write_targets(where):
         (where / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
     (where / "words.csv").write_text("phi,value\n0,one\n", encoding="ascii")
     (where / "short.csv").write_text("0,1\n1.5,1\n3,1\n", encoding="ascii")
+    (where / "three_cells.csv").write_text("phi,value\n0,1,2\n", encoding="ascii")
+    (where / "header_only.csv").write_text("phi,value\n\n", encoding="ascii")
 
 
 class _Runner:
@@ -457,6 +471,7 @@ class _Runner:
 def test_option_cases_cover_every_option():
     dests = {action.dest for action in cli.build_parser()._actions}
     assert sorted(OPTION_CASES) == sorted(dests - {"help", "command", "config"})
+    assert sorted(_FUZZ_VALUES) == sorted(cli._OPTIONS)
     assert not set(REMOVED_OPTIONS) & set(OPTION_CASES)
 
 
@@ -598,6 +613,84 @@ def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exceeds the float range" in err
     assert "Traceback" not in err
+
+
+# option -> (valid values, malformed values) for the fuzz test below; sizes stay
+# small, and a valid value may still be refused in combination with others.
+# "{in}" is the directory holding the config and target files.
+_FUZZ_VALUES = {
+    "n": (st.integers(1, 12).map(str), st.sampled_from(["0", "-3", "ten", "2.5", ""])),
+    "partitions": (st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)
+                   .map(lambda ps: ",".join(map(str, sorted(ps)))),
+                   st.sampled_from(["", ",", "1,x", "3,2", "1,1", "-1"])),
+    "grid": (st.integers(4, 64).map(str), st.sampled_from(["3", "0", "-8", "x"])),
+    "convention": (st.sampled_from(["symmetric", "paper"]),
+                   st.sampled_from(["Paper", "sideways", ""])),
+    "wavelength_nm": (st.floats(1.0, 1000.0).map(repr),
+                      st.sampled_from(["0", "-1", "nan", "inf", "blue"])),
+    "seed": (st.integers(0, 2**40).map(str), st.sampled_from(["x", "1.5", "-1"])),
+    "generations": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "abc"])),
+    "out": (st.sampled_from(["result", "other.csv", "run.svg", "r.json"]),
+            st.sampled_from(["bad\0stem", "no/such/dir/x"])),
+    "format": (st.sampled_from(list(cli._FORMATS)), st.sampled_from(["pdf", ""])),
+    "target": (st.sampled_from(["{in}/trench.csv", "{in}/fringe.csv"]),
+               st.sampled_from(["{in}/words.csv", "{in}/short.csv", "{in}/nan_phase.csv",
+                                "{in}/three_cells.csv", "{in}/header_only.csv",
+                                "{in}/absent.csv"])),
+}
+
+
+@st.composite
+def _fuzz_options(draw):
+    """Per option, nothing or a valid or malformed value, each given as a flag
+    or as a config-file line.
+
+    At most two options are malformed, so that runs also get past the checks.
+    """
+    bad = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=2, unique=True))
+    flags, lines = [], []
+    for name, (valid, malformed) in _FUZZ_VALUES.items():
+        if name not in bad and draw(st.booleans()):
+            continue
+        value = draw(malformed if name in bad else valid)
+        if draw(st.booleans()):
+            flags += ["--" + name.replace("_", "-"), value]
+        else:
+            lines.append(f"{draw(st.sampled_from([name, name.replace('_', '-')]))} = {value}")
+    return flags, lines
+
+
+@settings(max_examples=100)
+@given(_fuzz_options())
+def test_any_option_mix_keeps_the_exit_code_contract(options):
+    # Whatever the options, every command ends in 0, 2, 3 or 4 without a
+    # traceback, and a run refused as bad input writes nothing.
+    flags, lines = options
+    with tempfile.TemporaryDirectory() as root:
+        inputs = Path(root, "in")
+        inputs.mkdir()
+        _write_targets(inputs)
+        argv = [arg.replace("{in}", str(inputs)) for arg in flags]
+        if lines:
+            config = inputs / "run.cfg"
+            config.write_text("\n".join(lines).replace("{in}", str(inputs)) + "\n",
+                              encoding="utf-8")
+            argv += ["--config", str(config)]
+        for command in cli._DISPATCH:
+            where = Path(root, command)
+            where.mkdir()
+            err = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(where)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(["--command", command, *argv])
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 2, 3, 4), (command, argv, lines, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not any(where.iterdir()), (command, argv, lines)
 
 
 def test_help_exits_zero(monkeypatch, tmp_path, capsys):

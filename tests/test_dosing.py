@@ -26,7 +26,6 @@ from qlitho.dosing import (
     pipeline_rate,
     substrate_field,
 )
-from qlitho.errors import ToleranceError
 from qlitho.fock import make_state
 from qlitho.optics import beamsplitter, compose, mirror, phase_shifter
 
@@ -73,7 +72,7 @@ def test_noon_deposition_peak_and_null():
 def test_deposition_above_photon_content_is_zero():
     state = noon_state(2)
     assert deposition_rate(state, 3, 0.1, SubstrateConvention.SYMMETRIC) == 0.0
-    # also when the request exceeds the cutoff itself
+    # however far N lies above the state's photon content
     assert deposition_rate(state, 9, 0.1, SubstrateConvention.SYMMETRIC) == 0.0
 
 
@@ -81,6 +80,8 @@ def test_deposition_rejects_bad_photon_count():
     state = noon_state(2)
     with pytest.raises(ValueError):
         deposition_rate(state, 0, 0.1, SubstrateConvention.SYMMETRIC)
+    with pytest.raises(ValueError, match="unknown substrate convention"):
+        deposition_rate(state, 2, 0.1, "symmetric")
 
 
 def test_deposition_matches_dense_oracle():
@@ -88,7 +89,7 @@ def test_deposition_matches_dense_oracle():
     for _ in range(25):
         cutoff = int(rng.integers(1, 7))
         amps = random_state_map(rng, cutoff)
-        state = make_state(amps, cutoff=cutoff)
+        state = make_state(amps)
         n_photons = int(rng.integers(1, min(cutoff, 3) + 1))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         for convention in SubstrateConvention:
@@ -107,7 +108,7 @@ def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
         cutoff = int(rng.integers(3, 7))
         amps = random_state_map(rng, cutoff, max_terms=6)
         amps[(1, cutoff - 1)] = amps.get((1, cutoff - 1), 0j) + 0.5
-        state = make_state(amps, cutoff=cutoff)
+        state = make_state(amps)
         n_photons = int(rng.integers(1, cutoff))
         for convention in SubstrateConvention:
             for from_input in (False, True):
@@ -123,27 +124,32 @@ def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
 
 @st.composite
 def _small_states(draw):
-    """States of cutoff at most 6 on up to six occupation pairs."""
-    cutoff = draw(st.integers(1, 6))
-    pairs = [(n, m) for n in range(cutoff + 1) for m in range(cutoff + 1 - n)]
+    """A bound of at most 6 photons and a state on up to six pairs within it.
+
+    The state may hold fewer photons than the bound, so an N drawn up to the
+    bound can exceed the state's photon content.
+    """
+    bound = draw(st.integers(1, 6))
+    pairs = [(n, m) for n in range(bound + 1) for m in range(bound + 1 - n)]
     part = st.floats(-1.0, 1.0)
     amps = draw(st.dictionaries(
         st.sampled_from(pairs), st.builds(complex, part, part), min_size=1, max_size=6
     ))
     if sum(abs(v) ** 2 for v in amps.values()) < 1e-12:
         amps[pairs[-1]] = 1.0
-    return make_state(amps, cutoff=cutoff)
+    return make_state(amps), bound
 
 
 @settings(max_examples=150)
 @given(_small_states(), st.data(), st.sampled_from(SubstrateConvention), st.booleans(),
        st.integers(4, 9))
 def test_doses_are_nonnegative_and_match_the_pulled_back_field(
-    state, data, convention, from_input, grid
+    drawn, data, convention, from_input, grid
 ):
     # The oracle takes the substrate field from first principles and, for a
     # state at the inputs, pulls it back through the Schroedinger-side matrix.
-    n_photons = data.draw(st.integers(1, state.cutoff))
+    state, bound = drawn
+    n_photons = data.draw(st.integers(1, bound))
     profile = exposure_profile(state, n_photons, grid, convention, from_input)
     site = "inputs" if from_input else "substrate"
     assert np.all(_grid_doses(state, n_photons, profile.phis, convention, site) >= 0.0)
@@ -154,7 +160,7 @@ def test_doses_are_nonnegative_and_match_the_pulled_back_field(
             field = np.array([1.0, 1.0])
         if from_input:
             field = field @ interferometer(phi, convention).matrix
-        expected = dense_dose(state.amplitudes, state.cutoff, n_photons, *field)
+        expected = dense_dose(state.amplitudes, bound, n_photons, *field)
         assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
 
 
@@ -199,14 +205,15 @@ def test_input_port_doses_are_refused_past_the_float_limit():
 @settings(max_examples=150)
 @given(_small_states(), st.data(), st.booleans(), st.integers(2, 16))
 def test_symmetric_doses_are_single_arm_doses_at_twice_the_phase(
-    state, data, from_input, half_grid
+    drawn, data, from_input, half_grid
 ):
     # (e^{i phi}, e^{-i phi}) = e^{-i phi} (e^{2i phi}, 1): the SYMMETRIC field
     # is the field behind the SINGLE_ARM phase shifter at 2 phi times a phase
     # that no dose sees, at the substrate and pulled back to the inputs alike.
     # So a SYMMETRIC dose has only even harmonics of phi; on an even grid
     # aliasing maps even harmonics onto even ones.
-    n_photons = data.draw(st.integers(1, state.cutoff))
+    state, bound = drawn
+    n_photons = data.draw(st.integers(1, bound))
     profile = exposure_profile(state, n_photons, 2 * half_grid, SubstrateConvention.SYMMETRIC,
                                from_input)
     single_arm = _grid_doses(state, n_photons, 2.0 * profile.phis, SubstrateConvention.SINGLE_ARM,
@@ -289,6 +296,8 @@ def test_exposure_profile_validation():
     grid = phase_grid(16)
     with pytest.raises(ValueError):
         ExposureProfile(grid[:8], np.ones(16))
+    with pytest.raises(ValueError, match="at least one sample"):
+        ExposureProfile(np.zeros(0), np.zeros(0))
     ragged = grid.copy()
     ragged[3] += 1e-6
     with pytest.raises(ValueError):
@@ -305,15 +314,25 @@ def test_exposure_profile_validation():
             ExposureProfile(grid, doses)
 
 
-def test_exposure_profile_clamps_rounding_noise():
+def test_exposure_profile_rejects_negative_doses():
+    # Every dose the package forms is a sum of squares; a negative one can
+    # only come from the caller, however small.
+    grid = phase_grid(8)
+    for bad in (-1e-13, -1e-9):
+        doses = np.ones(8)
+        doses[2] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExposureProfile(grid, doses)
+
+
+def test_exposure_profile_keeps_private_copies():
+    # The profile freezes its own arrays, never the caller's.
     grid = phase_grid(8)
     doses = np.ones(8)
-    doses[2] = -1e-13
     profile = ExposureProfile(grid, doses)
-    assert profile.doses[2] == 0.0
-    doses[2] = -1e-9
-    with pytest.raises(ToleranceError):
-        ExposureProfile(grid, doses)
+    grid[1] = doses[1] = 5.0
+    assert profile.doses[1] == 1.0 and profile.phis[1] == math.pi / 4.0
+    assert not profile.doses.flags.writeable and not profile.phis.flags.writeable
 
 
 def test_fourier_components_of_classical_fringe():
@@ -332,6 +351,8 @@ def test_fourier_aliasing_guard():
     profile = ExposureProfile(grid, np.ones(16))
     with pytest.raises(ValueError):
         fourier_components(profile, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fourier_components(profile, -1)
     coeffs = fourier_components(profile, 7)
     assert coeffs.shape == (8,)
 

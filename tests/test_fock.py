@@ -1,10 +1,12 @@
 """Tests for the two-mode Fock state module."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qlitho.dosing import deposition_rate
 from qlitho.fock import (
     FieldCoefficients,
     FockState,
@@ -27,24 +29,18 @@ def test_make_state_normalizes():
 def test_make_state_single_term_has_unit_amplitude():
     state = make_state({(3, 4): 2.0})
     assert state.amplitude(3, 4) == 1.0
-    assert state.cutoff == 7
-
-
-def test_make_state_explicit_cutoff_kept():
-    state = make_state({(1, 0): 1.0}, cutoff=5)
-    assert state.cutoff == 5
 
 
 def test_make_state_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative occupation"):
         make_state({(-1, 0): 1.0})
-    with pytest.raises(ValueError):
-        make_state({(2, 2): 1.0}, cutoff=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative occupation"):
+        make_state({(2, -3): 1.0})
+    with pytest.raises(ValueError, match="finite"):
         make_state({(0, 0): float("nan")})
     with pytest.raises(ValueError, match="degenerate"):
         make_state({(1, 1): 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         make_state({})
 
 
@@ -79,14 +75,14 @@ def test_annihilation_mode_names_and_indices_agree():
 
 
 def test_commutator_on_random_states():
-    # a a+ - a+ a acts as the identity wherever there is cutoff headroom.
+    # a a+ - a+ a acts as the identity.
     rng = np.random.default_rng(7)
     from oracles import random_state_map
 
     for _ in range(30):
         cutoff = int(rng.integers(2, 7))
         amps = random_state_map(rng, cutoff, headroom=1)
-        state = make_state(amps, cutoff=cutoff)
+        state = make_state(amps)
         for mode in ("a", "b"):
             forward = apply_annihilation(_apply_creation(state, mode), mode)
             backward = _apply_creation(apply_annihilation(state, mode), mode)
@@ -121,7 +117,7 @@ def test_field_power_equals_iterated_single_powers():
     for _ in range(25):
         cutoff = int(rng.integers(2, 8))
         amps = random_state_map(rng, cutoff)
-        state = make_state(amps, cutoff=cutoff)
+        state = make_state(amps)
         f = FieldCoefficients(
             complex(rng.standard_normal(), rng.standard_normal()),
             complex(rng.standard_normal(), rng.standard_normal()),
@@ -136,10 +132,14 @@ def test_field_power_equals_iterated_single_powers():
             assert abs(direct.amplitude(*key) - step.amplitude(*key)) < 1e-11
 
 
-def test_field_power_beyond_cutoff_rejected():
-    state = make_state({(1, 0): 1.0})
-    with pytest.raises(ValueError):
-        apply_field_power(state, FieldCoefficients(1.0, 0.0), 2)
+def test_field_power_beyond_photon_content_is_zero_state():
+    # Asking for more photons than the state holds annihilates every
+    # sector, as the dose of the same state and N is 0: no error.
+    state = make_state({(1, 0): 1.0, (0, 2): 1.0j})
+    for power in (3, 4, 50):
+        out = apply_field_power(state, FieldCoefficients(1.0, 0.5), power)
+        assert out.is_zero and squared_norm(out) == 0.0
+        assert deposition_rate(state, power, 0.3) == 0.0
     with pytest.raises(ValueError):
         apply_field_power(state, FieldCoefficients(1.0, 0.0), 0)
 
@@ -157,15 +157,11 @@ def test_field_coefficients_validate():
 
 
 def test_fock_state_is_immutable():
+    # A state is its amplitude map alone; no photon-number bound rides along.
+    assert [field.name for field in dataclasses.fields(FockState)] == ["amplitudes"]
     state = make_state({(1, 0): 1.0})
     with pytest.raises(Exception):
-        state.cutoff = 3  # type: ignore[misc]
-
-
-def test_creation_respects_cutoff():
-    state = make_state({(2, 0): 1.0}, cutoff=2)
-    with pytest.raises(ValueError):
-        _apply_creation(state, "a")
+        state.amplitudes = {}  # type: ignore[misc]
 
 
 def test_high_occupancy_is_finite():

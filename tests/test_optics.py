@@ -41,6 +41,8 @@ def test_phase_shifter_matrix():
     m = phase_shifter(phi).matrix
     expected = np.diag([np.exp(1j * phi), 1.0])
     assert np.max(np.abs(m - expected)) < 1e-15
+    with pytest.raises(ValueError, match="finite"):
+        phase_shifter(math.nan)
 
 
 def test_compose_is_matrix_product():
@@ -132,7 +134,7 @@ def test_norm_is_preserved():
     rng = np.random.default_rng(5)
     for _ in range(50):
         cutoff = int(rng.integers(1, 9))
-        state = make_state(random_state_map(rng, cutoff), cutoff=cutoff)
+        state = make_state(random_state_map(rng, cutoff))
         out = evolve(state, ModeUnitary(random_unitary(rng)))
         assert abs(squared_norm(out) - 1.0) < 1e-12
 
@@ -161,7 +163,7 @@ def test_evolve_conserves_photon_number_and_norm_property(cutoff, terms, seed):
     # Every photon-number sector keeps its own norm: no amplitude moves
     # between sectors, and the total norm stays 1.
     rng = np.random.default_rng(seed)
-    state = make_state(random_state_map(rng, cutoff, max_terms=terms), cutoff=cutoff)
+    state = make_state(random_state_map(rng, cutoff, max_terms=terms))
     out = evolve(state, ModeUnitary(random_unitary(rng)))
     before, after = _sector_norms(state), _sector_norms(out)
     assert set(after) <= set(before)
@@ -175,7 +177,7 @@ def test_evolution_is_a_homomorphism():
     rng = np.random.default_rng(29)
     for _ in range(25):
         cutoff = int(rng.integers(1, 7))
-        state = make_state(random_state_map(rng, cutoff), cutoff=cutoff)
+        state = make_state(random_state_map(rng, cutoff))
         u = ModeUnitary(random_unitary(rng))
         v = ModeUnitary(random_unitary(rng))
         two_step = evolve(evolve(state, v), u)
@@ -191,7 +193,7 @@ def test_heisenberg_picture_for_single_annihilation():
     rng = np.random.default_rng(31)
     for _ in range(25):
         cutoff = int(rng.integers(1, 7))
-        state = make_state(random_state_map(rng, cutoff), cutoff=cutoff)
+        state = make_state(random_state_map(rng, cutoff))
         t = random_unitary(rng)
         u = ModeUnitary(t)
         alpha = complex(rng.standard_normal(), rng.standard_normal())

@@ -107,6 +107,10 @@ def test_psi_np_allows_partitions_up_to_n():
     assert abs(state.amplitude(3, 0) - ROOT_HALF) < 1e-12
     with pytest.raises(ValueError):
         psi_np(3, 4, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        psi_np(0, 0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        psi_np(3, 1, math.nan)
 
 
 def test_component_profile_matches_closed_form():
@@ -129,6 +133,9 @@ def test_degenerate_closed_form_is_single_binomial():
     # The normalized |P,P> state doses to C(N,P), not 2 C(N,P).
     values = component_closed_form(10, 5, phase_grid(8))
     assert np.max(np.abs(values - math.comb(10, 5))) == 0.0
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            component_closed_form(10, bad, phase_grid(8))
 
 
 def test_two_photon_component_is_doubled_fringe():
@@ -290,6 +297,8 @@ def test_fitness_rejects_length_mismatch():
     basis = PartitionBasis(10, (1, 3))
     with pytest.raises(ValueError):
         fitness(SynthesisGenome(np.array([1.0 + 0j])), basis, trench_target(16))
+    with pytest.raises(ValueError, match="1 coefficients for a 2-partition basis"):
+        genome_profile(SynthesisGenome(np.array([1.0 + 0j])), basis, 16)
 
 
 def test_scale_optimization_beats_naive_scales():
@@ -369,6 +378,10 @@ def test_genome_validation():
         SynthesisGenome(np.array([1.0 + 0j]), scale=0.0)
     with pytest.raises(ValueError):
         SynthesisGenome(np.array([1.0 + 0j]), scale=float("nan"))
+    with pytest.raises(ValueError, match="nonempty"):
+        SynthesisGenome(np.zeros(0, dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        SynthesisGenome(np.array([complex(math.nan, 0.0)]))
     with pytest.raises(ValueError):
         normalized_genome(np.zeros(3))
     genome = normalized_genome(np.array([3.0, 4.0]))
