@@ -33,7 +33,6 @@ from .svgplot import render_line_chart, write_line_chart
 from .fock import (
     FieldCoefficients,
     FockState,
-    apply_annihilation,
     apply_field_power,
     make_state,
     squared_norm,
@@ -75,7 +74,6 @@ __all__ = [
     "SynthesisGenome",
     "TargetPattern",
     "ToleranceError",
-    "apply_annihilation",
     "apply_field_power",
     "beamsplitter",
     "best_classical_fit",

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, _sectors, make_state
+from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Upper bound on the elements of one block of work (dose arrays, synthesis QR
@@ -118,7 +118,7 @@ def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray
     amplitudes take 2^floor(doubling N / 2) before squaring, to square at dose size."""
     half, odd = divmod(doubling * n_photons, 2)
     doses = np.zeros(len(field[0]))
-    for psi in _sectors(state).values():
+    for psi in state.sectors.values():
         if len(psi) <= n_photons:
             continue
         terms, ks, norm = _lowering_terms(psi, n_photons, scaled=True)

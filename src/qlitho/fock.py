@@ -1,11 +1,9 @@
-"""Two-mode photon-number states, worked on one photon-number sector at a time.
+"""Two-mode photon-number states, held as one array per photon-number sector.
 
-A state is a map from occupation pairs ``(n, m)`` to complex amplitudes,
-with no bound on ``n + m``: a pair it does not hold has amplitude zero.
-Operators work on the dense array of each photon-number sector instead:
-the M-photon amplitudes form ``psi[n] = <n, M-n|psi>`` of length M+1, every
-operator is a dense map between sector arrays, and amplitudes below
-``PRUNE_EPS`` are dropped when the result is turned back into a map.
+A state is the read-only array ``psi[n] = <n, M-n|state>`` of length M+1
+of every photon number M it holds, with no bound on M: a sector it does
+not hold is zero.  Only :func:`make_state` reads a map of occupation
+pairs; every operator is a dense map between sector arrays.
 
 The workhorse is a power of the field operator e = alpha*a + beta*b.  The
 normalized power e^N / sqrt(N!) maps sector M to sector M-N,
@@ -27,13 +25,11 @@ fringe of |1,1> through a balanced splitter peaks at exactly 2.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
-
-# Amplitudes smaller than this (in absolute value) are dropped from the
-# result of every operation; it is far below any tolerance used by callers.
-PRUNE_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -52,88 +48,72 @@ class FieldCoefficients:
 
 @dataclass(frozen=True)
 class FockState:
-    """Two-mode number state.
+    """Two-mode number state, held as its photon-number sectors.
 
-    ``amplitudes`` maps occupation pairs ``(n, m)`` to complex amplitudes.
-    States returned by operators may be unnormalized (or the zero vector,
-    an empty map); states built with :func:`make_state` have unit norm.
-    The map is treated as immutable after construction -- operations
-    always build a fresh state.
+    ``sectors`` maps each photon number M to a read-only copy of the array
+    ``psi[n] = <n, M-n|state>`` of length M+1.  Operators may return
+    unnormalized states (or the zero vector); make_state's have unit norm.
     """
 
-    amplitudes: dict[tuple[int, int], complex]
+    sectors: Mapping[int, np.ndarray]
+
+    def __post_init__(self):
+        frozen = {total: np.array(psi, dtype=complex) for total, psi in self.sectors.items()}
+        for total, psi in frozen.items():
+            if total < 0 or psi.shape != (total + 1,):
+                raise ValueError(f"sector {total} needs {total + 1} amplitudes, got shape {psi.shape}")
+            psi.flags.writeable = False
+        object.__setattr__(self, "sectors", MappingProxyType(frozen))
+
+    def __eq__(self, other):
+        return isinstance(other, FockState) and self.amplitudes == other.amplitudes
+
+    @property
+    def amplitudes(self) -> dict[tuple[int, int], complex]:
+        """A fresh map from each occupation pair (n, m) to its nonzero amplitude."""
+        return {
+            (int(n), total - int(n)): complex(psi[n])
+            for total, psi in self.sectors.items()
+            for n in np.flatnonzero(psi)
+        }
 
     @property
     def is_zero(self) -> bool:
-        return not self.amplitudes
+        return not any(psi.any() for psi in self.sectors.values())
 
     def amplitude(self, n: int, m: int) -> complex:
-        return self.amplitudes.get((n, m), 0j)
+        psi = self.sectors.get(n + m)
+        if psi is None or n < 0 or m < 0:
+            return 0j
+        return complex(psi[n])
 
 
-def _validated_pairs(pairs) -> dict[tuple[int, int], complex]:
-    out: dict[tuple[int, int], complex] = {}
+def make_state(pairs) -> FockState:
+    """Build a normalized state from a map of occupation pairs to amplitudes.
+
+    Raises on a negative occupation or a non-finite amplitude, or if all
+    amplitudes are zero (an empty map included): no state to normalize.
+    """
+    amps: dict[tuple[int, int], complex] = {}
     for (n, m), amp in pairs.items():
         if n < 0 or m < 0:
             raise ValueError(f"negative occupation in pair ({n}, {m})")
         z = complex(amp)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("state amplitudes must be finite")
-        if abs(z) >= PRUNE_EPS:
-            out[(n, m)] = z
-    return out
-
-
-def make_state(pairs) -> FockState:
-    """Build a normalized state from a map of occupation pairs to amplitudes.
-
-    Raises on a negative occupation or a non-finite amplitude, or if the
-    amplitudes are all (numerically) zero -- an empty map included --
-    which would make normalization degenerate.
-    """
-    amps = _validated_pairs(pairs)
+        amps[(n, m)] = z
     norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    if norm < PRUNE_EPS:
+    if norm == 0.0:
         raise ValueError("degenerate state: all amplitudes are zero")
-    return FockState({k: v / norm for k, v in amps.items()})
+    sectors: dict[int, np.ndarray] = {}
+    for (n, m), z in amps.items():
+        sectors.setdefault(n + m, np.zeros(n + m + 1, dtype=complex))[n] = z / norm
+    return FockState(sectors)
 
 
 def squared_norm(state: FockState) -> float:
     """Sum of |amplitude|^2 over all occupation pairs."""
-    return sum(abs(v) ** 2 for v in state.amplitudes.values())
-
-
-def _sectors(state: FockState) -> dict[int, np.ndarray]:
-    """The array psi[n] = <n, M-n|state> of every occupied sector M."""
-    out: dict[int, np.ndarray] = {}
-    for (n, m), amp in state.amplitudes.items():
-        if n + m not in out:
-            out[n + m] = np.zeros(n + m + 1, dtype=complex)
-        out[n + m][n] = amp
-    return out
-
-
-def _from_sectors(sectors: dict[int, np.ndarray]) -> FockState:
-    """The state holding the given sector arrays, pruned at PRUNE_EPS."""
-    amps: dict[tuple[int, int], complex] = {}
-    for total, psi in sectors.items():
-        for n in np.flatnonzero(np.abs(psi) >= PRUNE_EPS):
-            amps[(int(n), total - int(n))] = complex(psi[n])
-    return FockState(amps)
-
-
-def _create(vecs: np.ndarray, x: complex, y: complex) -> np.ndarray:
-    """(x a† + y b†) on the columns of vecs, sector M to sector M+1.
-
-    Row n of ``vecs`` is the amplitude of |n, M-n>:
-    a† |n, M-n> = sqrt(n+1) |n+1, M-n> and b† |n, M-n> = sqrt(M-n+1) |n, M-n+1>.
-    """
-    size = len(vecs)
-    root = np.sqrt(np.arange(size + 1.0))[:, None]
-    out = np.zeros((size + 1, vecs.shape[1]), dtype=complex)
-    out[1:] += x * root[1:] * vecs
-    out[:-1] += y * root[:0:-1] * vecs
-    return out
+    return float(sum(np.sum(np.abs(psi) ** 2) for psi in state.sectors.values()))
 
 
 def _lowering_terms(psi: np.ndarray, power: int, scaled: bool = False):
@@ -165,33 +145,6 @@ def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarra
     return alpha ** ks[:, None] * beta ** (power - ks)[:, None]
 
 
-def _mode_index(mode) -> int:
-    if mode in (0, "a"):
-        return 0
-    if mode in (1, "b"):
-        return 1
-    raise ValueError(f"unknown mode {mode!r}: expected 'a' or 'b'")
-
-
-def apply_annihilation(state: FockState, mode) -> FockState:
-    """Apply the annihilation operator of one mode: a|n> = sqrt(n)|n-1>.
-
-    Returns an unnormalized state; annihilating the vacuum component of a
-    mode simply drops it, so the result may be the zero vector.
-    """
-    idx = _mode_index(mode)
-    return apply_field_power(state, FieldCoefficients(1.0 - idx, float(idx)), 1)
-
-
-def _apply_creation(state: FockState, mode) -> FockState:
-    """Creation operator, used by consistency tests: a†|n> = sqrt(n+1)|n+1>."""
-    idx = _mode_index(mode)
-    return _from_sectors({
-        total + 1: _create(psi[:, None], 1.0 - idx, idx)[:, 0]
-        for total, psi in _sectors(state).items()
-    })
-
-
 def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> FockState:
     """Apply (alpha*a + beta*b)**power to the state.
 
@@ -204,8 +157,8 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
         raise ValueError("field power must be a positive integer")
     alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
     out = {}
-    for total, psi in _sectors(state).items():
+    for total, psi in state.sectors.items():
         if total >= power:
             terms, ks, _ = _lowering_terms(psi, power)
             out[total - power] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
-    return _from_sectors(out)
+    return FockState(out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, _create, _from_sectors, _sectors
+from .fock import FockState
 
 _UNITARITY_TOL = 1e-9
 
@@ -69,6 +69,20 @@ def compose(outer: ModeUnitary, inner: ModeUnitary) -> ModeUnitary:
     return ModeUnitary(outer.matrix @ inner.matrix)
 
 
+def _create(vecs: np.ndarray, x: complex, y: complex) -> np.ndarray:
+    """(x a† + y b†) on the columns of vecs, sector M to sector M+1.
+
+    Row n of ``vecs`` is the amplitude of |n, M-n>:
+    a† |n, M-n> = sqrt(n+1) |n+1, M-n> and b† |n, M-n> = sqrt(M-n+1) |n, M-n+1>.
+    """
+    size = len(vecs)
+    root = np.sqrt(np.arange(size + 1.0))[:, None]
+    out = np.zeros((size + 1, vecs.shape[1]), dtype=complex)
+    out[1:] += x * root[1:] * vecs
+    out[:-1] += y * root[:0:-1] * vecs
+    return out
+
+
 def evolve(state: FockState, u: ModeUnitary) -> FockState:
     """Push a state through a linear element in the Schroedinger picture.
 
@@ -79,15 +93,14 @@ def evolve(state: FockState, u: ModeUnitary) -> FockState:
     (column 0 takes a b† step, divided by sqrt(M)).
     """
     t = u.matrix
-    sectors = _sectors(state)
     out = {}
     sym = np.ones((1, 1), dtype=complex)  # S_0: the vacuum stays put
-    for total in range(max(sectors, default=-1) + 1):
+    for total in range(max(state.sectors, default=-1) + 1):
         if total:
             raised = np.empty((total + 1, total + 1), dtype=complex)
             raised[:, 1:] = _create(sym, t[0, 0], t[1, 0]) / np.sqrt(np.arange(1.0, total + 1))
             raised[:, :1] = _create(sym[:, :1], t[0, 1], t[1, 1]) / math.sqrt(total)
             sym = raised
-        if total in sectors:
-            out[total] = sym @ sectors[total]
-    return _from_sectors(out)
+        if total in state.sectors:
+            out[total] = sym @ state.sectors[total]
+    return FockState(out)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dosing import (_BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _check_phase_grid,
                      _field, phase_grid)
-from .fock import FockState, _field_powers, _lowering_terms, _sectors, make_state
+from .fock import FockState, _field_powers, _lowering_terms, make_state
 
 # Largest dose a basis may deposit, and largest target sample: the solver's
 # QR takes the column norms of the dose monomials and the target over the
@@ -135,8 +135,8 @@ class TargetPattern:
     samples: np.ndarray
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
+        phis = np.array(self.phis, dtype=float)
+        samples = np.array(self.samples, dtype=float)
         if phis.ndim != 1 or phis.shape != samples.shape:
             raise ValueError("phis and samples must be 1-d arrays of equal length")
         if len(phis) < 4:
@@ -256,7 +256,7 @@ def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
     (alpha, beta), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
     rows = []
     for p in basis.partitions:
-        terms, ks, norm = _lowering_terms(_sectors(psi_np(n, p, 0.0))[n], n, scaled=True)
+        terms, ks, norm = _lowering_terms(psi_np(n, p, 0.0).sectors[n], n, scaled=True)
         amp = (terms @ _field_powers(alpha, beta, n, ks))[0] / math.sqrt(norm)
         rows.append(amp * np.exp(1j * p * phis))
     return np.array(rows)

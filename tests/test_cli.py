@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver (in-process where possible)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -165,6 +166,40 @@ def test_svg_output_is_deterministic(monkeypatch, tmp_path):
         )
         assert code == 0
     assert (first / "noon.svg").read_bytes() == (second / "noon.svg").read_bytes()
+
+
+# sha256 of the CSV of each command that draws no random numbers.  A change
+# that keeps every float operation of a dose keeps these bytes; a digest
+# moves only with a change to the numbers it pins.  The %.17g cells carry
+# every bit of every dose, so the digests hold only for the numpy the last
+# bits were computed with.
+_GOLDEN_NUMPY = "2.4.6"
+_GOLDEN_CSV = {
+    "noon --n 3 --grid 64":
+        "9a3b11752b87051f6196521ad2e5afbadb38bf3840ad406f58375295ede42d54",
+    "noon --n 3 --grid 64 --convention paper":
+        "352dacbb3969efd9808413dabfa1159dc53a636347bb44a8060fe3d4a1cb33ed",
+    "compare --n 4 --grid 64":
+        "d195f4cf523bdaea36338c51b23fcec43ee1be4b34284ec55fada763ee4dc3b9",
+    "classical --n 3 --grid 64":
+        "30771aca27b7fb206df3667c60163d54c42c9d97ea0120ff7a2ad00611faeff6",
+    "fringe --grid 64":
+        "9c1c11dbf64161845b9080963b3f5ec2ef66491ad43aab2c90e1d5b9d983de57",
+    "fringe --grid 64 --convention paper":
+        "0ea866458ec9e972faec17ecb7cb160cc7c7662ed05f1058160ec18dcc326147",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != _GOLDEN_NUMPY,
+    reason=f"CSV digests were taken with numpy {_GOLDEN_NUMPY}; another numpy may round the last bit differently",
+)
+@pytest.mark.parametrize("args", sorted(_GOLDEN_CSV))
+def test_deterministic_csv_matches_golden_digest(monkeypatch, tmp_path, args):
+    command = args.split()[0]
+    assert run_cli(monkeypatch, tmp_path, "--command", *args.split()) == 0
+    digest = hashlib.sha256((tmp_path / f"{command}.csv").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_CSV[args]
 
 
 # ---------------------------------------------------------------------------

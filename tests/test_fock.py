@@ -10,12 +10,39 @@ from qlitho.dosing import deposition_rate
 from qlitho.fock import (
     FieldCoefficients,
     FockState,
-    apply_annihilation,
     apply_field_power,
     make_state,
     squared_norm,
 )
-from qlitho.fock import _apply_creation
+
+
+def _mode_index(mode) -> int:
+    if mode in (0, "a"):
+        return 0
+    if mode in (1, "b"):
+        return 1
+    raise ValueError(f"unknown mode {mode!r}: expected 'a' or 'b'")
+
+
+def apply_annihilation(state: FockState, mode) -> FockState:
+    """a|n> = sqrt(n)|n-1> on one mode: the first power of that mode's field."""
+    idx = _mode_index(mode)
+    return apply_field_power(state, FieldCoefficients(1.0 - idx, float(idx)), 1)
+
+
+def _apply_creation(state: FockState, mode) -> FockState:
+    """a†|n, m> = sqrt(n+1)|n+1, m> or b†|n, m> = sqrt(m+1)|n, m+1>, per sector array."""
+    idx = _mode_index(mode)
+    out = {}
+    for total, psi in state.sectors.items():
+        n = np.arange(total + 1)
+        raised = np.zeros(total + 2, dtype=complex)
+        if idx == 0:
+            raised[1:] = np.sqrt(n + 1.0) * psi
+        else:
+            raised[:-1] = np.sqrt(total - n + 1.0) * psi
+        out[total + 1] = raised
+    return FockState(out)
 
 
 def test_make_state_normalizes():
@@ -144,7 +171,7 @@ def test_field_power_beyond_photon_content_is_zero_state():
         apply_field_power(state, FieldCoefficients(1.0, 0.0), 0)
 
 
-def test_field_power_prunes_tiny_amplitudes():
+def test_field_power_cancels_exactly():
     # A destructive combination that cancels exactly leaves nothing behind.
     state = make_state({(1, 0): 1.0, (0, 1): -1.0})
     out = apply_field_power(state, FieldCoefficients(1.0, 1.0), 1)
@@ -157,11 +184,58 @@ def test_field_coefficients_validate():
 
 
 def test_fock_state_is_immutable():
-    # A state is its amplitude map alone; no photon-number bound rides along.
-    assert [field.name for field in dataclasses.fields(FockState)] == ["amplitudes"]
+    # A state is its sector arrays alone; no photon-number bound rides along.
+    assert [field.name for field in dataclasses.fields(FockState)] == ["sectors"]
     state = make_state({(1, 0): 1.0})
-    with pytest.raises(Exception):
-        state.amplitudes = {}  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.sectors = {}  # type: ignore[misc]
+    with pytest.raises(TypeError):
+        state.sectors[3] = np.zeros(4)  # type: ignore[index]
+    assert list(state.sectors) == [1]
+
+
+def test_write_through_amplitudes_leaves_state_unchanged():
+    state = make_state({(1, 0): 1.0})
+    state.amplitudes[(5, 5)] = 3.0
+    state.amplitudes[(1, 0)] = 3.0
+    assert state.amplitude(5, 5) == 0j
+    assert state.amplitudes == {(1, 0): 1.0}
+
+
+def test_sector_arrays_are_read_only():
+    state = make_state({(1, 0): 1.0})
+    with pytest.raises(ValueError, match="read-only"):
+        state.sectors[1][0] = 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.sectors[1][:] = 0.0
+    assert state.amplitude(1, 0) == 1.0 and state.amplitude(0, 1) == 0j
+
+
+def test_state_does_not_alias_caller_data():
+    pairs = {(1, 0): 1.0}
+    state = make_state(pairs)
+    pairs[(1, 0)] = 5.0
+    pairs[(0, 1)] = 5.0
+    assert state.amplitudes == {(1, 0): 1.0}
+    psi = np.array([0.0, 1.0, 0.0], dtype=complex)
+    direct = FockState({2: psi})
+    psi[0] = 7.0  # the caller's array stays writeable and the state keeps its copy
+    assert direct.amplitudes == {(1, 1): 1.0}
+    assert direct == make_state({(1, 1): 1.0}) != make_state({(1, 1): 1.0, (2, 0): 1.0})
+
+
+def test_fock_state_rejects_misshapen_sectors():
+    for sectors in ({2: np.ones(2)}, {-1: np.ones(0)}, {1: np.ones((2, 1))}):
+        with pytest.raises(ValueError, match="amplitudes"):
+            FockState(sectors)
+
+
+def test_amplitude_of_negative_occupation_is_zero():
+    # n + m names a held sector, but a negative index must not wrap into it.
+    state = make_state({(0, 2): 1.0, (2, 0): 2.0})
+    assert state.amplitude(-1, 3) == 0j
+    assert state.amplitude(3, -1) == 0j
+    assert abs(state.amplitude(2, 0)) > 0.0
 
 
 def test_high_occupancy_is_finite():

@@ -353,6 +353,17 @@ def test_target_pattern_validation():
             TargetPattern(ragged, np.ones(16))
 
 
+def test_target_pattern_keeps_private_copies():
+    # The target freezes its own arrays, never the caller's.
+    grid = phase_grid(8)
+    samples = np.ones(8)
+    target = TargetPattern(grid, samples)
+    samples[0] = 2.0
+    grid[1] = 5.0
+    assert target.samples[0] == 1.0 and target.phis[1] == math.pi / 4.0
+    assert not target.samples.flags.writeable and not target.phis.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # dataclass validation
 # ---------------------------------------------------------------------------
