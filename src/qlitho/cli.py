@@ -159,10 +159,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV with '.' decimals, ',' separators, LF endings, 17 significant digits."""
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(format_rows(columns, row_format))
+        fh.writelines(format_rows(columns, "%.17g"))
 
 
 def _emit(cfg: argparse.Namespace, header: list[str], columns: list[np.ndarray], title: str) -> None:

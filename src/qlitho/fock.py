@@ -25,6 +25,7 @@ fringe of |1,1> through a balanced splitter peaks at exactly 2.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -102,9 +103,19 @@ def make_state(pairs) -> FockState:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("state amplitudes must be finite")
         amps[(n, m)] = z
-    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    if norm == 0.0:
-        raise ValueError("degenerate state: all amplitudes are zero")
+    try:
+        total = sum(abs(v) ** 2 for v in amps.values())
+    except OverflowError:
+        total = math.inf
+    if not sys.float_info.min <= total < math.inf:
+        # The squares overflow or underflow: normalize the amplitudes divided
+        # by their largest part instead.
+        scale = max((max(abs(z.real), abs(z.imag)) for z in amps.values()), default=0.0)
+        if scale == 0.0:
+            raise ValueError("degenerate state: all amplitudes are zero")
+        amps = {pair: z / scale for pair, z in amps.items()}
+        total = sum(abs(v) ** 2 for v in amps.values())
+    norm = math.sqrt(total)
     sectors: dict[int, np.ndarray] = {}
     for (n, m), z in amps.items():
         sectors.setdefault(n + m, np.zeros(n + m + 1, dtype=complex))[n] = z / norm

@@ -77,7 +77,7 @@ _SPECIAL_CELLS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, float(2**53 + 1)
 @pytest.mark.parametrize("k", range(1, 7))
 def test_csv_matches_per_cell_oracle(tmp_path, k):
     # Row counts around the formatter's block of rows, read off the formatter.
-    block = next(format_rows([np.zeros(1 << 16)] * k, "%g" * k + "\n")).count("\n")
+    block = next(format_rows([np.zeros(1 << 16)] * k, "%.17g")).count("\n")
     assert block < 1 << 16
     rng = np.random.default_rng(k)
     header = [f"c{j}" for j in range(k)]
@@ -190,16 +190,46 @@ _GOLDEN_CSV = {
 }
 
 
-@pytest.mark.skipif(
+# sha256 of the SVG of the same commands, taken with the per-cell %.2f
+# formatter that the array formatter replaced: a chart's bytes pin both
+# the doses and their formatting.
+_GOLDEN_SVG = {
+    "noon --n 3 --grid 64":
+        "07a2c780937042fdf2241acc1615d19bd63af8bcf45e0516c75b374407d838e1",
+    "noon --n 3 --grid 64 --convention paper":
+        "b546429d13e50a03087624d60893ed2e900153799870526cde561b6f5c0f81b0",
+    "compare --n 4 --grid 64":
+        "769661a4b66ea3bede1ad8eb472f47f20102e10f349112c56dbd90555edb532b",
+    "classical --n 3 --grid 64":
+        "eb7a7416ae62ddeacc94b763f8f1722299723f8bdcaa5cbab0e3e71431f1897a",
+    "fringe --grid 64":
+        "da20af73dc851f2c2f4ee22ab178f43a48b056d4d5b8532a7799661833a01525",
+    "fringe --grid 64 --convention paper":
+        "dde5db9646704281ca41f49c1b2622f31f406e2bc58a8036d6d9cd0ec33dd3eb",
+}
+
+_golden_numpy_only = pytest.mark.skipif(
     np.__version__ != _GOLDEN_NUMPY,
-    reason=f"CSV digests were taken with numpy {_GOLDEN_NUMPY}; another numpy may round the last bit differently",
+    reason=f"digests were taken with numpy {_GOLDEN_NUMPY}; another numpy may round the last bit differently",
 )
+
+
+@_golden_numpy_only
 @pytest.mark.parametrize("args", sorted(_GOLDEN_CSV))
 def test_deterministic_csv_matches_golden_digest(monkeypatch, tmp_path, args):
     command = args.split()[0]
     assert run_cli(monkeypatch, tmp_path, "--command", *args.split()) == 0
     digest = hashlib.sha256((tmp_path / f"{command}.csv").read_bytes()).hexdigest()
     assert digest == _GOLDEN_CSV[args]
+
+
+@_golden_numpy_only
+@pytest.mark.parametrize("args", sorted(_GOLDEN_SVG))
+def test_deterministic_svg_matches_golden_digest(monkeypatch, tmp_path, args):
+    command = args.split()[0]
+    assert run_cli(monkeypatch, tmp_path, "--command", *args.split(), "--format", "svg") == 0
+    digest = hashlib.sha256((tmp_path / f"{command}.svg").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_SVG[args]
 
 
 # ---------------------------------------------------------------------------

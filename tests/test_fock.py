@@ -58,6 +58,19 @@ def test_make_state_single_term_has_unit_amplitude():
     assert state.amplitude(3, 4) == 1.0
 
 
+@pytest.mark.parametrize("amp, expected", [
+    (1e200, 1.0 / math.sqrt(2.0)),  # the squares overflow
+    (1e-170, 1.0 / math.sqrt(2.0)),  # the squares underflow to zero
+    (1e-160, 1.0 / math.sqrt(2.0)),  # the squares are subnormal
+    (complex(1e308, -1e308), 0.5 - 0.5j),  # the modulus overflows
+])
+def test_make_state_normalizes_amplitudes_whose_squares_leave_the_float_range(amp, expected):
+    state = make_state({(1, 0): amp, (0, 1): amp})
+    for pair in ((1, 0), (0, 1)):
+        assert abs(state.amplitude(*pair) - expected) < 1e-15
+    assert abs(squared_norm(state) - 1.0) < 1e-15
+
+
 def test_make_state_rejects_bad_input():
     with pytest.raises(ValueError, match="negative occupation"):
         make_state({(-1, 0): 1.0})

@@ -5,12 +5,98 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import polyline_points
+from qlitho import svgplot
 from qlitho.svgplot import format_rows, render_line_chart, write_line_chart
 
-# Points per formatted block: each point is a row of two cells, (x, y).
-_BLOCK = next(format_rows([np.zeros(1 << 16)] * 2, "%g%g\n")).count("\n")
+# Points per formatted block of a one-series chart: each row holds the two
+# cells x and y.
+_BLOCK = next(format_rows([np.zeros(1 << 16)] * 2, "%.2f")).count("\n")
+
+_SPECS = ("%.17g", "%.2f")
+# Doubles whose %.17g rounding is a tie, or within 1e-6 of one (found by
+# a search over random doubles, checked with exact decimal arithmetic).
+_G17_TIES = [float.fromhex("0x1.ca83050d5c6fep+49"), float.fromhex("0x1.7680e6ebc67e5p-52")]
+
+
+def _by_formatter(columns, spec):
+    return "".join(format_rows([np.asarray(col, dtype=float) for col in columns], spec))
+
+
+def _by_percent(columns, spec):
+    return "".join(",".join(spec % v for v in row) + "\n" for row in zip(*columns))
+
+
+def _edge_values():
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    values = powers + list(np.nextafter(powers, 0.0)) + list(np.nextafter(powers, np.inf))
+    values += [
+        0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, float(2**53 + 1),
+        float(2**53 + 2), 9.9999999999999998e-17, 0.1, 0.125, 2.675, 0.005, 1.005, 0.995,
+        1e15, np.nextafter(1e15, 0.0), 1e280, np.nextafter(1e280, 0.0), 1e-280,
+        np.nextafter(1e-280, 0.0), np.nan, np.inf, *_G17_TIES,
+    ]
+    return [float(v) for v in values] + [-float(v) for v in values]
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_formatter_matches_percent_on_edge_values(spec):
+    values = _edge_values()
+    assert _by_formatter([values], spec) == _by_percent([values], spec)
+
+
+@pytest.mark.parametrize("miss", [-1.0, 1.0])
+def test_g17_exponent_estimate_is_corrected_either_way(monkeypatch, miss):
+    # The decimal exponent comes from log10, which may round across an
+    # integer next to a power of ten; a miss by one either way is corrected.
+    # Values away from powers of ten, where log10 itself does not miss.
+    rng = np.random.default_rng(3)
+    values = list(rng.uniform(1.5, 9.5, 2000) * 10.0 ** rng.integers(-280, 280, 2000))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+    assert _by_formatter([values], "%.17g") == _by_percent([values], "%.17g")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_formatter_matches_percent_property(data):
+    spec = data.draw(st.sampled_from(_SPECS))
+    k = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(1, 40))
+    columns = [data.draw(st.lists(st.floats(), min_size=rows, max_size=rows)) for _ in range(k)]
+    assert _by_formatter(columns, spec) == _by_percent(columns, spec)
+
+
+@pytest.mark.parametrize("spec, leftover", [
+    ("%.17g", [np.nan, np.inf, -np.inf]),
+    ("%.17g", [1e280, -1e300, 1.7976931348623157e308, 9.9e-281, 5e-324, -2.2250738585072014e-308]),
+    ("%.17g", _G17_TIES),
+    ("%.2f", [np.nan, np.inf, -np.inf]),
+    ("%.2f", [1e15, -1e16, 1e300]),
+    ("%.2f", [0.125, 2.675, 0.005, -1.005]),
+], ids=["g17-nonfinite", "g17-range", "g17-tie", "f2-nonfinite", "f2-range", "f2-tie"])
+def test_fallback_classes_take_the_percent_path(monkeypatch, spec, leftover):
+    # Non-finite cells, cells outside the kernel's range and near-ties are
+    # formatted by % one at a time, and no other cell is.
+    seen = []
+    percent = svgplot._percent
+
+    def recording(spec, value, sep):
+        seen.append(value)
+        return percent(spec, value, sep)
+
+    monkeypatch.setattr(svgplot, "_percent", recording)
+    values = [1.5, -0.25, 3.14159, 1e-5, 123.456, 0.0, -0.0] + leftover
+    assert _by_formatter([values], spec) == _by_percent([values], spec)
+    assert [repr(v) for v in seen] == [repr(float(v)) for v in leftover]
+
+
+def test_formatter_rejects_other_formats():
+    with pytest.raises(ValueError, match="unsupported format"):
+        next(format_rows([np.ones(3)], "%g"))
 
 
 def _polylines(text):
@@ -32,6 +118,33 @@ def test_polylines_match_per_point_oracle(rows):
         text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)], title="t")
         assert _points(text) == polyline_points(x, ys), n_series
         assert len(_polylines(text)) == n_series
+
+
+@pytest.mark.parametrize("n_series", range(2, 7))
+def test_polylines_match_oracle_at_shared_x_block_edges(n_series):
+    # A block holds x and every series' y, so its row count falls with the
+    # number of series.
+    block = next(format_rows([np.zeros(1 << 16)] * (1 + n_series), "%.2f")).count("\n")
+    rng = np.random.default_rng(n_series)
+    for rows in (block - 1, block, block + 1, 2 * block + 1):
+        x = np.sort(rng.uniform(-4.0, 4.0, rows))
+        ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
+        text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)])
+        assert _points(text) == polyline_points(x, ys), rows
+
+
+def test_chart_formats_x_once_for_all_series(monkeypatch):
+    cells = []
+    text = svgplot._text
+
+    def counting(values, spec, seps):
+        cells.append(values.size)
+        return text(values, spec, seps)
+
+    monkeypatch.setattr(svgplot, "_text", counting)
+    x = np.linspace(0.0, 1.0, 3 * _BLOCK)
+    render_line_chart(x, [(f"s{j}", np.cos(j * x)) for j in range(3)])
+    assert sum(cells) == len(x) * (1 + 3)
 
 
 def test_chart_rejects_empty_series_and_length_mismatch():
