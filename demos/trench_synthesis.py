@@ -14,6 +14,8 @@ of optimization.  Run from the repository root:
     python3 demos/trench_synthesis.py
 """
 
+import numpy as np
+
 from qlitho import (
     PartitionBasis,
     best_classical_fit,
@@ -42,23 +44,23 @@ def main():
         f" -> mse {classical.error:.4f}"
     )
 
-    best, trace = fit_superposition(basis, target, seed=SEED)
-    final = fitness(best, basis, target)
+    alpha, trace = fit_superposition(basis, target, seed=SEED)
+    final = fitness(alpha, basis, target)
     print(f"synthesis result     : mse {final:.4f}  (started at {trace[0]:.4f})")
     print(f"improvement over classical floor: {100 * (1 - final / classical.error):.1f}%")
 
-    print("\nwinning superposition (coefficient magnitude per partition):")
-    for p, c in zip(basis.partitions, best.coefficients):
-        bar = "#" * int(round(40 * abs(c)))
-        print(f"  P={p}  |alpha| = {abs(c):.3f}  {bar}")
+    print("\nwinning superposition (share of the coefficient norm per partition):")
+    for p, c in zip(basis.partitions, np.abs(alpha) / np.linalg.norm(alpha)):
+        bar = "#" * int(round(40 * c))
+        print(f"  P={p}  |alpha_P|/|alpha| = {c:.3f}  {bar}")
 
-    quantum = genome_profile(best, basis, GRID)
+    quantum = genome_profile(alpha, basis, GRID)
     classical_curve = classical.curve(target.phis)
     write_line_chart(
         "trench_synthesis.svg",
         target.phis,
         [
-            ("target", target.samples),
+            ("target", target.doses),
             ("classical best", classical_curve),
             ("synthesized", quantum.doses),
         ],

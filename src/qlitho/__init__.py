@@ -48,15 +48,11 @@ from .optics import (
 from .synthesis import (
     ClassicalFit,
     PartitionBasis,
-    SynthesisGenome,
-    TargetPattern,
     best_classical_fit,
     component_closed_form,
-    component_profile,
     fit_superposition,
     fitness,
     genome_profile,
-    normalized_genome,
     psi_np,
     trench_target,
 )
@@ -71,8 +67,6 @@ __all__ = [
     "ModeUnitary",
     "PartitionBasis",
     "SubstrateConvention",
-    "SynthesisGenome",
-    "TargetPattern",
     "ToleranceError",
     "apply_field_power",
     "beamsplitter",
@@ -81,7 +75,6 @@ __all__ = [
     "classical_one_photon",
     "classical_two_photon",
     "component_closed_form",
-    "component_profile",
     "compose",
     "deposition_rate",
     "evolve",
@@ -96,7 +89,6 @@ __all__ = [
     "mirror",
     "noon_exposure",
     "noon_state",
-    "normalized_genome",
     "phase_grid",
     "phase_shifter",
     "pipeline_rate",

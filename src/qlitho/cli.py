@@ -41,7 +41,6 @@ from .svgplot import format_rows, write_line_chart
 from .synthesis import (
     _ITERATIONS,
     PartitionBasis,
-    TargetPattern,
     best_classical_fit,
     fit_superposition,
     genome_profile,
@@ -257,7 +256,7 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
     )
 
 
-def _load_target(path: str) -> TargetPattern:
+def _load_target(path: str) -> ExposureProfile:
     """Rows of ``phi,value``; the first non-blank line may be a header."""
     phis = []
     values = []
@@ -277,7 +276,10 @@ def _load_target(path: str) -> TargetPattern:
             values.append(value)
     if not phis:
         raise ValueError(f"{path}: no data rows")
-    return TargetPattern(np.asarray(phis), np.asarray(values))
+    try:
+        return ExposureProfile(phis, values)
+    except ValueError as exc:
+        raise ValueError(f"target {path}: {exc}") from None
 
 
 def cmd_synthesize(cfg: argparse.Namespace) -> None:
@@ -297,23 +299,24 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
             )
     else:
         target = trench_target(cfg.grid)
-    best, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
+    alpha, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
-    quantum = genome_profile(best, basis, target.grid_points)
-    final_fitness = float(np.mean((quantum.doses - target.samples) ** 2))
+    quantum = genome_profile(alpha, basis, target.grid_points)
+    final_fitness = float(np.mean((quantum.doses - target.doses) ** 2))
     gap = abs(final_fitness - float(trace[-1]))
-    tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.samples**2)), np.finfo(float).tiny)
+    tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.doses**2)), np.finfo(float).tiny)
     if not gap <= tol:
         raise ToleranceError(
             f"solver fitness {float(trace[-1])!r} disagrees with the fitness "
             f"{final_fitness!r} of the emitted dose by {gap:.3e} (tolerance {tol:.3e})"
         )
     classical_curve = classical.curve(target.phis)
+    norm = float(np.linalg.norm(alpha))
 
     _emit(
         cfg,
         ["phi", "target", "classical_best", "quantum_best"],
-        [target.phis, target.samples, classical_curve, quantum.doses],
+        [target.phis, target.doses, classical_curve, quantum.doses],
         title=f"Synthesized N={cfg.n} exposure",
     )
     summary = {
@@ -327,10 +330,10 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         "fitness": final_fitness,
         "classical_error": classical.error,
         "classical_fit": {"a": classical.a, "b": classical.b, "theta0": classical.theta0},
-        "scale": best.scale,
+        "scale": norm**2,
         "coefficients": [
             {"partition": p, "re": float(c.real), "im": float(c.imag)}
-            for p, c in zip(basis.partitions, best.coefficients)
+            for p, c in zip(basis.partitions, alpha / norm)
         ],
         "trace_initial": float(trace[0]),
         "trace_final": float(trace[-1]),

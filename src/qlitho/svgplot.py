@@ -285,13 +285,8 @@ def _polylines(x, ys, sx, sy) -> list[str]:
     return polylines
 
 
-def render_line_chart(x, series, title: str = "", x_label: str = "phi", y_label: str = "dose") -> str:
-    """Return the SVG text for one or more labelled series over x.
-
-    ``series`` is a list of (label, values) pairs; all values share the
-    x vector.  Axis limits are padded data limits; ticks are plain
-    decimals so output never depends on locale.
-    """
+def _chart_parts(x, series, title: str) -> list[str]:
+    """The SVG text of a chart as consecutive parts, each polyline's points one part."""
     x = np.asarray(x, dtype=float)
     if len(series) == 0:
         raise ValueError("need at least one series")
@@ -320,15 +315,15 @@ def render_line_chart(x, series, title: str = "", x_label: str = "phi", y_label:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>',
+        f'fill="none" stroke="#333333" stroke-width="1"/>\n',
     ]
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{title}</text>\n'
         )
 
     n_ticks = 5
@@ -337,56 +332,64 @@ def render_line_chart(x, series, title: str = "", x_label: str = "phi", y_label:
         px = sx(tx)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_MARGIN_T + plot_h}" '
-            f'x2="{_fmt(px)}" y2="{_MARGIN_T + plot_h + 5}" stroke="#333333"/>'
+            f'x2="{_fmt(px)}" y2="{_MARGIN_T + plot_h + 5}" stroke="#333333"/>\n'
         )
         parts.append(
             f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>\n'
         )
         ty = y_lo + (y_hi - y_lo) * i / (n_ticks - 1)
         py = sy(ty)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" '
-            f'x2="{_MARGIN_L}" y2="{_fmt(py)}" stroke="#333333"/>'
+            f'x2="{_MARGIN_L}" y2="{_fmt(py)}" stroke="#333333"/>\n'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>\n'
         )
 
     parts.append(
         f'<text x="{_MARGIN_L + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">phi</text>\n'
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{y_label}</text>'
+        f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">dose</text>\n'
     )
 
-    polylines = _polylines(x, ys, sx, sy)
-    for s_idx, ((label, _), pts) in enumerate(zip(series, polylines)):
+    for s_idx, ((label, _), pts) in enumerate(zip(series, _polylines(x, ys, sx, sy))):
         color = _COLORS[s_idx % len(_COLORS)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        # The points text is a part of its own, so it is never copied.
+        parts += ['<polyline points="', pts,
+                  f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n']
         ly = _MARGIN_T + 16 + 16 * s_idx
         lx = _MARGIN_L + plot_w - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
+            f'stroke="{color}" stroke-width="2"/>\n'
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{label}</text>\n'
         )
-
-    del polylines, pts  # parts holds their text now; free it before the join
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return parts
 
 
-def write_line_chart(path, x, series, title: str = "", x_label: str = "phi", y_label: str = "dose") -> None:
-    text = render_line_chart(x, series, title=title, x_label=x_label, y_label=y_label)
+def render_line_chart(x, series, title: str = "") -> str:
+    """Return the SVG text for one or more labelled series over x.
+
+    ``series`` is a list of (label, values) pairs; all values share the
+    x vector.  Axis limits are padded data limits; ticks are plain
+    decimals so output never depends on locale.
+    """
+    return "".join(_chart_parts(x, series, title))
+
+
+def write_line_chart(path, x, series, title: str = "") -> None:
+    """Write the chart of render_line_chart to ``path``, one part at a time."""
+    parts = _chart_parts(x, series, title)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(parts)

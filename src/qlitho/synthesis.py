@@ -4,7 +4,9 @@ Splitting N photons P / (N-P) between the two arms gives a family of
 substrate states whose doses are pure harmonics; a least-squares solve
 fits complex superposition coefficients so that the combined dose
 approximates a requested exposure pattern, and a constrained classical
-single-fringe fit provides the benchmark to beat.
+single-fringe fit provides the benchmark to beat.  A target is an
+:class:`~qlitho.dosing.ExposureProfile` with at least four samples, and
+a superposition is a plain complex vector alpha, one entry per partition.
 
 Phase bookkeeping (the subtle part): every partition contributes the
 paper's state psi_NP at phi = 0, the pair (|N-P, P> + |P, N-P>)/sqrt2,
@@ -19,21 +21,21 @@ those (a known defect of the model, listed in ROADMAP.md).
 
 Every dose here reads one amplitude matrix: row P is e^{i P phi} times
 the N-photon amplitude of psi_NP at phi = 0, taken from the per-sector
-dose core of :mod:`qlitho.fock`, so that dose(alpha) = |alpha @ A|^2 for
-unit-norm coefficients alpha.
+dose core of :mod:`qlitho.fock`, so that dose(alpha) = |alpha @ A|^2 and
+|alpha|^2 is the exposure scale: unit-norm alpha is one unit of exposure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import (_BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _check_phase_grid,
-                     _field, phase_grid)
+from .dosing import _BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _field, phase_grid
 from .fock import FockState, _field_powers, _lowering_terms, make_state
 
 # Largest dose a basis may deposit, and largest target sample: the solver's
@@ -64,96 +66,32 @@ class PartitionBasis:
     partitions: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_photons < 1:
+        try:
+            n = operator.index(self.n_photons)
+            parts = tuple(operator.index(p) for p in self.partitions)
+        except TypeError:
+            raise ValueError("photon number and partitions must be integers") from None
+        if n < 1:
             raise ValueError("photon number must be a positive integer")
-        parts = tuple(int(p) for p in self.partitions)
         if not parts:
             raise ValueError("partition basis cannot be empty")
-        if any(p < 0 or 2 * p > self.n_photons for p in parts):
-            raise ValueError(
-                f"partitions must satisfy 0 <= P <= {self.n_photons // 2}"
-            )
+        if any(p < 0 or 2 * p > n for p in parts):
+            raise ValueError(f"partitions must satisfy 0 <= P <= {n // 2}")
         if any(b <= a for a, b in zip(parts, parts[1:])):
             raise ValueError("partitions must be strictly increasing (no duplicates)")
-        # A unit superposition doses at most sum_P w_P^2 (Cauchy-Schwarz
+        # A unit-norm superposition doses at most sum_P w_P^2 (Cauchy-Schwarz
         # over the rows of the amplitude matrix), w_P^2 = 2 C(N, P).
-        bound = sum(math.comb(self.n_photons, p) * (1 if 2 * p == self.n_photons else 2)
-                    for p in parts)
+        bound = sum(math.comb(n, p) * (1 if 2 * p == n else 2) for p in parts)
         if bound > _MAX_DOSE:
             raise ValueError(
-                f"N={self.n_photons} with partitions {parts} doses up to "
+                f"N={n} with partitions {parts} doses up to "
                 f"10^{math.log10(bound):.1f}, above the limit of 10^150"
             )
+        object.__setattr__(self, "n_photons", n)
         object.__setattr__(self, "partitions", parts)
 
     def __len__(self) -> int:
         return len(self.partitions)
-
-
-@dataclass(frozen=True)
-class SynthesisGenome:
-    """Superposition coefficients (unit norm) plus a positive dose scale."""
-
-    coefficients: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=complex).copy()
-        if coeff.ndim != 1 or len(coeff) == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(coeff.view(float))):
-            raise ValueError("coefficients must be finite")
-        norm = np.linalg.norm(coeff)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(
-                f"coefficients must have unit norm (got {norm!r}); "
-                "use normalized_genome to build one"
-            )
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be positive and finite")
-        coeff.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeff)
-
-
-def normalized_genome(coefficients, scale: float = 1.0) -> SynthesisGenome:
-    """Build a genome, normalizing the coefficient vector first."""
-    coeff = np.asarray(coefficients, dtype=complex)
-    # Scale by the largest magnitude before the norm, whose squares could
-    # underflow; part by part, since complex division by a subnormal overflows.
-    peak = np.max(np.abs(coeff), initial=0.0)
-    if not (0 < peak < np.inf):
-        raise ValueError("degenerate coefficient vector")
-    coeff = coeff.real / peak + 1j * (coeff.imag / peak)
-    return SynthesisGenome(coeff / np.linalg.norm(coeff), scale)
-
-
-@dataclass(frozen=True)
-class TargetPattern:
-    """Nonnegative target samples on the uniform phase grid [0, 2 pi)."""
-
-    phis: np.ndarray
-    samples: np.ndarray
-
-    def __post_init__(self):
-        phis = np.array(self.phis, dtype=float)
-        samples = np.array(self.samples, dtype=float)
-        if phis.ndim != 1 or phis.shape != samples.shape:
-            raise ValueError("phis and samples must be 1-d arrays of equal length")
-        if len(phis) < 4:
-            raise ValueError("target needs at least four samples")
-        _check_phase_grid(phis)
-        if not np.all(np.abs(samples) <= _MAX_DOSE):
-            raise ValueError("target samples must be finite and at most the limit of 10^150")
-        if samples.min() < 0:
-            raise ValueError("target samples must be nonnegative")
-        phis.flags.writeable = False
-        samples.flags.writeable = False
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def grid_points(self) -> int:
-        return len(self.phis)
 
 
 class ClassicalFit(NamedTuple):
@@ -222,30 +160,29 @@ def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
     return c * (1.0 + np.cos(2.0 * (n - 2 * p) * phis))
 
 
-def component_profile(n_photons: int, partition: int, grid_points: int) -> ExposureProfile:
-    """Dose of a single partition sampled on the grid."""
-    basis = PartitionBasis(n_photons, (partition,))
-    return genome_profile(SynthesisGenome(np.ones(1)), basis, grid_points)
+def _coefficients(alpha, basis: PartitionBasis) -> np.ndarray:
+    """The superposition coefficients as a complex vector, one per partition."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (len(basis),):
+        raise ValueError(f"coefficients of shape {alpha.shape} for a {len(basis)}-partition basis")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("coefficients must be finite")
+    return alpha
 
 
-def genome_profile(genome: SynthesisGenome, basis: PartitionBasis, grid_points: int) -> ExposureProfile:
-    """Dose pattern of a coefficient superposition, times the genome scale.
+def genome_profile(alpha, basis: PartitionBasis, grid_points: int) -> ExposureProfile:
+    """Dose pattern |alpha @ A|^2 of the coefficient superposition alpha.
 
-    The superposition's amplitude is alpha @ A (see _amplitude_matrix);
-    cross terms between partitions arise from adding the rows.
+    Its exposure scale is |alpha|^2 (see _amplitude_matrix); cross terms
+    between partitions arise from adding the rows.
     """
-    if len(genome.coefficients) != len(basis):
-        raise ValueError(
-            f"genome has {len(genome.coefficients)} coefficients for a "
-            f"{len(basis)}-partition basis"
-        )
+    alpha = _coefficients(alpha, basis)
     phis = phase_grid(grid_points)
-    amp = genome.coefficients @ _amplitude_matrix(basis, phis)
-    return ExposureProfile(phis, genome.scale * np.abs(amp) ** 2)
+    return ExposureProfile(phis, np.abs(alpha @ _amplitude_matrix(basis, phis)) ** 2)
 
 
 def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
-    """Rows A[P] with dose(alpha) = |alpha @ A|^2 for unit-norm alpha.
+    """Rows A[P] with dose(alpha) = |alpha @ A|^2.
 
     Row P is the N-photon amplitude of psi_np(N, P, 0) under the
     SYMMETRIC substrate field of :mod:`qlitho.dosing`,
@@ -266,7 +203,7 @@ def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
 # targets and fitness
 # ---------------------------------------------------------------------------
 
-def trench_target(grid_points: int) -> TargetPattern:
+def trench_target(grid_points: int) -> ExposureProfile:
     """Square trench: bright on [0, pi/2] and (3pi/2, 2pi), dark between.
 
     Boundary samples take the value approached from the left, so the
@@ -274,7 +211,15 @@ def trench_target(grid_points: int) -> TargetPattern:
     """
     phis = phase_grid(grid_points)
     samples = np.where((phis <= np.pi / 2) | (phis > 3 * np.pi / 2), 1.0, 0.0)
-    return TargetPattern(phis, samples)
+    return ExposureProfile(phis, samples)
+
+
+def _check_target(target: ExposureProfile) -> None:
+    """Reject a target the fit cannot take: under four samples, or one above _MAX_DOSE."""
+    if target.grid_points < 4:
+        raise ValueError("target needs at least four samples")
+    if not target.doses.max() <= _MAX_DOSE:
+        raise ValueError("target samples must be at most the limit of 10^150")
 
 
 def _optimal_scale(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -294,17 +239,17 @@ def _scaled_sse(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.einsum("...g,...g->...", unscaled, unscaled)
 
 
-def fitness(genome: SynthesisGenome, basis: PartitionBasis, target: TargetPattern) -> float:
+def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
     """Mean squared error against the target after closed-form rescaling.
 
-    The genome's stored scale is ignored: for a fixed dose shape u the
-    best scale is s* = <u, p> / <u, u> (one-variable least squares), and
-    the value returned is mean((s* u - p)^2).
+    The scale |alpha|^2 is ignored: for a fixed dose shape u the best
+    scale is s* = <u, p> / <u, u> (one-variable least squares), and the
+    value returned is mean((s* u - p)^2).
     """
-    if len(genome.coefficients) != len(basis):
-        raise ValueError("genome length does not match the partition basis")
-    u = np.abs(genome.coefficients @ _amplitude_matrix(basis, target.phis)) ** 2
-    return float(_scaled_sse(u, target.samples) / len(u))
+    alpha = _coefficients(alpha, basis)
+    _check_target(target)
+    u = np.abs(alpha @ _amplitude_matrix(basis, target.phis)) ** 2
+    return float(_scaled_sse(u, target.doses) / len(u))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +311,10 @@ def _jacobians(x: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_superposition(
     basis: PartitionBasis,
-    target: TargetPattern,
+    target: ExposureProfile,
     iterations: int = _ITERATIONS,
     seed: int = 0,
-) -> tuple[SynthesisGenome, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit superposition coefficients to a target pattern by least squares.
 
     The unknown is x = [Re alpha | Im alpha] in R^{2k} with no norm
@@ -383,19 +328,20 @@ def fit_superposition(
     system, a step kept only if it lowers the residual, and the damping
     divided on success and multiplied on failure within a fixed range.
 
-    Returns the best genome seen (unit coefficients, its scale set to the
-    optimal least-squares value on the grid) and the trace whose entry i
-    is the best scale-optimized mean squared error over all starts after
-    i iterations; it has iterations+1 entries and is non-increasing.
+    Returns the coefficients alpha of the best start seen, at the optimal
+    least-squares scale |alpha|^2 on the grid, and the trace whose entry
+    i is the best scale-optimized mean squared error over all starts
+    after i iterations; it has iterations+1 entries and is non-increasing.
     Fully deterministic for a given seed.
     """
     if not isinstance(iterations, int) or iterations < 1:
         raise ValueError("iterations must be a positive integer")
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")
+    _check_target(target)
     k = len(basis)
     matrix = _amplitude_matrix(basis, target.phis)
-    jac, c = _dose_space(matrix, target.samples)
+    jac, c = _dose_space(matrix, target.doses)
 
     x = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0]).standard_normal((_STARTS, 2 * k))
     x *= np.sqrt(_optimal_scale(_jacobians(x, jac)[1], c))[:, None]
@@ -421,16 +367,19 @@ def fit_superposition(
         damping = np.clip(np.where(better, damping / _DAMPING_FACTOR, damping * _DAMPING_FACTOR),
                           *_DAMPING)
 
-    alpha = normalized_genome(best_vec[:k] + 1j * best_vec[k:]).coefficients
-    scale = _optimal_scale(np.abs(alpha @ matrix) ** 2, target.samples)
-    return SynthesisGenome(alpha, float(scale)), np.asarray(trace)
+    # Bring the best start to unit norm before its optimal scale: a start
+    # that has shrunk towards a zero target could square to subnormals.
+    best_vec /= np.abs(best_vec).max()
+    alpha = (best_vec[:k] + 1j * best_vec[k:]) / np.linalg.norm(best_vec)
+    alpha *= np.sqrt(_optimal_scale(np.abs(alpha @ matrix) ** 2, target.doses))
+    return alpha, np.asarray(trace)
 
 
 # ---------------------------------------------------------------------------
 # classical benchmark
 # ---------------------------------------------------------------------------
 
-def best_classical_fit(target: TargetPattern) -> ClassicalFit:
+def best_classical_fit(target: ExposureProfile) -> ClassicalFit:
     """Best constrained single-fringe exposure a + b cos(2 phi + theta0).
 
     The physical family has a >= b >= 0 (nonnegative dose, DC at least as
@@ -443,7 +392,8 @@ def best_classical_fit(target: TargetPattern) -> ClassicalFit:
     otherwise the optimum lies on the face a = b with c along c_hat, at
     b = max((p0 + w |c_hat|) / (1 + w), 0).  Returns 0 <= theta0 < 2 pi.
     """
-    phis, p = target.phis, target.samples
+    _check_target(target)
+    phis, p = target.phis, target.doses
     g = len(p)
     # At G = 4 harmonic 2 is the Nyquist term: cos 2phi = +-1 on the grid
     # (mean square 1) and sin 2phi vanishes, so c2 is free and set to 0.

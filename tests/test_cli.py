@@ -358,7 +358,7 @@ def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
     # The header is the first non-blank line, wherever blank lines put it.
     target = trench_target(32)
     lines = ["phi,value"]
-    lines += [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.samples)]
+    lines += [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.doses)]
     target_path = tmp_path / "pattern.csv"
     for leading in ("", "\n  \n"):
         target_path.write_text(leading + "\n".join(lines) + "\n", encoding="ascii")
@@ -379,7 +379,7 @@ def test_synthesize_bounds_the_target_scale(monkeypatch, tmp_path, capsys, peak,
     # The fit squares the target and sums it over the grid; beyond 10^150 the
     # sums could overflow, so such a target is refused before anything is written.
     target = trench_target(32)
-    lines = [f"{phi:.17g},{val * peak:.17g}" for phi, val in zip(target.phis, target.samples)]
+    lines = [f"{phi:.17g},{val * peak:.17g}" for phi, val in zip(target.phis, target.doses)]
     target_path = tmp_path / "pattern.csv"
     target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     code = run_cli(
@@ -400,7 +400,7 @@ def test_synthesize_bounds_the_target_scale(monkeypatch, tmp_path, capsys, peak,
 def test_synthesize_target_fixes_the_grid(monkeypatch, tmp_path, capsys):
     # A grid set by flag or config file must match the target's rows.
     target = trench_target(64)
-    lines = [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.samples)]
+    lines = [f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.doses)]
     target_path = tmp_path / "pattern.csv"
     target_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     cfg = tmp_path / "run.cfg"
@@ -489,7 +489,7 @@ def _write_targets(where):
     phis = phase_grid(32)
     # NaN compares false against any bound, so it must not pass the grid check.
     nan_phase = np.where(np.arange(32) == 7, np.nan, phis)
-    for name, grid, samples in (("trench", phis, trench_target(32).samples),
+    for name, grid, samples in (("trench", phis, trench_target(32).doses),
                                 ("fringe", phis, 1.0 + np.cos(2.0 * phis)),
                                 ("nan_phase", nan_phase, np.ones(32))):
         rows = [f"{phi:.17g},{val:.17g}" for phi, val in zip(grid, samples)]

@@ -1,6 +1,7 @@
 """Tests of the SVG line-chart writer."""
 
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -178,3 +179,28 @@ def test_written_chart_parses_with_one_polyline_per_series(tmp_path):
     text = path.read_text(encoding="ascii")
     assert text == render_line_chart(x, series, title="harmonics")
     assert len(_polylines(text)) == len(series)
+
+
+def test_written_chart_holds_its_text_about_once(tmp_path):
+    # Three 32768-point series make a 1.36 MB file.  Writing the chart part
+    # by part peaks near 2.4 MB above the inputs; joining the parts into one
+    # document first, and copying each polyline into its element, took 4.1 MB.
+    x = np.arange(32768) * (2.0 * np.pi / 32768)
+    series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
+    path = tmp_path / "chart.svg"
+    tracemalloc.start()
+    try:
+        write_line_chart(path, x, series, title="memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_300_000
+    assert peak <= 2.8e6
+    assert path.read_text(encoding="ascii") == render_line_chart(x, series, title="memory")
+
+
+def test_chart_that_fails_validation_writes_no_file(tmp_path):
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValueError):
+        write_line_chart(path, np.arange(8.0), [("a", np.ones(7))])
+    assert not path.exists()

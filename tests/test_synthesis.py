@@ -11,25 +11,22 @@ from hypothesis.extra.numpy import arrays
 
 import qlitho.synthesis as synthesis
 from oracles import dense_dose
-from qlitho.dosing import phase_grid
+from qlitho.dosing import ExposureProfile, phase_grid
 from qlitho.synthesis import (
     ClassicalFit,
     PartitionBasis,
-    SynthesisGenome,
-    TargetPattern,
     best_classical_fit,
     component_closed_form,
-    component_profile,
     fit_superposition,
     fitness,
     genome_profile,
-    normalized_genome,
     psi_np,
     trench_target,
 )
 from qlitho.synthesis import (
     _BLOCK_ELEMENTS,
     _amplitude_matrix,
+    _check_target,
     _dose_space,
     _jacobians,
     _scaled_sse,
@@ -54,16 +51,20 @@ def manual_superposition_map(n, partitions, coeffs, phi):
 
 def dose_space_mse(basis, target, points):
     """Scale-optimized MSE of rows x = [Re alpha | Im alpha], from the solver's residual."""
-    jac, c = _dose_space(_amplitude_matrix(basis, target.phis), target.samples)
+    jac, c = _dose_space(_amplitude_matrix(basis, target.phis), target.doses)
     _, w = _jacobians(points, jac)
     return _scaled_sse(w, c) / target.grid_points
 
 
 def grid_mse(basis, target, points):
-    """Public fitness of the same rows, each normalized to a genome."""
+    """Public fitness of the same rows, each read as a coefficient vector."""
     k = len(basis)
-    return np.array([fitness(normalized_genome(x[:k] + 1j * x[k:]), basis, target)
-                     for x in points])
+    return np.array([fitness(x[:k] + 1j * x[k:], basis, target) for x in points])
+
+
+def component_profile(n, p, grid_points):
+    """Dose of the single partition P at unit exposure."""
+    return genome_profile(np.ones(1), PartitionBasis(n, (p,)), grid_points)
 
 
 def oracle_doses(n, partitions, coeffs, phis):
@@ -153,8 +154,8 @@ def test_two_photon_component_is_doubled_fringe():
 
 def test_genome_profile_single_component_scales():
     basis = PartitionBasis(8, (2,))
-    genome = SynthesisGenome(np.array([1.0 + 0j]), scale=2.5)
-    profile = genome_profile(genome, basis, 32)
+    # The exposure scale is |alpha|^2.
+    profile = genome_profile(np.array([math.sqrt(2.5)]), basis, 32)
     component = component_profile(8, 2, 32)
     assert np.max(np.abs(profile.doses - 2.5 * component.doses)) < 1e-9
 
@@ -162,7 +163,7 @@ def test_genome_profile_single_component_scales():
 def test_pair_basis_profile_is_doubled_fringe():
     # N=2, basis {0}, scale 1: the full synthesis path gives 1 + cos 4 phi.
     basis = PartitionBasis(2, (0,))
-    profile = genome_profile(SynthesisGenome(np.array([1.0 + 0j])), basis, 64)
+    profile = genome_profile(np.ones(1), basis, 64)
     expected = 1.0 + np.cos(4.0 * profile.phis)
     assert np.max(np.abs(profile.doses - expected)) < 1e-10
 
@@ -173,12 +174,10 @@ def test_superposition_dose_matches_dense_oracle():
     raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     equal_weight = np.full(6, 1.0 / math.sqrt(6.0), dtype=complex)
     for coeffs in (raw, equal_weight):
-        genome = normalized_genome(coeffs)
-        profile = genome_profile(genome, basis, 8)
+        alpha = coeffs / np.linalg.norm(coeffs)
+        profile = genome_profile(alpha, basis, 8)
         for i, phi in enumerate(profile.phis):
-            amps = manual_superposition_map(
-                10, basis.partitions, genome.coefficients, phi
-            )
+            amps = manual_superposition_map(10, basis.partitions, alpha, phi)
             expected = dense_dose(amps, 10, 10, cmath.exp(1j * phi), cmath.exp(-1j * phi))
             assert abs(profile.doses[i] - expected) < 1e-9
 
@@ -188,7 +187,7 @@ def test_genome_profile_is_nonnegative():
     rng = np.random.default_rng(21)
     for _ in range(5):
         raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        profile = genome_profile(normalized_genome(raw), basis, 48)
+        profile = genome_profile(raw, basis, 48)
         assert np.all(profile.doses >= 0.0)
 
 
@@ -242,22 +241,22 @@ def _scoring_cases(draw):
     samples = draw(arrays(float, grid, elements=st.floats(0.0, 1e6)))
     k = len(partitions)
     rows = draw(arrays(float, (draw(st.integers(1, 8)), 2 * k), elements=st.floats(-1.0, 1.0)))
-    return PartitionBasis(n, tuple(partitions)), TargetPattern(phase_grid(grid), samples), rows
+    return PartitionBasis(n, tuple(partitions)), ExposureProfile(phase_grid(grid), samples), rows
 
 
 @settings(max_examples=100)
 @given(_scoring_cases(), st.integers(0, 2**63))
 def test_solver_scores_equal_fitness_property(case, seed):
     basis, target, rows = case
-    k = len(basis)
-    # Rows of unit norm, as the returned genome has; any row but zero normalizes.
-    genomes = [normalized_genome(x[:k] + 1j * x[k:]) for x in rows if np.any(x)]
-    points = np.array([np.concatenate([g.coefficients.real, g.coefficients.imag])
-                       for g in genomes]).reshape(-1, 2 * k)
+    # Rows of unit norm, each scaled by its largest entry first so that
+    # squaring tiny entries in the norm cannot underflow; zero rows are dropped.
+    rows = rows[np.any(rows, axis=1)]
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    points = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     # Relative to the fitness, down to 1e-16 of the error of a zero dose:
     # below that both values are roundoff of the target (a constant target
     # in the span of the basis scores 0 on the grid and 1e-33 in the dose space).
-    floor = 1e-16 * np.mean(target.samples**2) + 1e-300
+    floor = 1e-16 * np.mean(target.doses**2) + 1e-300
     if len(points):
         exact = grid_mse(basis, target, points)
         assert np.all(np.abs(dose_space_mse(basis, target, points) - exact)
@@ -269,8 +268,8 @@ def test_solver_scores_equal_fitness_property(case, seed):
 def test_fitness_of_matching_shape_is_zero():
     basis = PartitionBasis(10, (2,))
     component = component_profile(10, 2, 64)
-    target = TargetPattern(component.phis, 0.7 * component.doses)
-    value = fitness(SynthesisGenome(np.array([1.0 + 0j])), basis, target)
+    target = ExposureProfile(component.phis, 0.7 * component.doses)
+    value = fitness(np.ones(1), basis, target)
     assert value < 1e-18
 
 
@@ -279,7 +278,7 @@ def test_fitness_of_constant_against_trench_is_quarter():
     # against a balanced 0/1 trench leaves exactly 1/4 mean squared error.
     basis = PartitionBasis(10, (5,))
     target = trench_target(64)
-    value = fitness(SynthesisGenome(np.array([1.0 + 0j])), basis, target)
+    value = fitness(np.ones(1), basis, target)
     assert abs(value - 0.25) < 1e-12
 
 
@@ -288,32 +287,33 @@ def test_fitness_is_global_phase_invariant():
     target = trench_target(32)
     rng = np.random.default_rng(12)
     raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    base = normalized_genome(raw)
-    spun = SynthesisGenome(base.coefficients * cmath.exp(0.9j))
-    assert abs(fitness(base, basis, target) - fitness(spun, basis, target)) < 1e-12
+    base = fitness(raw, basis, target)
+    # Neither a global phase nor the scale |alpha|^2 changes the fitness.
+    for other in (raw * cmath.exp(0.9j), 3.0 * raw):
+        assert abs(base - fitness(other, basis, target)) < 1e-12
 
 
 def test_fitness_rejects_length_mismatch():
     basis = PartitionBasis(10, (1, 3))
     with pytest.raises(ValueError):
-        fitness(SynthesisGenome(np.array([1.0 + 0j])), basis, trench_target(16))
-    with pytest.raises(ValueError, match="1 coefficients for a 2-partition basis"):
-        genome_profile(SynthesisGenome(np.array([1.0 + 0j])), basis, 16)
+        fitness(np.ones(1), basis, trench_target(16))
+    with pytest.raises(ValueError, match=r"shape \(1,\) for a 2-partition basis"):
+        genome_profile(np.ones(1), basis, 16)
 
 
 def test_scale_optimization_beats_naive_scales():
     # The closed-form scale must not be worse than any brute-force scale.
     basis = PartitionBasis(10, (1, 2))
     target = trench_target(32)
-    genome = normalized_genome(np.array([0.8, 0.6 + 0.1j]))
-    best = fitness(genome, basis, target)
-    u = oracle_doses(10, basis.partitions, genome.coefficients, target.phis)
+    alpha = np.array([0.8, 0.6 + 0.1j])
+    best = fitness(alpha, basis, target)
+    u = oracle_doses(10, basis.partitions, alpha, target.phis)
     for s in np.linspace(0.0, 0.05, 101):
-        mse = float(np.mean((s * u - target.samples) ** 2))
+        mse = float(np.mean((s * u - target.doses) ** 2))
         assert best <= mse + 1e-15
     # objective is strictly convex in the scale: doubling it must hurt
-    s_star = float(u @ target.samples) / float(u @ u)
-    doubled = float(np.mean((2.0 * s_star * u - target.samples) ** 2))
+    s_star = float(u @ target.doses) / float(u @ u)
+    doubled = float(np.mean((2.0 * s_star * u - target.doses) ** 2))
     assert doubled > best + 1e-9
 
 
@@ -323,45 +323,55 @@ def test_scale_optimization_beats_naive_scales():
 
 def test_trench_layout_and_balance():
     target = trench_target(512)
-    assert target.samples[0] == 1.0
-    assert target.samples[128] == 1.0  # phi = pi/2 included
-    assert target.samples[129] == 0.0
-    assert target.samples[384] == 0.0  # phi = 3 pi/2 excluded
-    assert target.samples[385] == 1.0
-    assert float(np.mean(target.samples)) == 0.5
+    assert isinstance(target, ExposureProfile)
+    assert target.doses[0] == 1.0
+    assert target.doses[128] == 1.0  # phi = pi/2 included
+    assert target.doses[129] == 0.0
+    assert target.doses[384] == 0.0  # phi = 3 pi/2 excluded
+    assert target.doses[385] == 1.0
+    assert float(np.mean(target.doses)) == 0.5
 
 
 def test_trench_balance_on_small_grid():
     target = trench_target(4)
-    assert list(target.samples) == [1.0, 1.0, 0.0, 0.0]
+    assert list(target.doses) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_target_pattern_validation():
+    # A target is a profile: nonnegative, finite samples on the uniform grid...
     phis = phase_grid(16)
     with pytest.raises(ValueError):
-        TargetPattern(phis, np.full(16, -0.5))
+        ExposureProfile(phis, np.full(16, -0.5))
     with pytest.raises(ValueError):
-        TargetPattern(phis + 0.1, np.ones(16))
+        ExposureProfile(phis + 0.1, np.ones(16))
     with pytest.raises(ValueError):
-        TargetPattern(phase_grid(3), np.ones(3))
-    with pytest.raises(ValueError):
-        TargetPattern(phis, np.ones(8))
+        ExposureProfile(phis, np.ones(8))
     for bad in (np.nan, np.inf):
         ragged = phis.copy()
         ragged[5] = bad
         with pytest.raises(ValueError):
-            TargetPattern(ragged, np.ones(16))
+            ExposureProfile(ragged, np.ones(16))
+    # ...of at least four samples, none above 10^150, checked by every fit.
+    _check_target(ExposureProfile(phase_grid(4), np.full(4, 1e150)))
+    basis = PartitionBasis(10, (1, 2))
+    for target, message in ((ExposureProfile(phase_grid(3), np.ones(3)), "four samples"),
+                            (ExposureProfile(phis, np.full(16, 1e151)), "limit of 10")):
+        for fit in (_check_target, best_classical_fit,
+                    lambda t: fit_superposition(basis, t, 1),
+                    lambda t: fitness(np.ones(2), basis, t)):
+            with pytest.raises(ValueError, match=message):
+                fit(target)
 
 
 def test_target_pattern_keeps_private_copies():
     # The target freezes its own arrays, never the caller's.
     grid = phase_grid(8)
     samples = np.ones(8)
-    target = TargetPattern(grid, samples)
+    target = ExposureProfile(grid, samples)
     samples[0] = 2.0
     grid[1] = 5.0
-    assert target.samples[0] == 1.0 and target.phis[1] == math.pi / 4.0
-    assert not target.samples.flags.writeable and not target.phis.flags.writeable
+    assert target.doses[0] == 1.0 and target.phis[1] == math.pi / 4.0
+    assert not target.doses.flags.writeable and not target.phis.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -380,36 +390,25 @@ def test_partition_basis_validation():
         PartitionBasis(10, ())
     with pytest.raises(ValueError):
         PartitionBasis(0, (0,))
+    # Non-integral photon numbers and partitions are refused, not truncated.
+    for n, partitions in ((10, (1, 2.7)), (10.5, (1,)), (10, ("2",))):
+        with pytest.raises(ValueError, match="integers"):
+            PartitionBasis(n, partitions)
+    basis = PartitionBasis(np.int64(10), (np.int64(1), 2))
+    assert basis == PartitionBasis(10, (1, 2)) and type(basis.partitions[0]) is int
 
 
 def test_genome_validation():
-    with pytest.raises(ValueError):
-        SynthesisGenome(np.array([1.0 + 0j, 1.0 + 0j]))  # norm sqrt(2)
-    with pytest.raises(ValueError):
-        SynthesisGenome(np.array([1.0 + 0j]), scale=0.0)
-    with pytest.raises(ValueError):
-        SynthesisGenome(np.array([1.0 + 0j]), scale=float("nan"))
-    with pytest.raises(ValueError, match="nonempty"):
-        SynthesisGenome(np.zeros(0, dtype=complex))
-    with pytest.raises(ValueError, match="finite"):
-        SynthesisGenome(np.array([complex(math.nan, 0.0)]))
-    with pytest.raises(ValueError):
-        normalized_genome(np.zeros(3))
-    genome = normalized_genome(np.array([3.0, 4.0]))
-    assert abs(np.linalg.norm(genome.coefficients) - 1.0) < 1e-12
-
-
-def test_normalized_genome_survives_tiny_vectors():
-    # Squaring these entries in the norm underflows; the largest entry
-    # scales them first.
-    for raw, expected in (([3.9e-161, 3.9e-161], [ROOT_HALF, ROOT_HALF]),
-                          ([1e-170, 0.0], [1.0, 0.0]),
-                          ([2.2e-311 + 2.2e-311j], [cmath.exp(0.25j * math.pi)])):
-        genome = normalized_genome(np.array(raw))
-        assert np.allclose(genome.coefficients, expected, rtol=0.0, atol=1e-15)
-    for bad in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
-        with pytest.raises(ValueError):
-            normalized_genome(np.array(bad))
+    # A coefficient vector has one finite entry per partition, and any norm.
+    basis, target = PartitionBasis(10, (1, 2)), trench_target(16)
+    for bad, message in ((np.zeros(0), "shape"), (np.ones(3), "shape"), (np.ones((1, 2)), "shape"),
+                         ([1.0, math.nan], "finite"), ([1.0, complex(0.0, math.inf)], "finite")):
+        with pytest.raises(ValueError, match=message):
+            genome_profile(bad, basis, 16)
+        with pytest.raises(ValueError, match=message):
+            fitness(bad, basis, target)
+    unit = genome_profile([0.6, 0.8j], basis, 16).doses
+    assert np.allclose(genome_profile([3.0, 4.0j], basis, 16).doses, 25.0 * unit, rtol=1e-14, atol=0.0)
 
 
 def test_solver_config_validation():
@@ -437,11 +436,10 @@ BENCHMARK_SEEDS = [int(np.random.default_rng([s, 0]).integers(2**31))
 def test_ga_is_deterministic():
     basis = PartitionBasis(10, (1, 3, 5))
     target = trench_target(128)
-    first_best, first_trace = fit_superposition(basis, target, ITERATIONS, SEED)
-    second_best, second_trace = fit_superposition(basis, target, ITERATIONS, SEED)
+    first_alpha, first_trace = fit_superposition(basis, target, ITERATIONS, SEED)
+    second_alpha, second_trace = fit_superposition(basis, target, ITERATIONS, SEED)
     assert np.array_equal(first_trace, second_trace)
-    assert np.array_equal(first_best.coefficients, second_best.coefficients)
-    assert first_best.scale == second_best.scale
+    assert np.array_equal(first_alpha, second_alpha)
 
 
 def test_ga_trace_shape_and_monotonicity():
@@ -461,21 +459,30 @@ def test_ga_seed_changes_search_path():
 
 
 def test_ga_recovers_reachable_target():
-    # Single-partition basis: every unit coefficient gives the same dose
-    # shape, so the solver must hit (numerically) zero error and recover
-    # the injected scale.
+    # Single-partition basis: every coefficient gives the same dose shape,
+    # so the solver must hit (numerically) zero error and recover the
+    # injected scale as |alpha|^2.
     basis = PartitionBasis(10, (2,))
     component = component_profile(10, 2, 64)
-    target = TargetPattern(component.phis, 0.7 * component.doses)
-    best, trace = fit_superposition(basis, target, 3, seed=5)
+    target = ExposureProfile(component.phis, 0.7 * component.doses)
+    alpha, trace = fit_superposition(basis, target, 3, seed=5)
     assert trace[-1] < 1e-18
-    assert abs(best.scale - 0.7) < 1e-9
+    assert abs(np.linalg.norm(alpha) ** 2 - 0.7) < 1e-9
+
+
+def test_fit_of_a_zero_target_keeps_a_unit_direction():
+    # The starts shrink towards a zero target until their squares would
+    # underflow; the returned vector is scaled from its unit direction, so
+    # |alpha|^2 is the 1e-300 floor of the least-squares scale, not zero.
+    basis = PartitionBasis(10, (1, 2))
+    alpha, trace = fit_superposition(basis, ExposureProfile(phase_grid(16), np.zeros(16)), seed=2)
+    assert trace[-1] == 0.0
+    assert abs(np.linalg.norm(alpha) ** 2 / 1e-300 - 1.0) < 1e-12
 
 
 def test_ga_converges_when_target_in_span():
     basis = PartitionBasis(6, (0,))
-    component = component_profile(6, 0, 64)
-    target = TargetPattern(component.phis, component.doses)
+    target = component_profile(6, 0, 64)
     _, trace = fit_superposition(basis, target, 10, seed=3)
     assert trace[-1] < 1e-6
 
@@ -525,7 +532,7 @@ def test_qr_blocks_hold_at_least_one_triangle_of_rows(monkeypatch):
         return real_qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    _, c = _dose_space(_amplitude_matrix(basis, target.phis), target.samples)
+    _, c = _dose_space(_amplitude_matrix(basis, target.phis), target.doses)
     assert len(rows) == -(-target.grid_points // width) and len(c) == width
     assert rows[0] == (width, width) and set(rows[1:-1]) == {(2 * width, width)}
 
@@ -541,6 +548,24 @@ def test_solver_draws_its_starts_from_one_stream(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     fit_superposition(PartitionBasis(10, (1, 3, 5)), trench_target(64), 7, seed=3)
     assert seeds == [[3, 0]]
+
+
+def test_fit_returns_its_target_superposition_at_the_summary_scale():
+    # A target made as the dose of a known alpha is reached exactly: the
+    # returned vector doses the target, and |alpha|^2 is the least-squares
+    # scale <u, p> / <u, u> of its unit direction, as the CLI summary reports.
+    basis = PartitionBasis(10, (1, 4))
+    known = np.array([0.6 + 0.3j, -0.2 + 0.7j])
+    target = genome_profile(known, basis, 64)
+    alpha, trace = fit_superposition(basis, target, seed=7)
+    assert alpha.shape == (2,) and alpha.dtype == complex
+    assert trace[-1] < 1e-20
+    dose = genome_profile(alpha, basis, 64).doses
+    assert np.max(np.abs(dose - target.doses)) <= 1e-12 * target.doses.max()
+    norm = np.linalg.norm(alpha)
+    u = genome_profile(alpha / norm, basis, 64).doses
+    assert abs(norm**2 - (u @ target.doses) / (u @ u)) <= 1e-12 * norm**2
+    assert abs(norm**2 - np.linalg.norm(known) ** 2) <= 1e-12 * norm**2
 
 
 def test_ga_best_genome_agrees_with_public_fitness():
@@ -559,7 +584,7 @@ def test_ga_best_genome_agrees_with_public_fitness():
 def test_classical_fit_recovers_family_member():
     phis = phase_grid(256)
     samples = 1.3 + 0.4 * np.cos(2.0 * phis + 2.1)
-    fit = best_classical_fit(TargetPattern(phis, samples))
+    fit = best_classical_fit(ExposureProfile(phis, samples))
     assert fit.error < 1e-12
     assert abs(fit.a - 1.3) < 1e-6
     assert abs(fit.b - 0.4) < 1e-6
@@ -569,7 +594,7 @@ def test_classical_fit_recovers_family_member():
 
 def test_classical_fit_of_constant_target():
     phis = phase_grid(64)
-    fit = best_classical_fit(TargetPattern(phis, np.full(64, 0.5)))
+    fit = best_classical_fit(ExposureProfile(phis, np.full(64, 0.5)))
     assert abs(fit.a - 0.5) < 1e-12
     assert abs(fit.b) < 1e-9
     assert fit.error < 1e-15
@@ -588,7 +613,7 @@ def test_classical_fit_respects_cone_constraint():
     # Target with a dominant negative-aligned fringe: a >= b >= 0 must hold.
     phis = phase_grid(128)
     samples = np.maximum(0.1 + 1.5 * np.cos(2.0 * phis), 0.0)
-    fit = best_classical_fit(TargetPattern(phis, samples))
+    fit = best_classical_fit(ExposureProfile(phis, samples))
     assert fit.a >= fit.b >= 0.0
 
 
@@ -610,7 +635,7 @@ def test_classical_fit_beats_exhaustive_grid():
     phis = phase_grid(64)
     for _ in range(3):
         samples = np.exp(rng.standard_normal(64) * 0.5)
-        fit = best_classical_fit(TargetPattern(phis, samples))
+        fit = best_classical_fit(ExposureProfile(phis, samples))
         assert fit.error <= grid_oracle_error(phis, samples) + 1e-12
 
 
@@ -618,7 +643,7 @@ def test_classical_fit_of_trench_matches_grid_oracle():
     # Two-sided: the scan includes the true optimum (a=1/2, b=0) exactly.
     target = trench_target(64)
     fit = best_classical_fit(target)
-    oracle = grid_oracle_error(target.phis, target.samples, a_max=1.0)
+    oracle = grid_oracle_error(target.phis, target.doses, a_max=1.0)
     assert abs(fit.error - oracle) < 1e-6
 
 
@@ -648,7 +673,7 @@ def test_classical_fit_beats_theta_scan_on_small_grids():
         phis = phase_grid(g)
         for spread in (0.3, 3.0):
             samples = np.exp(spread * rng.standard_normal(g))
-            fit = best_classical_fit(TargetPattern(phis, samples))
+            fit = best_classical_fit(ExposureProfile(phis, samples))
             assert fit.a >= fit.b >= 0.0
             assert 0.0 <= fit.theta0 < 2.0 * math.pi
             assert fit.error <= cone_scan_error(phis, samples) + 1e-12
@@ -668,5 +693,5 @@ def test_classical_fit_curve_reconstruction():
     # the fitted curve's own MSE reproduces the reported error
     target = trench_target(64)
     fit = best_classical_fit(target)
-    resid = fit.curve(target.phis) - target.samples
+    resid = fit.curve(target.phis) - target.doses
     assert abs(float(np.mean(resid**2)) - fit.error) < 1e-12
