@@ -69,7 +69,7 @@ _OPTIONS = {
     "convention": (str, "symmetric", "substrate convention: " + " or ".join(_CONVENTIONS)),
     "wavelength_nm": (float, None, "if given, noon prints the minimum feature size"),
     "seed": (int, 0, "synthesize: seed of the solver's starts"),
-    "generations": (int, _ITERATIONS, "synthesize: solver iterations"),
+    "generations": (int, _ITERATIONS, "synthesize: cap on solver iterations"),
     "out": (str, None, "output stem (default: the command name)"),
     "format": (str, "csv", "output format: " + ", ".join(_FORMATS)),
     "target": (str, None, "synthesize: target CSV of phi,value rows"),
@@ -327,6 +327,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         "convention": "symmetric",
         "seed": cfg.seed,
         "generations": cfg.generations,
+        "iterations": len(trace) - 1,
         "fitness": final_fitness,
         "classical_error": classical.error,
         "classical_fit": {"a": classical.a, "b": classical.b, "theta0": classical.theta0},

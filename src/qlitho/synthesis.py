@@ -42,11 +42,16 @@ from .fock import FockState, _field_powers, _lowering_terms, make_state
 # QR takes the column norms of the dose monomials and the target over the
 # grid, and the fitness sums squared errors; both must stay finite.
 _MAX_DOSE = 10**150
+# Smallest exposure scale a fit returns: the square of every coefficient of
+# the fitted vector then stays clear of underflow.
+_MIN_SCALE = 1e-300
 
-# Solver starts, and its default iteration count: every start has
-# converged by then on the default trench basis.
+# Solver starts, and the default cap on its iterations.  A start retires
+# once its Newton step predicts a decrease of at most _RETIRE of its squared
+# residual; on the default trench basis every start has retired within 30.
 _STARTS = 64
 _ITERATIONS = 50
+_RETIRE = 1e-14
 # Levenberg-Marquardt damping range, relative to the mean diagonal of the
 # Gauss-Newton matrix, and its factor per step.  The lower end keeps the
 # systems nonsingular: a global phase of alpha leaves the dose unchanged.
@@ -226,7 +231,7 @@ def _optimal_scale(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least-squares scale of each dose row: argmin_s mean((s u - p)^2) = <u,p>/<u,u>."""
     uu = np.einsum("...g,...g->...", unscaled, unscaled)
     scale = np.divide(unscaled @ target, uu, out=np.ones_like(uu), where=uu > 0.0)
-    return np.maximum(scale, 1e-300)
+    return np.maximum(scale, _MIN_SCALE)
 
 
 def _scaled_sse(unscaled: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -244,10 +249,15 @@ def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
 
     The scale |alpha|^2 is ignored: for a fixed dose shape u the best
     scale is s* = <u, p> / <u, u> (one-variable least squares), and the
-    value returned is mean((s* u - p)^2).
+    value returned is mean((s* u - p)^2).  alpha is divided by its largest
+    real or imaginary part before dosing, so no scale of it under- or
+    overflows the dose.
     """
     alpha = _coefficients(alpha, basis)
     _check_target(target)
+    largest = max(np.abs(alpha.real).max(), np.abs(alpha.imag).max())
+    if largest > 0.0:
+        alpha = alpha / largest
     u = np.abs(alpha @ _amplitude_matrix(basis, target.phis)) ** 2
     return float(_scaled_sse(u, target.doses) / len(u))
 
@@ -255,6 +265,28 @@ def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
 # ---------------------------------------------------------------------------
 # least-squares solver
 # ---------------------------------------------------------------------------
+
+def _hessian_map(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the Hessians in x of the k^2 dose monomials put their entries.
+
+    With alpha = a + ib: |alpha_i|^2 = a_i a_i + b_i b_i,
+    2 Re(alpha_i conj alpha_j) = 2 (a_i a_j + b_i b_j) and
+    -2 Im(alpha_i conj alpha_j) = 2 (a_i b_j - b_i a_j).  Entry (a, b) of
+    the 2k x 2k Hessians belongs to the one monomial index[a, b], with
+    factor[a, b] in {2, -2} (0 where no monomial has one), so the weighted
+    sum of the monomials' Hessians is weights[..., index] * factor.
+    """
+    i, j = np.triu_indices(k, 1)
+    d, re_ij, im_ij = np.arange(k), np.arange(k, k + len(i)), np.arange(k + len(i), k * k)
+    index = np.zeros((2 * k, 2 * k), dtype=np.intp)
+    factor = np.zeros((2 * k, 2 * k))
+    for a, b, m, h in ((d, d, d, 2.0), (k + d, k + d, d, 2.0),
+                       (i, j, re_ij, 2.0), (k + i, k + j, re_ij, 2.0),
+                       (i, k + j, im_ij, 2.0), (k + i, j, im_ij, -2.0)):
+        index[a, b] = index[b, a] = m
+        factor[a, b] = factor[b, a] = h
+    return index, factor
+
 
 def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map x = [Re alpha | Im alpha] to a residual whose norm is the dose error.
@@ -271,11 +303,10 @@ def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     formed whole; a block holds at least k^2+1 rows, which keeps the
     stacked QRs near the cost of one QR of [V | p].
 
-    Returns ``jac`` (2k x 2k r, r the rows of R) and c.  The Jacobian of
-    w at x is x @ jac (as 2k x r), and w is half of x applied to it.  The
-    closed form mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error
-    is roundoff of mean(p^2), not of the residual, so a target the basis
-    reaches exactly would not score near zero.
+    Returns R_V^T (k^2 x r, r the rows of R) and c.  The closed form
+    mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error is roundoff
+    of mean(p^2), not of the residual, so a target the basis reaches
+    exactly would not score near zero.
     """
     k, g = matrix.shape
     i, j = np.triu_indices(k, 1)
@@ -289,24 +320,45 @@ def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
             [amp.real**2 + amp.imag**2, cross.real, cross.imag, target[None, start:start + step]]
         )
         tri = np.linalg.qr(np.concatenate([tri, block.T]), mode="r")
-    # jac[a, b] = sum over monomials of (d^2 m / dx_a dx_b) times its row of R_V^T.
-    # With alpha = a + ib: |alpha_i|^2 = a_i a_i + b_i b_i,
-    # 2 Re(alpha_i conj alpha_j) = 2 (a_i a_j + b_i b_j) and
-    # -2 Im(alpha_i conj alpha_j) = 2 (a_i b_j - b_i a_j).
-    rows = tri[:, :-1].T
-    d, re_ij, im_ij = np.arange(k), np.arange(k, k + len(i)), np.arange(k + len(i), width - 1)
-    jac = np.zeros((2 * k, 2 * k, len(tri)))
-    for a, b, m, h in ((d, d, d, 2.0), (k + d, k + d, d, 2.0),
-                       (i, j, re_ij, 2.0), (k + i, k + j, re_ij, 2.0),
-                       (i, k + j, im_ij, 2.0), (k + i, j, im_ij, -2.0)):
-        jac[a, b] = jac[b, a] = h * rows[m]
-    return jac.reshape(2 * k, -1), tri[:, -1].copy()
+    return tri[:, :-1].T.copy(), tri[:, -1].copy()
 
 
-def _jacobians(x: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transposed Jacobians (starts x 2k x r) of w at the rows of x, and the w."""
-    jt = (x @ jac).reshape(*x.shape, -1)
+def _jacobian_map(rows: np.ndarray) -> np.ndarray:
+    """``jac`` (2k x 2k r) of the rows R_V^T of _dose_space.
+
+    Slice j of its 2k x 2k x r form is the constant Hessian H_j of w_j,
+    so the Jacobian of w at x is x @ jac (as 2k x r), and w is half of x
+    applied to it.
+    """
+    index, factor = _hessian_map(math.isqrt(len(rows)))
+    jac = rows[index]
+    jac *= factor[:, :, None]
+    return jac.reshape(len(index), -1)
+
+
+def _jacobians(
+    x: np.ndarray, jac: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed Jacobians (starts x 2k x r) of w at the rows of x, and the w.
+
+    ``out``, if given, is the starts x 2k r array the Jacobians are written to.
+    """
+    jt = np.matmul(x, jac, out=out).reshape(*x.shape, -1)
     return jt, 0.5 * np.einsum("sa,saj->sj", x, jt)
+
+
+def _damped_steps(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each damped system; a singular (or non-finite) one gives a nan step."""
+    try:
+        return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(rhs, np.nan)
+        for i, (system, b) in enumerate(zip(systems, rhs)):
+            try:
+                steps[i] = np.linalg.solve(system, b)
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def fit_superposition(
@@ -321,18 +373,29 @@ def fit_superposition(
     constraint: the dose scale is |x|^2.  The residual w(x) - c of
     _dose_space is quadratic in x, and its norm squared over G is the
     mean squared error of the dose, so the fit is a Levenberg-Marquardt
-    solve in 2k reals that never touches the grid after one QR.
+    solve in 2k reals that never touches the grid after one QR.  Being
+    quadratic, the residual has the exact Hessian J J^T + sum_j res_j H_j
+    with constant H_j, whose weighted sum is a gather of the k^2 weights
+    res @ R_V (_hessian_map); every step is damped Newton on it, the
+    shift a multiple of the mean diagonal of J J^T.  The fit is
+    scale-free, so it runs against the target over its peak.
+
     ``_STARTS`` starts are drawn from ``default_rng([seed, 0])``, each
-    moved to its optimal scale, and then solved together for
-    ``iterations`` steps: per start, one damped 2k x 2k Gauss-Newton
-    system, a step kept only if it lowers the residual, and the damping
-    divided on success and multiplied on failure within a fixed range.
+    moved to its optimal scale, and then solved together: per start and
+    iteration one damped 2k x 2k system, a step kept only if it lowers
+    the residual (a non-finite or singular trial counts as a failure),
+    and the damping divided on success and multiplied on failure within
+    a fixed range.  A start retires once its step predicts a decrease of
+    at most ``_RETIRE`` of its squared residual; the run ends when every
+    start has retired or after ``iterations`` iterations, the cap.
 
     Returns the coefficients alpha of the best start seen, at the optimal
     least-squares scale |alpha|^2 on the grid, and the trace whose entry
     i is the best scale-optimized mean squared error over all starts
-    after i iterations; it has iterations+1 entries and is non-increasing.
-    Fully deterministic for a given seed.
+    after i iterations: one entry per iteration run plus the initial one,
+    so 2 to iterations+1 entries, non-increasing.  Fully deterministic
+    for a given seed, and a run that ends before its cap is the same run
+    under any larger cap.
     """
     if not isinstance(iterations, int) or iterations < 1:
         raise ValueError("iterations must be a positive integer")
@@ -341,38 +404,71 @@ def fit_superposition(
     _check_target(target)
     k = len(basis)
     matrix = _amplitude_matrix(basis, target.phis)
-    jac, c = _dose_space(matrix, target.doses)
+    peak = float(target.doses.max()) or 1.0  # a zero target is fitted as it is
+    doses = target.doses / peak
+    rows, c = _dose_space(matrix, doses)
+    jac = _jacobian_map(rows)
+    index, factor = _hessian_map(k)
 
+    # Arrays of the active starts only: a start that retires leaves them.
     x = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0]).standard_normal((_STARTS, 2 * k))
     x *= np.sqrt(_optimal_scale(_jacobians(x, jac)[1], c))[:, None]
     jt, w = _jacobians(x, jac)
+    res = w - c
+    sse = np.einsum("sj,sj->s", res, res)
     damping = np.ones(_STARTS)  # adds the mean Gauss-Newton diagonal: a short first step
-    trace, best_fit, best_vec = [], np.inf, x[0].copy()
-    for step in range(iterations + 1):
-        fits = _scaled_sse(w.copy(), c) / target.grid_points
-        idx = int(np.argmin(fits))
-        if fits[idx] < best_fit:
-            best_fit, best_vec = float(fits[idx]), x[idx].copy()
-        trace.append(best_fit)
-        if step == iterations:
+    fits = _scaled_sse(w, c)
+    idx = int(np.argmin(fits))
+    trace, best_fit, best_vec = [float(fits[idx])], float(fits[idx]), x[idx].copy()
+    for _ in range(iterations):
+        if not len(x):
             break
-        res = w - c
-        normal = jt @ jt.transpose(0, 2, 1)
-        shift = damping * np.trace(normal, axis1=1, axis2=2) / (2 * k) + np.finfo(float).tiny
-        normal += shift[:, None, None] * np.eye(2 * k)
-        trial = x - np.linalg.solve(normal, jt @ res[:, :, None])[:, :, 0]
-        trial_jt, trial_w = _jacobians(trial, jac)
-        better = np.sum((trial_w - c) ** 2, axis=1) < np.sum(res**2, axis=1)
-        x[better], jt[better], w[better] = trial[better], trial_jt[better], trial_w[better]
+        # The exact Hessian J J^T + sum_j res_j H_j, damped by the mean
+        # diagonal of J J^T (the full Hessian's trace can be negative).
+        hess = jt @ jt.transpose(0, 2, 1)
+        shift = damping * np.trace(hess, axis1=1, axis2=2) / (2 * k) + np.finfo(float).tiny
+        hess += (res @ rows.T)[:, index] * factor
+        hess += shift[:, None, None] * np.eye(2 * k)
+        grad = (jt @ res[:, :, None])[:, :, 0]
+        # A Newton step can be long enough to overflow the trial's residual.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _damped_steps(hess, -grad)
+            # 2 (-g.step - step.H.step / 2), the model's decrease of the squared
+            # residual, is -g.step + shift |step|^2 when (H + shift) step = -g.
+            predicted = np.einsum("sa,sa->s", step, shift[:, None] * step - grad)
+            trial = x + step
+            # The trial's Jacobians overwrite the current ones: the failed
+            # starts' are formed again below, which saves a Jacobian array.
+            _, trial_w = _jacobians(trial, jac, out=jt.reshape(len(x), -1))
+            trial_res = trial_w - c
+            trial_sse = np.einsum("sj,sj->s", trial_res, trial_res)
+        better = trial_sse < sse
+        if better.any():
+            fits = _scaled_sse(trial_w[better], c)
+            idx = int(np.argmin(fits))
+            if fits[idx] < best_fit:
+                best_fit, best_vec = float(fits[idx]), trial[better][idx]
+        trace.append(best_fit)
+        live = ~(predicted <= _RETIRE * sse)  # a failed solve (nan) stays active
+        # Put the failed starts back into the trial arrays, then drop the retired.
+        failed = np.flatnonzero(~better)
+        for kept, tried in ((x, trial), (res, trial_res), (sse, trial_sse)):
+            tried[failed] = kept[failed]
+        x, res, sse = trial, trial_res, trial_sse
+        if failed.size:
+            jt[failed] = _jacobians(x[failed], jac)[0]
         damping = np.clip(np.where(better, damping / _DAMPING_FACTOR, damping * _DAMPING_FACTOR),
                           *_DAMPING)
+        if not live.all():
+            x, jt, res, sse, damping = x[live], jt[live], res[live], sse[live], damping[live]
 
     # Bring the best start to unit norm before its optimal scale: a start
     # that has shrunk towards a zero target could square to subnormals.
     best_vec /= np.abs(best_vec).max()
     alpha = (best_vec[:k] + 1j * best_vec[k:]) / np.linalg.norm(best_vec)
-    alpha *= np.sqrt(_optimal_scale(np.abs(alpha @ matrix) ** 2, target.doses))
-    return alpha, np.asarray(trace)
+    scale = float(_optimal_scale(np.abs(alpha @ matrix) ** 2, doses)) * peak
+    alpha *= math.sqrt(max(scale, _MIN_SCALE))
+    return alpha, np.asarray(trace) / target.grid_points * peak * peak
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,7 @@ def test_synthesize_outputs(monkeypatch, tmp_path, capsys):
     assert summary["convention"] == "symmetric"
     assert summary["seed"] == 7
     assert summary["generations"] == 8
+    assert 1 <= summary["iterations"] <= summary["generations"]
     assert summary["trace_final"] <= summary["trace_initial"]
     assert len(summary["coefficients"]) == 3
     norm = sum(c["re"] ** 2 + c["im"] ** 2 for c in summary["coefficients"])
