@@ -41,9 +41,9 @@ from .svgplot import format_rows, write_line_chart
 from .synthesis import (
     _ITERATIONS,
     PartitionBasis,
+    _amplitude_matrix,
+    _fit,
     best_classical_fit,
-    fit_superposition,
-    genome_profile,
     trench_target,
 )
 
@@ -299,10 +299,13 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
             )
     else:
         target = trench_target(cfg.grid)
-    alpha, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
+    # One amplitude matrix serves the fit and the dose of its result.
+    matrix = _amplitude_matrix(basis, target.phis)
+    alpha, trace = _fit(matrix, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
-    quantum = genome_profile(alpha, basis, target.grid_points)
-    final_fitness = float(np.mean((quantum.doses - target.doses) ** 2))
+    quantum = np.abs(alpha @ matrix) ** 2
+    del matrix  # not held while the outputs are written
+    final_fitness = float(np.mean((quantum - target.doses) ** 2))
     gap = abs(final_fitness - float(trace[-1]))
     tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.doses**2)), np.finfo(float).tiny)
     if not gap <= tol:
@@ -316,7 +319,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
     _emit(
         cfg,
         ["phi", "target", "classical_best", "quantum_best"],
-        [target.phis, target.doses, classical_curve, quantum.doses],
+        [target.phis, target.doses, classical_curve, quantum],
         title=f"Synthesized N={cfg.n} exposure",
     )
     summary = {

@@ -7,25 +7,31 @@ at 0.01 px, so a file grows with points x series.
 
 Every cell is exactly the text that Python's ``%.17g`` (CSV) or ``%.2f``
 (SVG coordinates) prints for that float, made in a few array passes over a
-block of rows instead of one ``%`` per cell.  The kernel forms |v| 10^q as
-an error-free double-double product (its error is below 1e-14 of a unit
-in the last printed place), rounds it to the integer significand D, writes
-D's digits from a table of 4-digit groups, and gathers them into place by
-the printf rules: sign, fixed or scientific form, trailing zeros
-stripped, ``e+XX`` or ``e+XXX``.  Three kinds of cell are formatted by
-``%`` one at a time instead: a non-finite value; a value outside the
-double-double range (``%.17g``: nonzero |v| outside [1e-280, 1e280);
-``%.2f``: |v| >= 1e15); and a value whose |v| 10^q lies within 1e-6 of a
-rounding tie, where the kernel cannot be sure which way ``%`` rounds.
-On a 2-CPU guest, a traced ``cli_sweep`` pass (``python3 perfbench/run.py
---workload cli_sweep --seed 1 --seconds 25 --trace 1``) spends 0.224 s in
-CSV and 0.139 s in SVG output, against 0.583 s and 0.322 s with one ``%``
-per cell.
+block of rows instead of one ``%`` per cell.  For ``%.17g`` the kernel
+forms |v| 10^q as an error-free double-double product (its error is below
+1e-14 of a unit in the last printed place), rounds it to the integer
+significand D, writes D's digits from a table of 4-digit groups, and
+gathers them into place by the printf rules: sign, fixed or scientific
+form, trailing zeros stripped, ``e+XX`` or ``e+XXX``.  For ``%.2f`` one
+float product |v| 100 decides the rounding while |v| < 2^30 / 100 (its
+error is then below 1.2e-7), and a cell is four uint32 words taken from
+tables: the sign, the high and the low 4-digit group of the integer part
+(leading zeros as NUL bytes, which joining the cells drops), and ".cc"
+with the separator.  Three kinds of cell are formatted by ``%`` one at a
+time instead: a non-finite value; a value outside the kernel's range
+(``%.17g``: nonzero |v| outside [1e-280, 1e280); ``%.2f``: |v| >= 2^30 /
+100, about 1.07e7); and a value whose |v| 10^q (for ``%.2f``, |v| 100)
+lies within 1e-6 of a rounding tie, where the kernel cannot be sure which
+way ``%`` rounds.  On a 2-CPU guest, a traced ``cli_sweep`` pass
+(``python3 perfbench/run.py --workload cli_sweep --seed 1 --seconds 25
+--trace 1``) spends 0.233 s in CSV and 0.083 s in SVG output; an earlier
+run on the same guest took 0.583 s and 0.322 s with one ``%`` per cell.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -53,7 +59,9 @@ _TIE_BAND = 1e-6
 _MINUS, _DIGIT0, _POINT, _ZERO, _E, _EXP_SIGN, _EXP0, _SEP, _NUL = 0, 1, 18, 19, 20, 21, 22, 25, 26
 _SOURCE = np.frombuffer(b"-" + b"0" * 17 + b".0e+000,\0", dtype=np.uint8)
 _LAYOUT_WIDTH = 32  # the longest cell, with sign and separator, is 25 bytes
-_POW10_INT = 10 ** np.arange(1, 17, dtype=np.int64)
+# %.2f cells below this magnitude have |v| 100 < 2^30, so the float product
+# |v| 100 is within 2^-53 |v| 100 < 1.2e-7 < _TIE_BAND of the exact one.
+_F2_LIMIT = 2**30 / 100
 
 
 def _fmt(x: float) -> str:
@@ -111,15 +119,42 @@ def _round_scaled(a: np.ndarray, q):
     return floor + (frac > 0.5), floor, np.abs(frac - 0.5) < _TIE_BAND
 
 
-def _digits17(d: np.ndarray) -> np.ndarray:
-    """The 17 ASCII digits of each integer 0 <= d < 10^17, zero-padded."""
-    chunks = np.empty((len(d), 5), dtype=np.int64)
+def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each integer 0 <= d < 10^17, zero-padded, and
+    how many of them are significant (through the last nonzero one; 1 for 0)."""
+    chunks = np.empty((len(d), 5), dtype=np.int64)  # the leading digit, then 4-digit groups
     for j in (4, 3, 2, 1):
         high = d // 10**4
         chunks[:, j] = d - high * 10**4
         d = high
     chunks[:, 0] = d
-    return _digits4()[chunks].view(np.uint8)[:, 3:]
+    n_sig = np.ones(len(d), dtype=np.int64)
+    for j in range(1, 5):  # the last nonzero group sets the count
+        np.copyto(n_sig, 4 * j + 1 - _trailing_zeros4()[chunks[:, j]], where=chunks[:, j] != 0)
+    return _digits4()[chunks].view(np.uint8)[:, 3:], n_sig
+
+
+@functools.cache
+def _trailing_zeros4() -> np.ndarray:
+    """Trailing zeros of 0000..9999 as 4-digit groups (4 for 0000)."""
+    n = np.arange(10000)
+    return sum((n % m == 0).astype(np.int8) for m in (10, 100, 1000, 10000))
+
+
+@functools.cache
+def _words_f2() -> tuple[np.ndarray, ...]:
+    """Tables of the uint32 words of %.2f cells, NUL standing for no byte:
+    the sign (none, "-"); the integer part's high 4-digit group without
+    leading zeros; its low group without (0..9999) and with (10000 + 0..9999)
+    leading zeros; ".cc" followed by a NUL for the separator."""
+    digits = _digits4().view(np.uint8).reshape(10000, 4)
+    stripped = np.where(np.logical_and.accumulate(digits == ord("0"), axis=1), 0, digits)
+    low = np.concatenate([stripped, digits])
+    low[0, 3] = ord("0")
+    cents = np.zeros((100, 4), dtype=np.uint8)
+    cents[:, 0], cents[:, 1:3] = ord("."), digits[:100, 2:]
+    sign = np.frombuffer(b"\0\0\0\0-\0\0\0", dtype=np.uint8).reshape(2, 4)
+    return tuple(table.view(np.uint32).ravel() for table in (sign, stripped, low, cents))
 
 
 def _layout_table(bodies) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +165,7 @@ def _layout_table(bodies) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = [body + [_SEP] for body in bodies]
     rows += [[_MINUS] + row for row in rows]
-    index = np.full((len(rows), _LAYOUT_WIDTH), _NUL, dtype=np.intp)
+    index = np.full((len(rows), _LAYOUT_WIDTH), _NUL, dtype=np.uint8)
     for i, row in enumerate(rows):
         index[i, :len(row)] = row
     return index, np.array([len(row) for row in rows])
@@ -156,15 +191,6 @@ def _layouts_g17() -> tuple[np.ndarray, np.ndarray]:
     return _layout_table(bodies)
 
 
-@functools.cache
-def _layouts_f2() -> tuple[np.ndarray, np.ndarray]:
-    """Layouts of %.2f for 1..15 integer digits."""
-    return _layout_table(
-        [list(range(_DIGIT0 + 15 - m, _DIGIT0 + 15)) + [_POINT, _DIGIT0 + 15, _DIGIT0 + 16]
-         for m in range(1, 16)]
-    )
-
-
 def _percent(spec: str, value: float, sep: str) -> bytes:
     """One cell formatted by Python's ``%``: the path of the cells the
     kernel leaves out."""
@@ -181,11 +207,12 @@ def _text(values: np.ndarray, spec: str, seps: str) -> np.ndarray:
     rows, k = values.shape
     v = values.ravel()
     a = np.abs(v)
-    source = np.empty((rows, k, len(_SOURCE)), dtype=np.uint8)
-    source[:] = _SOURCE
-    source[:, :, _SEP] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    source = source.reshape(len(v), len(_SOURCE))
+    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     if spec == "%.17g":
+        source = np.empty((rows, k, len(_SOURCE)), dtype=np.uint8)
+        source[:] = _SOURCE
+        source[:, :, _SEP] = sep
+        source = source.reshape(len(v), len(_SOURCE))
         zero = a == 0.0
         fast = (a >= 1e-280) & (a < 1e280)
         scaled = np.where(fast, a, 1.0)
@@ -204,34 +231,43 @@ def _text(values: np.ndarray, spec: str, seps: str) -> np.ndarray:
         d[zero] = 0
         exp10[zero] = 0
         fallback = ~(fast | zero) | tie
-        digits = _digits17(d)
-        source[:, _DIGIT0:_DIGIT0 + 17] = digits
+        source[:, _DIGIT0:_DIGIT0 + 17], n_sig = _digits17(d)
         source[:, _EXP_SIGN] = np.where(exp10 < 0, ord("-"), ord("+"))
         source[:, _EXP0:_EXP0 + 3] = _digits4()[np.abs(exp10)].view(np.uint8).reshape(-1, 4)[:, 1:]
-        significant = digits != ord("0")
-        significant[:, 0] = True
-        n_sig = 17 - np.argmax(significant[:, ::-1], axis=1)
         fixed = (exp10 >= -4) & (exp10 < 17)
         key = np.where(fixed, (exp10 + 4) * 17, 21 * 17 + 17 * (np.abs(exp10) >= 100)) + n_sig - 1
         layouts, lengths = _layouts_g17()
+        key += np.signbit(v) * (len(layouts) // 2)
+        width = int(lengths[key].max())
+        layouts = np.ascontiguousarray(layouts[:, :width])
+        text = np.empty((len(v), width), dtype=np.uint8)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        for start in range(0, len(v), step):
+            # uint8 layout rows plus each cell's source offset: the gather index.
+            index = np.take(layouts, key[start:start + step], axis=0)
+            index = index + np.arange(start, start + len(index))[:, None] * source.shape[1]
+            text[start:start + step] = source.ravel()[index]
     elif spec == "%.2f":
-        fast = a < 1e15
-        d, _, tie = _round_scaled(np.where(fast, a, 0.0), 2)
-        fallback = ~fast | tie
-        source[:, _DIGIT0:_DIGIT0 + 17] = _digits17(d)
-        int_digits = np.maximum(np.searchsorted(_POW10_INT, d, side="right") - 1, 1)  # of d / 100
-        key = int_digits - 1
-        layouts, lengths = _layouts_f2()
+        fast = a < _F2_LIMIT
+        p = np.where(fast, a, 0.0) * 100.0
+        whole = np.floor(p)
+        frac = p - whole
+        fallback = ~fast | (np.abs(frac - 0.5) < _TIE_BAND)
+        integer, cents = np.divmod(whole.astype(np.int64) + (frac > 0.5), 100)
+        high, low = np.divmod(integer, 10000)
+        sign_words, high_words, low_words, cent_words = _words_f2()
+        # Four words a cell: sign, high group, low group, ".cc" and separator;
+        # a sign or high-group word that is NUL in every cell is left out.
+        negative = np.signbit(v)
+        words = [np.take(sign_words, negative)] if negative.any() else []  # bools as 0, 1
+        if high.any():
+            words.append(high_words[high])
+        words += [low_words[low + 10000 * (high > 0)], cent_words[cents]]
+        text = np.column_stack(words).view(np.uint8)
+        text.reshape(rows, k, -1)[:, :, -1] = sep
     else:
         raise ValueError(f"unsupported format {spec!r}")
-    key += np.signbit(v) * (len(layouts) // 2)
-    width = int(lengths[key].max())
-    text = np.empty((len(v), width), dtype=np.uint8)
-    step = max(1, _BLOCK_ELEMENTS // width)
-    for start in range(0, len(v), step):
-        index = layouts[key[start:start + step], :width]
-        index += np.arange(start, start + len(index))[:, None] * source.shape[1]
-        text[start:start + step] = source.ravel()[index]
+    width = text.shape[1]
     for i in np.flatnonzero(fallback):
         cell = np.frombuffer(_percent(spec, float(v[i]), seps[i % k]), dtype=np.uint8)
         if len(cell) > width:
@@ -285,6 +321,14 @@ def _polylines(x, ys, sx, sy) -> list[str]:
     return polylines
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """Axis limits of data in [lo, hi], widened if constant: to [lo, lo + 1],
+    or, where lo + 1 rounds to lo, by |lo| 2^-20 towards zero."""
+    if hi == lo and lo + 1.0 == lo:
+        return (lo - lo * 2.0**-20, lo) if lo > 0 else (lo, lo - lo * 2.0**-20)
+    return lo, lo + 1.0 if hi == lo else hi
+
+
 def _chart_parts(x, series, title: str) -> list[str]:
     """The SVG text of a chart as consecutive parts, each polyline's points one part."""
     x = np.asarray(x, dtype=float)
@@ -294,15 +338,10 @@ def _chart_parts(x, series, title: str) -> list[str]:
     for y in ys:
         if y.shape != x.shape:
             raise ValueError("series length does not match x")
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo = min(float(y.min()) for y in ys)
-    y_hi = max(float(y.max()) for y in ys)
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    x_lo, x_hi = _span(float(x.min()), float(x.max()))
+    y_lo, y_hi = _span(min(float(y.min()) for y in ys), max(float(y.max()) for y in ys))
+    pad = 0.05 * (y_hi - y_lo)  # held inside the floats next to the largest ones
+    y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
 
     plot_w = WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = HEIGHT - _MARGIN_T - _MARGIN_B

@@ -397,13 +397,19 @@ def fit_superposition(
     for a given seed, and a run that ends before its cap is the same run
     under any larger cap.
     """
+    return _fit(_amplitude_matrix(basis, target.phis), target, iterations, seed)
+
+
+def _fit(
+    matrix: np.ndarray, target: ExposureProfile, iterations: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """fit_superposition on the amplitude matrix of its basis at target.phis."""
     if not isinstance(iterations, int) or iterations < 1:
         raise ValueError("iterations must be a positive integer")
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")
     _check_target(target)
-    k = len(basis)
-    matrix = _amplitude_matrix(basis, target.phis)
+    k = len(matrix)
     peak = float(target.doses.max()) or 1.0  # a zero target is fitted as it is
     doses = target.doses / peak
     rows, c = _dose_space(matrix, doses)

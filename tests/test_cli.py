@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlitho.cli as cli
+import qlitho.synthesis as synthesis
 from oracles import csv_text
 from qlitho.dosing import phase_grid
 from qlitho.svgplot import format_rows
@@ -307,16 +308,33 @@ def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, parti
     assert code == 0
 
 
+def test_synthesize_forms_the_amplitude_matrix_once(monkeypatch, tmp_path):
+    # The fit and the emitted quantum dose read the same matrix, built at the
+    # target's phases.
+    calls = []
+    real = synthesis._amplitude_matrix
+
+    def counting(basis, phis):
+        calls.append(len(phis))
+        return real(basis, phis)
+
+    for module in (synthesis, cli):
+        monkeypatch.setattr(module, "_amplitude_matrix", counting)
+    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
+    assert code == 0
+    assert calls == [64]
+
+
 def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
     # A solver whose reported trace disagrees with the fitness of the dose
     # it emits must trip the self-check.
-    real_fit = cli.fit_superposition
+    real_fit = cli._fit
 
     def skewed_fit(*args):
         best, trace = real_fit(*args)
         return best, trace * (1.0 + 1e-6)
 
-    monkeypatch.setattr(cli, "fit_superposition", skewed_fit)
+    monkeypatch.setattr(cli, "_fit", skewed_fit)
     code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
     assert code == 4
     assert "tolerance violation" in capsys.readouterr().err
@@ -653,7 +671,7 @@ def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expec
 
 
 @pytest.mark.parametrize("command, target", [
-    ("noon", "_grid_doses"), ("synthesize", "fit_superposition"),
+    ("noon", "_grid_doses"), ("synthesize", "_fit"),
 ])
 def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target):
     # numpy raises a MemoryError subclass when an array cannot be allocated.

@@ -1,8 +1,10 @@
 """Tests of the SVG line-chart writer."""
 
 import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,17 +73,8 @@ def test_formatter_matches_percent_property(data):
     assert _by_formatter(columns, spec) == _by_percent(columns, spec)
 
 
-@pytest.mark.parametrize("spec, leftover", [
-    ("%.17g", [np.nan, np.inf, -np.inf]),
-    ("%.17g", [1e280, -1e300, 1.7976931348623157e308, 9.9e-281, 5e-324, -2.2250738585072014e-308]),
-    ("%.17g", _G17_TIES),
-    ("%.2f", [np.nan, np.inf, -np.inf]),
-    ("%.2f", [1e15, -1e16, 1e300]),
-    ("%.2f", [0.125, 2.675, 0.005, -1.005]),
-], ids=["g17-nonfinite", "g17-range", "g17-tie", "f2-nonfinite", "f2-range", "f2-tie"])
-def test_fallback_classes_take_the_percent_path(monkeypatch, spec, leftover):
-    # Non-finite cells, cells outside the kernel's range and near-ties are
-    # formatted by % one at a time, and no other cell is.
+def _percent_calls(monkeypatch, values, spec):
+    """The values that format_rows hands to % one at a time, as it formats ``values``."""
     seen = []
     percent = svgplot._percent
 
@@ -90,9 +83,56 @@ def test_fallback_classes_take_the_percent_path(monkeypatch, spec, leftover):
         return percent(spec, value, sep)
 
     monkeypatch.setattr(svgplot, "_percent", recording)
-    values = [1.5, -0.25, 3.14159, 1e-5, 123.456, 0.0, -0.0] + leftover
     assert _by_formatter([values], spec) == _by_percent([values], spec)
+    return seen
+
+
+@pytest.mark.parametrize("spec, leftover", [
+    ("%.17g", [np.nan, np.inf, -np.inf]),
+    ("%.17g", [1e280, -1e300, 1.7976931348623157e308, 9.9e-281, 5e-324, -2.2250738585072014e-308]),
+    ("%.17g", _G17_TIES),
+    ("%.2f", [np.nan, np.inf, -np.inf]),
+    ("%.2f", [1e15, -1e16, 1e300, 2e7, -123456789.0]),
+    ("%.2f", [0.125, 2.675, 0.005, -1.005]),
+], ids=["g17-nonfinite", "g17-range", "g17-tie", "f2-nonfinite", "f2-range", "f2-tie"])
+def test_fallback_classes_take_the_percent_path(monkeypatch, spec, leftover):
+    # Non-finite cells, cells outside the kernel's range and near-ties are
+    # formatted by % one at a time, and no other cell is.
+    values = [1.5, -0.25, 3.14159, 1e-5, 123.456, 0.0, -0.0] + leftover
+    seen = _percent_calls(monkeypatch, values, spec)
     assert [repr(v) for v in seen] == [repr(float(v)) for v in leftover]
+
+
+def test_f2_words_match_percent_on_explicit_cells(monkeypatch):
+    # Carries into a new 4-digit group (9999.996 -> 10000.00), negative
+    # zeros, and the edge of the word path at 2^30 / 100, past which the
+    # float product |v| 100 may no longer decide the rounding.
+    limit = 2.0**30 / 100
+    below = float(np.nextafter(limit, 0.0))
+    cells = [0.0, -0.0, -0.004, 9999.994, 9999.996, 12345.67, 1e7 - 0.01, below]
+    values = cells + [-v for v in cells] + [limit, float(np.nextafter(limit, np.inf)), -limit]
+    seen = _percent_calls(monkeypatch, values, "%.2f")
+    assert [repr(v) for v in seen] == [repr(v) for v in values[len(2 * cells):]]
+    assert _by_formatter([[9999.996, -0.004]], "%.2f") == "10000.00\n-0.00\n"
+
+
+@pytest.mark.parametrize("offset, near_tie", [(5e-7, True), (-5e-7, True), (2e-6, False), (-2e-6, False)])
+def test_f2_cells_near_a_tie_take_percent_only_inside_the_band(monkeypatch, offset, near_tie):
+    # |v| 100 lies `offset` from a rounding tie: inside the 1e-6 band the
+    # float product cannot decide the rounding, so % formats the cell.
+    halves = [0, 7, 12, 99999, 123456789, 1073741822]
+    values = [(n + 0.5 + offset) / 100 for n in halves]
+    for v, n in zip(values, halves):
+        assert abs(abs(Fraction(v) * 100 - n - Fraction(1, 2)) - abs(offset)) < 2e-7
+    values += [-v for v in values]
+    seen = _percent_calls(monkeypatch, values, "%.2f")
+    assert len(seen) == (len(values) if near_tie else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-2e7, 2e7), min_size=1, max_size=60))
+def test_f2_formatter_matches_percent_below_its_range_limit(values):
+    assert _by_formatter([values], "%.2f") == _by_percent([values], "%.2f")
 
 
 def test_formatter_rejects_other_formats():
@@ -197,6 +237,50 @@ def test_written_chart_holds_its_text_about_once(tmp_path):
     assert path.stat().st_size > 1_300_000
     assert peak <= 2.8e6
     assert path.read_text(encoding="ascii") == render_line_chart(x, series, title="memory")
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_output_path_peak_memory_is_bounded():
+    # The benchmark gates peak RSS, so the formatter's working memory is
+    # held to blocks: 32768 rows of four %.17g cells peak near 2.0 MB, and
+    # the parts of a three-series 32768-point chart near 1.9 MB.
+    x = np.arange(32768) * (2.0 * np.pi / 32768)
+    series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
+    columns = [np.random.default_rng(j).standard_normal(32768) for j in range(4)]
+    for spec in _SPECS:  # build the formatter's tables outside the traced runs
+        next(format_rows([np.ones(2)], spec))
+
+    def consume():
+        for _ in format_rows(columns, "%.17g"):
+            pass
+
+    assert _traced_peak(consume) <= 3.0e6
+    assert _traced_peak(lambda: svgplot._chart_parts(x, series, "memory")) <= 3.0e6
+
+
+@pytest.mark.parametrize("value", [1e20, -1e300, sys.float_info.max, -sys.float_info.max])
+def test_chart_of_a_huge_constant_has_a_nonzero_span(value):
+    # value + 1 == value at these magnitudes, so the span of constant data
+    # is widened by a fraction of |value| instead, towards zero.
+    ramp, flat = np.arange(8.0), np.full(8, value)
+    for x, y, constant in ((ramp, flat, 1), (flat, ramp, 0)):
+        text = render_line_chart(x, [("c", y)])
+        points = [p.split(",") for p in _points(text)[0].split()]
+        pixels = np.array(points, dtype=float)
+        assert np.isfinite(pixels).all()
+        assert (pixels[:, 0] >= 70.0).all() and (pixels[:, 0] <= 780.0).all()
+        assert (pixels[:, 1] >= 40.0).all() and (pixels[:, 1] <= 450.0).all()
+        assert len({p[constant] for p in points}) == 1
+        assert len({p[1 - constant] for p in points}) == 8
+        assert len(_polylines(text)) == 1
 
 
 def test_chart_that_fails_validation_writes_no_file(tmp_path):
