@@ -160,7 +160,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV with '.' decimals, ',' separators, LF endings, 17 significant digits."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(format_rows(columns, "%.17g"))
+        fh.writelines(format_rows(columns))
 
 
 def _emit(cfg: argparse.Namespace, header: list[str], columns: list[np.ndarray], title: str) -> None:

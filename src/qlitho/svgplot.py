@@ -1,36 +1,35 @@
 """Minimal deterministic SVG line charts (fixed 800x500 viewport), and the
-number formatter that CSV and SVG output share.
+number formatters of CSV and SVG output.
 
 Hand-rolled so that identical data produces byte-identical files; no
 plotting library is involved.  Each polyline carries every data point
 at 0.01 px, so a file grows with points x series.
 
-Every cell is exactly the text that Python's ``%.17g`` (CSV) or ``%.2f``
-(SVG coordinates) prints for that float, made in a few array passes over a
-block of rows instead of one ``%`` per cell.  For ``%.17g`` the kernel
-forms |v| 10^q as an error-free double-double product (its error is below
-1e-14 of a unit in the last printed place), rounds it to the integer
-significand D, writes D's digits from a table of 4-digit groups, and
-gathers them into place by the printf rules: sign, fixed or scientific
-form, trailing zeros stripped, ``e+XX`` or ``e+XXX``.  For ``%.2f`` one
-float product |v| 100 decides the rounding while |v| < 2^30 / 100 (its
-error is then below 1.2e-7), and a cell is four uint32 words taken from
-tables: the sign, the high and the low 4-digit group of the integer part
-(leading zeros as NUL bytes, which joining the cells drops), and ".cc"
-with the separator.  Three kinds of cell are formatted by ``%`` one at a
-time instead: a non-finite value; a value outside the kernel's range
-(``%.17g``: nonzero |v| outside [1e-280, 1e280); ``%.2f``: |v| >= 2^30 /
-100, about 1.07e7); and a value whose |v| 10^q (for ``%.2f``, |v| 100)
-lies within 1e-6 of a rounding tie, where the kernel cannot be sure which
-way ``%`` rounds.  On a 2-CPU guest, a traced ``cli_sweep`` pass
-(``python3 perfbench/run.py --workload cli_sweep --seed 1 --seconds 25
---trace 1``) spends 0.233 s in CSV and 0.083 s in SVG output; an earlier
-run on the same guest took 0.583 s and 0.322 s with one ``%`` per cell.
+Every cell is exactly the text that Python's ``%.17g`` (CSV cells, by
+``format_rows``) or ``%.2f`` (chart pixels) prints for that float, made in
+a few array passes over a block of cells instead of one ``%`` per cell.
+For ``%.17g`` the kernel forms |v| 10^q as an error-free double-double
+product (its error is below 1e-14 of a unit in the last printed place),
+rounds it to the integer significand D, writes D's digits from a table of
+4-digit groups, and gathers them into place by the printf rules: sign,
+fixed or scientific form, trailing zeros stripped, ``e+XX`` or ``e+XXX``.
+``%.2f`` sees only pixel coordinates, which lie in [40, 780].  A cell with
+no sign bit below 9999.995 is two uint32 words taken from tables: its
+integer part of at most four digits (leading zeros as NUL bytes, which
+joining the cells drops) and ".cc" with the separator; the float product
+v 100 < 10^6 decides the rounding, with an error below 1.2e-10.  Each
+series formats its own (x, y) pixel pairs, a block of points at a time.
+Three kinds of cell are formatted by ``%`` one at a time instead: a
+non-finite value; a value outside the kernel's range (``%.17g``: nonzero
+|v| outside [1e-280, 1e280); ``%.2f``: a set sign bit, or v >= 9999.995);
+and a value whose |v| 10^q (for ``%.2f``, v 100) lies within 1e-6 of a
+rounding tie, where the kernel cannot be sure which way ``%`` rounds.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 
 import numpy as np
@@ -43,7 +42,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 # Cells per formatted block.  A %.17g cell holds up to about 36 float64
-# elements of memory while its block is formatted (a %.2f cell half that):
+# elements of memory while its block is formatted (a %.2f cell about ten):
 # a dozen per-cell numbers, its digits, source bytes and text.  The gather
 # indices, 8 bytes a text byte, are formed for at most _BLOCK_ELEMENTS text
 # bytes at a time.
@@ -59,9 +58,10 @@ _TIE_BAND = 1e-6
 _MINUS, _DIGIT0, _POINT, _ZERO, _E, _EXP_SIGN, _EXP0, _SEP, _NUL = 0, 1, 18, 19, 20, 21, 22, 25, 26
 _SOURCE = np.frombuffer(b"-" + b"0" * 17 + b".0e+000,\0", dtype=np.uint8)
 _LAYOUT_WIDTH = 32  # the longest cell, with sign and separator, is 25 bytes
-# %.2f cells below this magnitude have |v| 100 < 2^30, so the float product
-# |v| 100 is within 2^-53 |v| 100 < 1.2e-7 < _TIE_BAND of the exact one.
-_F2_LIMIT = 2**30 / 100
+# %.2f prints at most four integer digits for 0 <= v < 9999.995 (9999.996
+# prints 10000.00), and there v 100 < 10^6, so the float product v 100 is
+# within 2^-53 10^6 < 1.2e-10 < _TIE_BAND of the exact one.
+_PIXEL_LIMIT = 9999.995
 
 
 def _fmt(x: float) -> str:
@@ -142,39 +142,27 @@ def _trailing_zeros4() -> np.ndarray:
 
 
 @functools.cache
-def _words_f2() -> tuple[np.ndarray, ...]:
-    """Tables of the uint32 words of %.2f cells, NUL standing for no byte:
-    the sign (none, "-"); the integer part's high 4-digit group without
-    leading zeros; its low group without (0..9999) and with (10000 + 0..9999)
-    leading zeros; ".cc" followed by a NUL for the separator."""
+def _pixel_words() -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the two uint32 words of a %.2f cell, NUL standing for no
+    byte: the integer part 0..9999 without leading zeros ("0" for 0), and
+    ".cc" followed by a NUL for the separator."""
     digits = _digits4().view(np.uint8).reshape(10000, 4)
-    stripped = np.where(np.logical_and.accumulate(digits == ord("0"), axis=1), 0, digits)
-    low = np.concatenate([stripped, digits])
-    low[0, 3] = ord("0")
+    integer = np.where(np.logical_and.accumulate(digits == ord("0"), axis=1), 0, digits)
+    integer[0, 3] = ord("0")
     cents = np.zeros((100, 4), dtype=np.uint8)
     cents[:, 0], cents[:, 1:3] = ord("."), digits[:100, 2:]
-    sign = np.frombuffer(b"\0\0\0\0-\0\0\0", dtype=np.uint8).reshape(2, 4)
-    return tuple(table.view(np.uint32).ravel() for table in (sign, stripped, low, cents))
-
-
-def _layout_table(bodies) -> tuple[np.ndarray, np.ndarray]:
-    """Layout rows (the unsigned bodies, then the signed) and their lengths.
-
-    A row lists the source columns of a cell's text and its separator,
-    NUL-padded to _LAYOUT_WIDTH.
-    """
-    rows = [body + [_SEP] for body in bodies]
-    rows += [[_MINUS] + row for row in rows]
-    index = np.full((len(rows), _LAYOUT_WIDTH), _NUL, dtype=np.uint8)
-    for i, row in enumerate(rows):
-        index[i, :len(row)] = row
-    return index, np.array([len(row) for row in rows])
+    return integer.view(np.uint32).ravel(), cents.view(np.uint32).ravel()
 
 
 @functools.cache
 def _layouts_g17() -> tuple[np.ndarray, np.ndarray]:
-    """Layouts of %.17g: fixed form for exponents -4..16, then scientific
-    with a 2- and a 3-digit exponent; each for 1..17 significant digits."""
+    """Layout rows of %.17g and their lengths: fixed form for exponents
+    -4..16, then scientific with a 2- and a 3-digit exponent, each for
+    1..17 significant digits; the unsigned rows, then the signed.
+
+    A row lists the source columns of a cell's text and its separator,
+    NUL-padded to _LAYOUT_WIDTH.
+    """
     digits = [_DIGIT0 + i for i in range(17)]
     bodies = []
     for x in range(-4, 17):
@@ -188,100 +176,103 @@ def _layouts_g17() -> tuple[np.ndarray, np.ndarray]:
         for n in range(1, 18):
             mantissa = digits[:1] + ([_POINT] + digits[1:n] if n > 1 else [])
             bodies.append(mantissa + [_E, _EXP_SIGN] + list(range(_EXP0 + 3 - width, _EXP0 + 3)))
-    return _layout_table(bodies)
+    rows = [body + [_SEP] for body in bodies]
+    rows += [[_MINUS] + row for row in rows]
+    index = np.full((len(rows), _LAYOUT_WIDTH), _NUL, dtype=np.uint8)
+    for i, row in enumerate(rows):
+        index[i, :len(row)] = row
+    return index, np.array([len(row) for row in rows])
 
 
-def _percent(spec: str, value: float, sep: str) -> bytes:
-    """One cell formatted by Python's ``%``: the path of the cells the
-    kernel leaves out."""
-    return (spec % value + sep).encode("ascii")
-
-
-def _text(values: np.ndarray, spec: str, seps: str) -> np.ndarray:
-    """The cells ``spec % v + sep`` of a (rows, k) block, as a NUL-padded
-    uint8 matrix with one row per block row.
-
-    ``spec`` is ``"%.17g"`` or ``"%.2f"``; ``seps`` holds the one-character
-    separator that follows each of the k columns.
-    """
-    rows, k = values.shape
-    v = values.ravel()
-    a = np.abs(v)
-    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    if spec == "%.17g":
-        source = np.empty((rows, k, len(_SOURCE)), dtype=np.uint8)
-        source[:] = _SOURCE
-        source[:, :, _SEP] = sep
-        source = source.reshape(len(v), len(_SOURCE))
-        zero = a == 0.0
-        fast = (a >= 1e-280) & (a < 1e280)
-        scaled = np.where(fast, a, 1.0)
-        exp10 = np.floor(np.log10(scaled)).astype(np.int64)
-        d, floor, tie = _round_scaled(scaled, 16 - exp10)
-        # log10 may miss by one next to a power of ten: move q until
-        # 10^16 <= |v| 10^q < 10^17; a rounding up to 10^17 then carries.
-        off = (floor >= 10**17).astype(np.int64) - (floor < 10**16)
-        redo = np.flatnonzero(off)
-        if len(redo):
-            exp10[redo] += off[redo]
-            d[redo], _, tie[redo] = _round_scaled(scaled[redo], 16 - exp10[redo])
-        carry = d == 10**17
-        exp10 += carry
-        d[carry] = 10**16
-        d[zero] = 0
-        exp10[zero] = 0
-        fallback = ~(fast | zero) | tie
-        source[:, _DIGIT0:_DIGIT0 + 17], n_sig = _digits17(d)
-        source[:, _EXP_SIGN] = np.where(exp10 < 0, ord("-"), ord("+"))
-        source[:, _EXP0:_EXP0 + 3] = _digits4()[np.abs(exp10)].view(np.uint8).reshape(-1, 4)[:, 1:]
-        fixed = (exp10 >= -4) & (exp10 < 17)
-        key = np.where(fixed, (exp10 + 4) * 17, 21 * 17 + 17 * (np.abs(exp10) >= 100)) + n_sig - 1
-        layouts, lengths = _layouts_g17()
-        key += np.signbit(v) * (len(layouts) // 2)
-        width = int(lengths[key].max())
-        layouts = np.ascontiguousarray(layouts[:, :width])
-        text = np.empty((len(v), width), dtype=np.uint8)
-        step = max(1, _BLOCK_ELEMENTS // width)
-        for start in range(0, len(v), step):
-            # uint8 layout rows plus each cell's source offset: the gather index.
-            index = np.take(layouts, key[start:start + step], axis=0)
-            index = index + np.arange(start, start + len(index))[:, None] * source.shape[1]
-            text[start:start + step] = source.ravel()[index]
-    elif spec == "%.2f":
-        fast = a < _F2_LIMIT
-        p = np.where(fast, a, 0.0) * 100.0
-        whole = np.floor(p)
-        frac = p - whole
-        fallback = ~fast | (np.abs(frac - 0.5) < _TIE_BAND)
-        integer, cents = np.divmod(whole.astype(np.int64) + (frac > 0.5), 100)
-        high, low = np.divmod(integer, 10000)
-        sign_words, high_words, low_words, cent_words = _words_f2()
-        # Four words a cell: sign, high group, low group, ".cc" and separator;
-        # a sign or high-group word that is NUL in every cell is left out.
-        negative = np.signbit(v)
-        words = [np.take(sign_words, negative)] if negative.any() else []  # bools as 0, 1
-        if high.any():
-            words.append(high_words[high])
-        words += [low_words[low + 10000 * (high > 0)], cent_words[cents]]
-        text = np.column_stack(words).view(np.uint8)
-        text.reshape(rows, k, -1)[:, :, -1] = sep
-    else:
-        raise ValueError(f"unsupported format {spec!r}")
+def _with_percent(text: np.ndarray, v: np.ndarray, fallback: np.ndarray, spec: str, seps: str) -> np.ndarray:
+    """Write each ``fallback`` cell of ``v``, which the kernel leaves out,
+    by Python's ``%`` into ``text`` (one NUL-padded row a cell, widened
+    where a cell needs it); return one row per block row of len(seps) cells."""
+    k = len(seps)
     width = text.shape[1]
     for i in np.flatnonzero(fallback):
-        cell = np.frombuffer(_percent(spec, float(v[i]), seps[i % k]), dtype=np.uint8)
+        cell = np.frombuffer((spec % float(v[i]) + seps[i % k]).encode("ascii"), dtype=np.uint8)
         if len(cell) > width:
             text = np.pad(text, ((0, 0), (0, len(cell) - width)))
             width = len(cell)
         text[i] = 0
         text[i, :len(cell)] = cell
-    return text.reshape(rows, k * width)
+    return text.reshape(-1, k * width)
 
 
-def _join(texts) -> str:
-    """The bytes of side-by-side NUL-padded text matrices, row by row."""
-    text = np.concatenate(texts, axis=1) if len(texts) > 1 else texts[0]
-    return text[text != 0].tobytes().decode("ascii")
+def _text(values: np.ndarray, seps: str) -> np.ndarray:
+    """The cells ``"%.17g" % v + sep`` of a (rows, k) block, as a NUL-padded
+    uint8 matrix with one row per block row.
+
+    ``seps`` holds the one-character separator that follows each of the k
+    columns.
+    """
+    rows, k = values.shape
+    v = values.ravel()
+    a = np.abs(v)
+    source = np.empty((rows, k, len(_SOURCE)), dtype=np.uint8)
+    source[:] = _SOURCE
+    source[:, :, _SEP] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    source = source.reshape(len(v), len(_SOURCE))
+    zero = a == 0.0
+    fast = (a >= 1e-280) & (a < 1e280)
+    scaled = np.where(fast, a, 1.0)
+    exp10 = np.floor(np.log10(scaled)).astype(np.int64)
+    d, floor, tie = _round_scaled(scaled, 16 - exp10)
+    # log10 may miss by one next to a power of ten: move q until
+    # 10^16 <= |v| 10^q < 10^17; a rounding up to 10^17 then carries.
+    off = (floor >= 10**17).astype(np.int64) - (floor < 10**16)
+    redo = np.flatnonzero(off)
+    if len(redo):
+        exp10[redo] += off[redo]
+        d[redo], _, tie[redo] = _round_scaled(scaled[redo], 16 - exp10[redo])
+    carry = d == 10**17
+    exp10 += carry
+    d[carry] = 10**16
+    d[zero] = 0
+    exp10[zero] = 0
+    source[:, _DIGIT0:_DIGIT0 + 17], n_sig = _digits17(d)
+    source[:, _EXP_SIGN] = np.where(exp10 < 0, ord("-"), ord("+"))
+    source[:, _EXP0:_EXP0 + 3] = _digits4()[np.abs(exp10)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    key = np.where(fixed, (exp10 + 4) * 17, 21 * 17 + 17 * (np.abs(exp10) >= 100)) + n_sig - 1
+    layouts, lengths = _layouts_g17()
+    key += np.signbit(v) * (len(layouts) // 2)
+    width = int(lengths[key].max())
+    layouts = np.ascontiguousarray(layouts[:, :width])
+    text = np.empty((len(v), width), dtype=np.uint8)
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, len(v), step):
+        # uint8 layout rows plus each cell's source offset: the gather index.
+        index = np.take(layouts, key[start:start + step], axis=0)
+        index = index + np.arange(start, start + len(index))[:, None] * source.shape[1]
+        text[start:start + step] = source.ravel()[index]
+    return _with_percent(text, v, ~(fast | zero) | tie, "%.17g", seps)
+
+
+def _pixels(values: np.ndarray, seps: str) -> np.ndarray:
+    """The cells ``"%.2f" % v + sep`` of a (rows, k) block, as a NUL-padded
+    uint8 matrix with one row per block row.
+
+    A cell with no sign bit below _PIXEL_LIMIT is two words: its integer
+    part and ".cc" with the separator.  ``seps`` is as for ``_text``.
+    """
+    v = values.ravel()
+    fast = (v < _PIXEL_LIMIT) & ~np.signbit(v)
+    p = np.where(fast, v, 0.0) * 100.0
+    whole = np.floor(p)
+    frac = p - whole
+    d = whole.astype(np.int64) + (frac > 0.5)  # round(v 100)
+    integer = d // 100  # np.divmod takes twice as long
+    integer_words, cent_words = _pixel_words()
+    text = np.column_stack([integer_words[integer], cent_words[d - 100 * integer]]).view(np.uint8)
+    text.reshape(len(values), len(seps), 8)[:, :, 7] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    return _with_percent(text, v, ~fast | (np.abs(frac - 0.5) < _TIE_BAND), "%.2f", seps)
+
+
+def _join(text: np.ndarray) -> str:
+    """The bytes of a NUL-padded text matrix, row by row."""
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _blocks(n_rows: int, n_columns: int):
@@ -289,35 +280,26 @@ def _blocks(n_rows: int, n_columns: int):
     return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
-def format_rows(columns, spec: str):
+def format_rows(columns):
     """Yield the rows of equal-length float columns as CSV text, a block at a time.
 
-    Each cell is exactly ``spec % v`` (``spec`` is ``"%.17g"`` or
-    ``"%.2f"``); cells are joined by "," and each row ends with a newline.
+    Each cell is exactly ``"%.17g" % v``; cells are joined by "," and each
+    row ends with a newline.
     """
     seps = "," * (len(columns) - 1) + "\n"
     for block in _blocks(len(columns[0]), len(columns)):
-        yield _join([_text(np.column_stack([col[block] for col in columns]), spec, seps)])
+        yield _join(_text(np.column_stack([col[block] for col in columns]), seps))
 
 
-def _polylines(x, ys, sx, sy) -> list[str]:
-    """The points attribute of each series' polyline: pixels ``sx(x)``, ``sy(y)``.
-
-    Pixels are formed a block at a time, and a block's x cells are
-    formatted once for every series.
-    """
-    points = [[] for _ in ys]
-    for block in _blocks(len(x), 1 + len(ys)):
-        x_text = _text(sx(x[block])[:, None], "%.2f", ",")
-        y_text = _text(np.column_stack([sy(y[block]) for y in ys]), "%.2f", " " * len(ys))
-        width = y_text.shape[1] // len(ys)
-        for s, out in enumerate(points):
-            out.append(_join([x_text, y_text[:, s * width:(s + 1) * width]]))
+def _polylines(x, ys, sx, sy) -> list[list[str]]:
+    """The points attribute of each series' polyline, as the texts of its
+    blocks of points: pixels ``sx(x)``, ``sy(y)``, formed and formatted a
+    block at a time."""
     polylines = []
-    for out in points:
+    for y in ys:
+        out = [_join(_pixels(np.column_stack([sx(x[b]), sy(y[b])]), ", ")) for b in _blocks(len(x), 2)]
         out[-1] = out[-1][:-1]  # no separator after the last point
-        polylines.append("".join(out))
-        out.clear()
+        polylines.append(out)
     return polylines
 
 
@@ -342,15 +324,21 @@ def _chart_parts(x, series, title: str) -> list[str]:
     y_lo, y_hi = _span(min(float(y.min()) for y in ys), max(float(y.max()) for y in ys))
     pad = 0.05 * (y_hi - y_lo)  # held inside the floats next to the largest ones
     y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
+    # An axis whose span overflows maps halved values between halved limits.
+    # Halving is exact for normal floats, so other charts keep their bytes;
+    # halving every axis would zero a span of subnormals.
+    x_h = 0.5 if x_hi - x_lo == math.inf else 1.0
+    y_h = 0.5 if y_hi - y_lo == math.inf else 1.0
+    x_lo, x_hi, y_lo, y_hi = x_lo * x_h, x_hi * x_h, y_lo * y_h, y_hi * y_h
 
     plot_w = WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v):
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (v * x_h - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(v):
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - v * y_h) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -366,8 +354,14 @@ def _chart_parts(x, series, title: str) -> list[str]:
         )
 
     n_ticks = 5
+
+    def tick(lo, hi, h, i):
+        """The i-th of n_ticks values from lo to hi in data units; a sum of
+        halved limits may round past the float range when doubled."""
+        return min((lo + (hi - lo) * (i / (n_ticks - 1))) / h, sys.float_info.max)
+
     for i in range(n_ticks):
-        tx = x_lo + (x_hi - x_lo) * i / (n_ticks - 1)
+        tx = tick(x_lo, x_hi, x_h, i)
         px = sx(tx)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_MARGIN_T + plot_h}" '
@@ -377,7 +371,7 @@ def _chart_parts(x, series, title: str) -> list[str]:
             f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>\n'
         )
-        ty = y_lo + (y_hi - y_lo) * i / (n_ticks - 1)
+        ty = tick(y_lo, y_hi, y_h, i)
         py = sy(ty)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" '
@@ -400,8 +394,8 @@ def _chart_parts(x, series, title: str) -> list[str]:
 
     for s_idx, ((label, _), pts) in enumerate(zip(series, _polylines(x, ys, sx, sy))):
         color = _COLORS[s_idx % len(_COLORS)]
-        # The points text is a part of its own, so it is never copied.
-        parts += ['<polyline points="', pts,
+        # Each block of points is a part of its own, so it is never copied.
+        parts += ['<polyline points="', *pts,
                   f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n']
         ly = _MARGIN_T + 16 + 16 * s_idx
         lx = _MARGIN_L + plot_w - 150

@@ -78,7 +78,7 @@ _SPECIAL_CELLS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, float(2**53 + 1)
 @pytest.mark.parametrize("k", range(1, 7))
 def test_csv_matches_per_cell_oracle(tmp_path, k):
     # Row counts around the formatter's block of rows, read off the formatter.
-    block = next(format_rows([np.zeros(1 << 16)] * k, "%.17g")).count("\n")
+    block = next(format_rows([np.zeros(1 << 16)] * k)).count("\n")
     assert block < 1 << 16
     rng = np.random.default_rng(k)
     header = [f"c{j}" for j in range(k)]
@@ -188,12 +188,19 @@ _GOLDEN_CSV = {
         "9c1c11dbf64161845b9080963b3f5ec2ef66491ad43aab2c90e1d5b9d983de57",
     "fringe --grid 64 --convention paper":
         "0ea866458ec9e972faec17ecb7cb160cc7c7662ed05f1058160ec18dcc326147",
+    "noon --n 3 --grid 4097":
+        "0ff13776e794ba7ae4baab397207b3ad2472a7171d7907a1bb2311ed87bfc4ff",
+    "compare --n 4 --grid 4097":
+        "131ae77322820b401e4f344df4614c7d97c6359fc3c24308f1f502b01a8b7b6f",
 }
 
 
 # sha256 of the SVG of the same commands, taken with the per-cell %.2f
 # formatter that the array formatter replaced: a chart's bytes pin both
-# the doses and their formatting.
+# the doses and their formatting.  At grid 4097 a series spans more than
+# one formatted block, whether a block holds the x and every series' y
+# cells of a row or one series' (x, y) pairs; those two digests were taken
+# with the former layout.
 _GOLDEN_SVG = {
     "noon --n 3 --grid 64":
         "07a2c780937042fdf2241acc1615d19bd63af8bcf45e0516c75b374407d838e1",
@@ -207,6 +214,10 @@ _GOLDEN_SVG = {
         "da20af73dc851f2c2f4ee22ab178f43a48b056d4d5b8532a7799661833a01525",
     "fringe --grid 64 --convention paper":
         "dde5db9646704281ca41f49c1b2622f31f406e2bc58a8036d6d9cd0ec33dd3eb",
+    "noon --n 3 --grid 4097":
+        "22b16e01bf354a2efef283d1471cb618893371fda946a484bf1f062f5fb9b4ec",
+    "compare --n 4 --grid 4097":
+        "5546c81e2328ef8cb7c06f331d789ffc6b5308c8b515a81fc21e0de1a7a85907",
 }
 
 _golden_numpy_only = pytest.mark.skipif(
