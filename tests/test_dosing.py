@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_dose, number_state_dose, random_state_map
+from qlitho import dosing
 from qlitho.baselines import classical_two_photon, noon_exposure
 from qlitho.dosing import (
     _INPUT_CHAIN,
@@ -222,6 +223,98 @@ def test_symmetric_doses_are_single_arm_doses_at_twice_the_phase(
                   <= 1e-12 * np.maximum(1.0, np.abs(profile.doses)))
     odd = fourier_components(profile, half_grid - 1)[1::2]
     assert np.all(np.abs(odd) <= 1e-12 * max(1.0, profile.doses.max()))
+
+
+def _band(n_photons, convention):
+    return 2 * n_photons if convention is SubstrateConvention.SYMMETRIC else n_photons
+
+
+def _dense_sector(n_photons, rng):
+    amps = rng.standard_normal(n_photons + 1) + 1j * rng.standard_normal(n_photons + 1)
+    return make_state({(k, n_photons - k): a for k, a in enumerate(amps)})
+
+
+@st.composite
+def _banded_states(draw):
+    """A dense N-photon sector (N <= 40), or a state on up to 24 pairs of at
+    most 8 photons dosed at some N; with N and the oracle's cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_photons = draw(st.integers(1, 40))
+        return _dense_sector(n_photons, rng), n_photons, n_photons
+    cutoff = draw(st.integers(2, 8))
+    return make_state(random_state_map(rng, cutoff, max_terms=24)), draw(st.integers(1, cutoff)), cutoff
+
+
+@settings(max_examples=40)
+@given(_banded_states(), st.data(), st.sampled_from(SubstrateConvention), st.booleans())
+def test_resampled_profiles_match_the_direct_doses(drawn, data, convention, from_input):
+    # The grid straddles the 2 band + 1 phases that fix the dose, so profiles
+    # are taken both ways: resampled from those phases, and dosed directly.
+    state, n_photons, cutoff = drawn
+    band = _band(n_photons, convention)
+    edge = 2 * band + 1
+    grid = data.draw(st.one_of(st.just(edge + 1), st.integers(edge - band, 3 * edge)))
+    profile = exposure_profile(state, n_photons, grid, convention, from_input)
+    site = "inputs" if from_input else "substrate"
+    direct = _grid_doses(state, n_photons, profile.phis, convention, site)
+    scale = 1e-12 * max(1.0, direct.max())
+    assert np.abs(profile.doses - direct).max() <= scale
+    assert profile.doses.min() >= 0.0
+    for k in sorted({0, grid // 3, grid - 1}):
+        phi = profile.phis[k]
+        f = substrate_field(phi, convention)
+        field = np.array([f.alpha, f.beta])
+        if from_input:
+            field = field @ interferometer(phi, convention).matrix
+        assert abs(profile.doses[k] - dense_dose(state.amplitudes, cutoff, n_photons, *field)) <= scale
+    top = (grid - 1) // 2
+    if top > band:
+        assert np.abs(fourier_components(profile, top)[band + 1:]).max() <= scale
+
+
+def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatch):
+    # A profile is dosed on the 2 band + 1 phases that fix it when the state
+    # holds more than log2 G nonzero amplitudes, as the dense sectors below
+    # do; |1,1> and NOON states, whatever the grid, are dosed point by point
+    # and keep the bits of the direct doses.
+    phases = []
+
+    def counted(state, n_photons, phis, convention, site):
+        phases.append(len(phis))
+        return _grid_doses(state, n_photons, phis, convention, site)
+
+    monkeypatch.setattr(dosing, "_grid_doses", counted)
+    rng = np.random.default_rng(3)
+    single_arm, symmetric = SubstrateConvention.SINGLE_ARM, SubstrateConvention.SYMMETRIC
+    for n_photons, grid, convention in ((12, 512, single_arm), (24, 256, single_arm),
+                                        (40, 1024, symmetric)):
+        phases.clear()
+        exposure_profile(_dense_sector(n_photons, rng), n_photons, grid, convention, from_input=True)
+        assert phases == [2 * _band(n_photons, convention) + 1]
+    cases = [(make_state({(1, 1): 1.0}), 2, True)] + [(noon_state(n), n, False) for n in (1, 2, 10, 30)]
+    for state, n_photons, from_input in cases:
+        for grid in (2, 8, 513, 4096):
+            for convention in SubstrateConvention:
+                phases.clear()
+                profile = exposure_profile(state, n_photons, grid, convention, from_input)
+                assert phases == [grid]
+                site = "inputs" if from_input else "substrate"
+                direct = _grid_doses(state, n_photons, profile.phis, convention, site)
+                assert np.array_equal(profile.doses, direct)
+
+
+def test_resampled_dark_points_are_clamped_to_zero():
+    # (a+ - b+)^N |0,0>, normalized, doses |alpha - beta|^2N / 2^N, which is
+    # 2^N sin^2N phi under the SYMMETRIC field: dark at phi = 0 and pi, where
+    # the interpolated dose rounds to either side of zero.
+    n_photons = 12
+    state = make_state({(k, n_photons - k): math.sqrt(math.comb(n_photons, k)) * (-1) ** k
+                        for k in range(n_photons + 1)})
+    profile = exposure_profile(state, n_photons, 512, SubstrateConvention.SYMMETRIC)
+    exact = 2.0**n_photons * np.sin(profile.phis) ** (2 * n_photons)
+    assert profile.doses.min() >= 0.0
+    assert np.abs(profile.doses - exact).max() <= 1e-12 * 2.0**n_photons
 
 
 @pytest.mark.parametrize("rate", [deposition_rate, pipeline_rate])

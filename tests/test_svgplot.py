@@ -297,6 +297,19 @@ def test_chart_wider_than_the_float_range_has_finite_pixels_and_ticks():
     assert _points(render_line_chart(wide, [("a", wide)])) == ["70.00,359.04 780.00,130.96"]
 
 
+def test_tick_labels_fit_the_margin_at_any_magnitude():
+    # In %.2f a constant 1e20 series labels 99999899864196775936.00 and
+    # +-1e308 labels of 311-313 characters; such an axis switches to %.3g,
+    # while the other axis of the chart keeps its %.2f labels.
+    flat = (np.arange(8.0), np.full(8, 1e20))
+    wide = (np.array([-1e308, 1e308]), np.array([-1.0, 2.0]))
+    for (x, y), plain in ((flat, 0), (wide, 1)):
+        labels = re.findall(r'font-size="11">([^<]*)</text>', render_line_chart(x, [("a", y)]))
+        assert len(labels) == 10 and max(map(len, labels)) <= 9
+        assert all(re.fullmatch(r"-?\d+\.\d\d", label) for label in labels[plain::2])
+        assert not any(re.fullmatch(r"-?\d+\.\d\d", label) for label in labels[1 - plain::2])
+
+
 def test_chart_that_fails_validation_writes_no_file(tmp_path):
     path = tmp_path / "chart.svg"
     with pytest.raises(ValueError):
