@@ -2,8 +2,13 @@
 number formatters of CSV and SVG output.
 
 Hand-rolled so that identical data produces byte-identical files; no
-plotting library is involved.  Each polyline carries every data point
-at 0.01 px, so a file grows with points x series.
+plotting library is involved.  Each polyline is drawn at the plot's width
+by M4 aggregation (Jugel, Jerzak, Hackenbroich and Markl, PVLDB 7(10),
+797, 2014): of each run of consecutive points in one pixel column it keeps
+the first and the last point and the first points of the lowest and the
+highest y, at most 4 a run, each at 0.01 px.  A chart with at most two
+points in every pixel column keeps every point; a denser one grows with
+pixel columns x series, not with points.
 
 Every cell is exactly the text that Python's ``%.17g`` (CSV cells, by
 ``format_rows``) or ``%.2f`` (chart pixels) prints for that float, made in
@@ -18,7 +23,7 @@ no sign bit below 9999.995 is two uint32 words taken from tables: its
 integer part of at most four digits (leading zeros as NUL bytes, which
 joining the cells drops) and ".cc" with the separator; the float product
 v 100 < 10^6 decides the rounding, with an error below 1.2e-10.  Each
-series formats its own (x, y) pixel pairs, a block of points at a time.
+series formats its own kept (x, y) pixel pairs, a block at a time.
 Three kinds of cell are formatted by ``%`` one at a time instead: a
 non-finite value; a value outside the kernel's range (``%.17g``: nonzero
 |v| outside [1e-280, 1e280); ``%.2f``: a set sign bit, or v >= 9999.995);
@@ -294,16 +299,49 @@ def format_rows(columns):
         yield _join(_text(np.column_stack([col[block] for col in columns]), seps))
 
 
+def _column_extremes(y, starts) -> np.ndarray:
+    """The indices, in order, of the points of ``y`` that M4 keeps: of each
+    run of points from one index of ``starts`` to the next, its first and
+    last point and the first points that hold its smallest and its largest
+    value."""
+    lengths = np.diff(starts, append=len(y))
+    keep = np.zeros(len(y), dtype=bool)
+    keep[starts] = keep[starts + lengths - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), lengths))
+        run = np.searchsorted(starts, hit, side="right")
+        keep[hit[np.concatenate(([True], run[1:] != run[:-1]))]] = True
+    return np.flatnonzero(keep)
+
+
 def _polylines(x, ys, sx, sy) -> list[list[str]]:
     """The points attribute of each series' polyline, as the texts of its
-    blocks of points: pixels ``sx(x)``, ``sy(y)``, formed and formatted a
-    block at a time."""
+    blocks of points.
+
+    The points split into runs of consecutive points whose x pixel
+    ``sx(x)`` has the same integer part, in any x order.  Each run keeps its
+    first point, its last point, and the first points that hold its
+    smallest and its largest y, in their order, so a run of one or two
+    points keeps every point.  Only the kept points are mapped by ``sy``
+    and formatted, a block at a time.
+    """
+    px = sx(x)
+    column = np.floor(px)
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
     polylines = []
     for y in ys:
-        out = [_join(_pixels(np.column_stack([sx(x[b]), sy(y[b])]), ", ")) for b in _blocks(len(x), 2)]
+        # y is finite and sy monotone, so the extremes of y are those of its pixels.
+        kept = slice(None) if len(starts) == len(x) else _column_extremes(y, starts)
+        kx, ky = px[kept], y[kept]
+        out = [_join(_pixels(np.column_stack([kx[b], sy(ky[b])]), ", ")) for b in _blocks(len(kx), 2)]
         out[-1] = out[-1][:-1]  # no separator after the last point
         polylines.append(out)
     return polylines
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -323,6 +361,8 @@ def _chart_parts(x, series, title: str) -> list[str]:
     for y in ys:
         if y.shape != x.shape:
             raise ValueError("series length does not match x")
+    if not (np.isfinite(x).all() and all(np.isfinite(y).all() for y in ys)):
+        raise ValueError("chart data must be finite")
     x_lo, x_hi = _span(float(x.min()), float(x.max()))
     y_lo, y_hi = _span(min(float(y.min()) for y in ys), max(float(y.max()) for y in ys))
     pad = 0.05 * (y_hi - y_lo)  # held inside the floats next to the largest ones
@@ -353,7 +393,7 @@ def _chart_parts(x, series, title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>\n'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>\n'
         )
 
     n_ticks = 5
@@ -413,7 +453,7 @@ def _chart_parts(x, series, title: str) -> list[str]:
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>\n'
+            f'font-size="12">{_escape(str(label))}</text>\n'
         )
     parts.append("</svg>\n")
     return parts
@@ -423,9 +463,11 @@ def render_line_chart(x, series, title: str = "") -> str:
     """Return the SVG text for one or more labelled series over x.
 
     ``series`` is a list of (label, values) pairs; all values share the
-    x vector.  Axis limits are padded data limits; ticks are plain
-    decimals so output never depends on locale: ``%.2f``, or ``%.3g`` on
-    an axis where a ``%.2f`` label would run past 9 characters.
+    x vector, and every value must be finite (``ValueError`` otherwise).
+    Axis limits are padded data limits; ticks are plain decimals so output
+    never depends on locale: ``%.2f``, or ``%.3g`` on an axis where a
+    ``%.2f`` label would run past 9 characters.  Each polyline keeps at most
+    4 points of each run of points in one pixel column (see ``_polylines``).
     """
     return "".join(_chart_parts(x, series, title))
 

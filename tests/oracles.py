@@ -125,8 +125,9 @@ def csv_text(header, columns):
     return "".join(lines)
 
 
-def polyline_points(x, ys):
-    """The points attribute of each series' polyline, one point at a time.
+def chart_pixels(x, ys):
+    """The pixels of every point of a chart: the x pixels, and the y pixels
+    of each series.
 
     The 800x500 chart plots into [70, 780] x [40, 450] px over the data
     limits: x as given (width 1 if constant), y padded by 5% of its range
@@ -150,4 +151,27 @@ def polyline_points(x, ys):
     def sy(v):
         return 40 + (y_hi - v) / (y_hi - y_lo) * 410
 
-    return [" ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y)) for y in ys]
+    return [sx(v) for v in x], [[sy(v) for v in y] for y in ys]
+
+
+def polyline_points(x, ys):
+    """The points attribute of each series' polyline, one point at a time.
+
+    The points of ``chart_pixels`` split into runs of consecutive points
+    whose x pixel has the same floor.  Each run keeps its first and last
+    point and the first points of its smallest and its largest data y, in
+    their order (M4 aggregation).
+    """
+    px, pys = chart_pixels(x, ys)
+    columns = [math.floor(p) for p in px]
+    starts = [i for i in range(len(px)) if i == 0 or columns[i] != columns[i - 1]]
+    runs = [range(a, b) for a, b in zip(starts, starts[1:] + [len(px)])]
+    points = []
+    for y, py in zip(ys, pys):
+        y = [float(v) for v in y]
+        kept = set()
+        for run in runs:
+            # min and max return the first of equal values.
+            kept |= {run[0], run[-1], min(run, key=y.__getitem__), max(run, key=y.__getitem__)}
+        points.append(" ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in sorted(kept)))
+    return points

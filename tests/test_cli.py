@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import qlitho.cli as cli
 import qlitho.synthesis as synthesis
-from oracles import csv_text
+from oracles import csv_text, polyline_points
 from qlitho.dosing import phase_grid
 from qlitho.svgplot import format_rows
 from qlitho.synthesis import trench_target
@@ -197,10 +197,11 @@ _GOLDEN_CSV = {
 
 # sha256 of the SVG of the same commands, taken with the per-cell %.2f
 # formatter that the array formatter replaced: a chart's bytes pin both
-# the doses and their formatting.  At grid 4097 a series spans more than
-# one formatted block, whether a block holds the x and every series' y
-# cells of a row or one series' (x, y) pairs; those two digests were taken
-# with the former layout.
+# the doses and their formatting.  At grid 64 every pixel column holds one
+# point, so every point is drawn.  At grid 4097 a column holds about six,
+# of which the chart keeps at most four a series (M4); those two digests
+# were taken when M4 came in, from SVGs whose points matched the per-point
+# oracle of their CSV columns.
 _GOLDEN_SVG = {
     "noon --n 3 --grid 64":
         "07a2c780937042fdf2241acc1615d19bd63af8bcf45e0516c75b374407d838e1",
@@ -215,9 +216,9 @@ _GOLDEN_SVG = {
     "fringe --grid 64 --convention paper":
         "dde5db9646704281ca41f49c1b2622f31f406e2bc58a8036d6d9cd0ec33dd3eb",
     "noon --n 3 --grid 4097":
-        "22b16e01bf354a2efef283d1471cb618893371fda946a484bf1f062f5fb9b4ec",
+        "cb7d8b51aa0b9212ec8f8d31b9e596f4dec1e2af809656e8fa4f82b296542171",
     "compare --n 4 --grid 4097":
-        "5546c81e2328ef8cb7c06f331d789ffc6b5308c8b515a81fc21e0de1a7a85907",
+        "78a0cd126674c93530efd699c5b0635690f2d6e8b0268f5ca59b8ea4baf92ae1",
 }
 
 _golden_numpy_only = pytest.mark.skipif(
@@ -242,6 +243,20 @@ def test_deterministic_svg_matches_golden_digest(monkeypatch, tmp_path, args):
     assert run_cli(monkeypatch, tmp_path, "--command", *args.split(), "--format", "svg") == 0
     digest = hashlib.sha256((tmp_path / f"{command}.svg").read_bytes()).hexdigest()
     assert digest == _GOLDEN_SVG[args]
+
+
+def test_dense_chart_is_drawn_at_display_resolution(monkeypatch, tmp_path):
+    # 32768 phases put about 46 points in each pixel column of the 710-px
+    # plot; each series keeps at most 4 of them, as the oracle selects them
+    # from the CSV's columns.
+    assert run_cli(monkeypatch, tmp_path, "--command", "noon", "--n", "30", "--grid", "32768",
+                   "--format", "both") == 0
+    svg = (tmp_path / "noon.svg").read_text(encoding="ascii")
+    data = np.loadtxt(tmp_path / "noon.csv", delimiter=",", skiprows=1)
+    points = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert points == polyline_points(data[:, 0], list(data[:, 1:].T))
+    assert len(svg) <= 90_000
+    assert all(len(p.split()) <= 4 * 711 for p in points)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import polyline_points
+from oracles import chart_pixels, polyline_points
 from qlitho import svgplot
 from qlitho.svgplot import format_rows, render_line_chart, write_line_chart
 
@@ -156,25 +156,35 @@ def _points(text):
 
 @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 32768])
 def test_polylines_match_per_point_oracle(rows):
+    # Sorted x fills each pixel column with many points, of which M4 keeps
+    # at most four; shuffled x puts nearly every point in a run of its own,
+    # so nearly every point is kept and formatted.
     rng = np.random.default_rng(rows)
-    x = np.sort(rng.uniform(-4.0, 4.0, rows))
-    for n_series in range(1, 7):
-        ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
-        text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)], title="t")
-        assert _points(text) == polyline_points(x, ys), n_series
-        assert len(_polylines(text)) == n_series
+    for x in (np.sort(rng.uniform(-4.0, 4.0, rows)), rng.uniform(-4.0, 4.0, rows)):
+        for n_series in range(1, 7):
+            ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
+            text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)], title="t")
+            assert _points(text) == polyline_points(x, ys), n_series
+            assert len(_polylines(text)) == n_series
 
 
 @pytest.mark.parametrize("n_series", range(1, 7))
 def test_polylines_match_oracle_at_shared_x_block_edges(n_series):
-    # Every series formats its own (x, y) pairs, _BLOCK points a block,
-    # whatever the number of series.
+    # Every series formats its own kept (x, y) pairs, _BLOCK points a block,
+    # whatever the number of series.  Shuffled integer x keeps every point
+    # here, so the blocks end at these row counts; sorted x keeps fewer
+    # than _BLOCK points.
     rng = np.random.default_rng(n_series)
     for rows in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
-        x = np.sort(rng.uniform(-4.0, 4.0, rows))
-        ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
-        text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)])
-        assert _points(text) == polyline_points(x, ys), rows
+        for x, shuffled in ((rng.permutation(rows) * 1.0, True), (np.sort(rng.uniform(-4.0, 4.0, rows)), False)):
+            ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
+            text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)])
+            assert _points(text) == polyline_points(x, ys), rows
+            kept = {len(p.split()) for p in _points(text)}
+            assert (kept == {rows}) if shuffled else (max(kept) < _BLOCK)
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def test_chart_rejects_empty_series_and_length_mismatch():
@@ -183,6 +193,12 @@ def test_chart_rejects_empty_series_and_length_mismatch():
         render_line_chart(x, [])
     with pytest.raises(ValueError):
         render_line_chart(x, [("a", np.ones(8)), ("b", np.ones(7))])
+    # A non-finite value would print nan or inf pixels and ticks.
+    for bad in _NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            render_line_chart(x, [("a", np.ones(8)), ("b", np.r_[np.ones(7), bad])])
+        with pytest.raises(ValueError, match="finite"):
+            render_line_chart(np.r_[bad, x[1:]], [("a", np.ones(8))])
 
 
 def test_constant_series_and_constant_x_render():
@@ -192,12 +208,24 @@ def test_constant_series_and_constant_x_render():
     assert len(_polylines(text)) == 1
     assert _points(text) == polyline_points(x, [np.full(8, 2.5)])
     assert len({p.split(",")[1] for p in _points(text)[0].split()}) == 1
+    assert len(_points(text)[0].split()) == 8  # one point a pixel column
 
+    # One pixel column: its first point is its lowest, its last its highest.
     same_x = np.full(8, 3.0)
     ramp = np.arange(8.0)
     text = render_line_chart(same_x, [("ramp", ramp)])
     assert _points(text) == polyline_points(same_x, [ramp])
-    assert {p.split(",")[0] for p in _points(text)[0].split()} == {"70.00"}
+    assert _points(text) == ["70.00,431.36 70.00,58.64"]
+
+
+def test_a_pixel_column_keeps_the_first_of_tied_extremes():
+    # sx(x) = 70 + x here.  Points 1 and 3 tie for the lowest y of the first
+    # pixel column, and points 2 and 4 (its last) for the highest.
+    x = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 710.0])
+    y = np.array([1.0, 0.0, 2.0, 0.0, 2.0, 1.0])
+    points = _points(render_line_chart(x, [("a", y)]))
+    assert points == polyline_points(x, [y])
+    assert [p.split(",")[0] for p in points[0].split()] == ["70.00", "70.20", "70.40", "70.80", "780.00"]
 
 
 def test_written_chart_parses_with_one_polyline_per_series(tmp_path):
@@ -211,9 +239,11 @@ def test_written_chart_parses_with_one_polyline_per_series(tmp_path):
 
 
 def test_written_chart_holds_its_text_about_once(tmp_path):
-    # Three 32768-point series make a 1.36 MB file.  Writing the chart part
-    # by part peaks near 2.4 MB above the inputs; joining the parts into one
-    # document first, and copying each polyline into its element, took 4.1 MB.
+    # Three 32768-point series made a 1.36 MB file when every point was
+    # drawn; at the plot's width they keep at most 4 points a pixel column
+    # each.  Writing the chart part by part keeps its peak bounded; joining
+    # the parts into one document first, and copying each polyline into its
+    # element, took 4.1 MB at every point.
     x = np.arange(32768) * (2.0 * np.pi / 32768)
     series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
     path = tmp_path / "chart.svg"
@@ -223,9 +253,11 @@ def test_written_chart_holds_its_text_about_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size > 1_300_000
+    assert path.stat().st_size < 3 * 4 * 711 * len("780.00,450.00 ") + 2000
     assert peak <= 2.8e6
-    assert path.read_text(encoding="ascii") == render_line_chart(x, series, title="memory")
+    text = path.read_text(encoding="ascii")
+    assert text == render_line_chart(x, series, title="memory")
+    assert _points(text) == polyline_points(x, [y for _, y in series])
 
 
 def _traced_peak(run):
@@ -240,7 +272,7 @@ def _traced_peak(run):
 def test_output_path_peak_memory_is_bounded():
     # The benchmark gates peak RSS, so the formatter's working memory is
     # held to blocks: 32768 rows of four %.17g cells peak near 2.0 MB, and
-    # the parts of a three-series 32768-point chart near 1.9 MB.
+    # the parts of a three-series 32768-point chart near 1.0 MB.
     x = np.arange(32768) * (2.0 * np.pi / 32768)
     series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
     columns = [np.random.default_rng(j).standard_normal(32768) for j in range(4)]
@@ -259,8 +291,10 @@ def test_output_path_peak_memory_is_bounded():
 def test_chart_of_a_huge_constant_has_a_nonzero_span(value):
     # value + 1 == value at these magnitudes, so the span of constant data
     # is widened by a fraction of |value| instead, towards zero.
+    # A constant x puts every point in one pixel column, which keeps its
+    # first (lowest) and last (highest) point of the ramp.
     ramp, flat = np.arange(8.0), np.full(8, value)
-    for x, y, constant in ((ramp, flat, 1), (flat, ramp, 0)):
+    for x, y, constant, kept in ((ramp, flat, 1, 8), (flat, ramp, 0, 2)):
         text = render_line_chart(x, [("c", y)])
         points = [p.split(",") for p in _points(text)[0].split()]
         pixels = np.array(points, dtype=float)
@@ -268,8 +302,9 @@ def test_chart_of_a_huge_constant_has_a_nonzero_span(value):
         assert (pixels[:, 0] >= 70.0).all() and (pixels[:, 0] <= 780.0).all()
         assert (pixels[:, 1] >= 40.0).all() and (pixels[:, 1] <= 450.0).all()
         assert len({p[constant] for p in points}) == 1
-        assert len({p[1 - constant] for p in points}) == 8
+        assert len({p[1 - constant] for p in points}) == len(points) == kept
         assert len(_polylines(text)) == 1
+    assert [p[1] for p in points] == ["431.36", "58.64"]
 
 
 def test_chart_wider_than_the_float_range_has_finite_pixels_and_ticks():
@@ -314,4 +349,55 @@ def test_chart_that_fails_validation_writes_no_file(tmp_path):
     path = tmp_path / "chart.svg"
     with pytest.raises(ValueError):
         write_line_chart(path, np.arange(8.0), [("a", np.ones(7))])
+    for bad in _NON_FINITE:
+        with pytest.raises(ValueError):
+            write_line_chart(path, np.arange(8.0), [("a", np.r_[np.ones(7), bad])])
+        with pytest.raises(ValueError):
+            write_line_chart(path, np.r_[np.arange(7.0), bad], [("a", np.ones(8))])
     assert not path.exists()
+
+
+def test_title_and_labels_are_escaped():
+    title, labels = "N<2 & more", ["x<y", "a&b>c", "&amp;"]
+    text = render_line_chart(np.arange(4.0), [(label, np.arange(4.0)) for label in labels], title=title)
+    texts = [el.text for el in ET.fromstring(text).iter() if el.tag.endswith("text")]
+    assert title in texts
+    assert texts[-len(labels):] == labels
+
+
+def _runs(points):
+    """Runs of consecutive points of equal x pixel column, as (x, y) pixel texts."""
+    runs = []
+    for point in points:
+        if not runs or int(float(point[0])) != int(float(runs[-1][-1][0])):
+            runs.append([])
+        runs[-1].append(tuple(point))
+    return runs
+
+
+# x in [0, 710], so that sx(x) = 70 + x: a point's pixel column is the
+# integer part of its x, and no %.2f x pixel rounds into the next column.
+_PLOT_X = st.builds(lambda column, frac: column + frac,
+                    st.sampled_from([0, 1, 2, 355, 708, 709]), st.floats(0.01, 0.98))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_PLOT_X, st.floats(-1e6, 1e6)), min_size=1, max_size=60),
+       st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2), st.booleans())
+def test_written_polyline_keeps_each_columns_first_last_lowest_and_highest(points, ends, sort):
+    # The ends fix the x limits at 0 and 710.
+    points += [(0.0, ends[0]), (710.0, ends[1])]
+    if sort:
+        points.sort(key=lambda p: p[0])
+    x, y = (np.array(v) for v in zip(*points))
+    px, (py,) = chart_pixels(x, [y])
+    full = _runs([(f"{a:.2f}", f"{b:.2f}") for a, b in zip(px, py)])
+    drawn = _runs([p.split(",") for p in _points(render_line_chart(x, [("a", y)]))[0].split()])
+    assert len(drawn) == len(full)
+    for kept, run in zip(drawn, full):
+        assert len(kept) <= 4
+        assert (kept[0], kept[-1]) == (run[0], run[-1])
+        for extreme in (min, max):
+            assert extreme(float(p[1]) for p in kept) == extreme(float(p[1]) for p in run)
+        remaining = iter(run)  # kept is a subsequence of its run
+        assert all(p in remaining for p in kept)
