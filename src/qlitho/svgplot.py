@@ -299,19 +299,20 @@ def format_rows(columns):
         yield _join(_text(np.column_stack([col[block] for col in columns]), seps))
 
 
-def _column_extremes(y, starts) -> np.ndarray:
-    """The indices, in order, of the points of ``y`` that M4 keeps: of each
-    run of points from one index of ``starts`` to the next, its first and
-    last point and the first points that hold its smallest and its largest
+def _column_extremes(y, bounds) -> np.ndarray:
+    """Which points of ``y`` M4 keeps, as a boolean mask: of each run of
+    points from one index of ``bounds`` to the next, its first and last
+    point and the first points that hold its smallest and its largest
     value."""
-    lengths = np.diff(starts, append=len(y))
+    starts = bounds[:-1]
+    lengths = np.diff(bounds)
     keep = np.zeros(len(y), dtype=bool)
-    keep[starts] = keep[starts + lengths - 1] = True
+    keep[starts] = keep[bounds[1:] - 1] = True
+    index = np.arange(len(y))
     for extreme in (np.minimum, np.maximum):
-        hit = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), lengths))
-        run = np.searchsorted(starts, hit, side="right")
-        keep[hit[np.concatenate(([True], run[1:] != run[:-1]))]] = True
-    return np.flatnonzero(keep)
+        hit = y == np.repeat(extreme.reduceat(y, starts), lengths)
+        keep[np.minimum.reduceat(np.where(hit, index, len(y)), starts)] = True
+    return keep
 
 
 def _polylines(x, ys, sx, sy) -> list[list[str]]:
@@ -322,18 +323,27 @@ def _polylines(x, ys, sx, sy) -> list[list[str]]:
     ``sx(x)`` has the same integer part, in any x order.  Each run keeps its
     first point, its last point, and the first points that hold its
     smallest and its largest y, in their order, so a run of one or two
-    points keeps every point.  Only the kept points are mapped by ``sy``
-    and formatted, a block at a time.
+    points keeps every point.  The runs are selected a block of about
+    ``_BLOCK_CELLS`` points at a time, and only the kept points are mapped
+    by ``sy`` and formatted, a block at a time.
     """
     px = sx(x)
     column = np.floor(px)
-    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    # bound[i]: a run starts at point i, or i is len(x), where the last run ends.
+    bound = np.concatenate(([True], column[1:] != column[:-1], [True]))
+    starts = np.flatnonzero(bound)
+    # Each block of runs begins with the first run that starts in its block of points.
+    edges = starts[np.unique(np.searchsorted(starts, [*range(0, len(x), _BLOCK_CELLS), len(x)]))]
+    del column, starts
     polylines = []
     for y in ys:
-        # y is finite and sy monotone, so the extremes of y are those of its pixels.
-        kept = slice(None) if len(starts) == len(x) else _column_extremes(y, starts)
-        kx, ky = px[kept], y[kept]
-        out = [_join(_pixels(np.column_stack([kx[b], sy(ky[b])]), ", ")) for b in _blocks(len(kx), 2)]
+        keep = np.zeros(len(x), dtype=bool)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # y is finite and sy monotone, so the extremes of y are those of its pixels.
+            keep[lo:hi] = _column_extremes(y[lo:hi], np.flatnonzero(bound[lo:hi + 1]))
+        kept = np.flatnonzero(keep)
+        out = [_join(_pixels(np.column_stack([px[k], sy(y[k])]), ", "))
+               for k in (kept[b] for b in _blocks(len(kept), 2))]
         out[-1] = out[-1][:-1]  # no separator after the last point
         polylines.append(out)
     return polylines

@@ -184,6 +184,17 @@ def test_polylines_match_oracle_at_shared_x_block_edges(n_series):
             assert (kept == {rows}) if shuffled else (max(kept) < _BLOCK)
 
 
+def test_pixel_column_run_longer_than_a_selection_block_is_selected_whole():
+    # Runs are selected a block of about _BLOCK_CELLS points at a time; a
+    # run that spans several blocks keeps at most 4 points all the same.
+    rng = np.random.default_rng(5)
+    x = np.r_[np.arange(100.0), np.full(2 * svgplot._BLOCK_CELLS + 3, 100.5), 101.0 + np.arange(100.0)]
+    y = rng.standard_normal(len(x))
+    points = _points(render_line_chart(x, [("a", y)]))
+    assert points == polyline_points(x, [y])
+    assert len(points[0].split()) == 100 + 4 + 100
+
+
 _NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
@@ -238,26 +249,38 @@ def test_written_chart_parses_with_one_polyline_per_series(tmp_path):
     assert len(_polylines(text)) == len(series)
 
 
+_SORTED = slice(None)
+_SHUFFLED = np.random.default_rng(0).permutation(32768)
+
+
+def _chart_series(order):
+    """Three 32768-point series over one period, with x in the given order."""
+    x = (np.arange(32768) * (2.0 * np.pi / 32768))[order]
+    return x, [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
+
+
 def test_written_chart_holds_its_text_about_once(tmp_path):
-    # Three 32768-point series made a 1.36 MB file when every point was
-    # drawn; at the plot's width they keep at most 4 points a pixel column
-    # each.  Writing the chart part by part keeps its peak bounded; joining
-    # the parts into one document first, and copying each polyline into its
-    # element, took 4.1 MB at every point.
-    x = np.arange(32768) * (2.0 * np.pi / 32768)
-    series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
+    # Writing the chart part by part keeps its peak bounded.  Sorted x keeps
+    # at most 4 points a pixel column per series.  Shuffled x puts almost
+    # every point in a run of its own, so every point is kept and the file
+    # is written at full size.
     path = tmp_path / "chart.svg"
-    tracemalloc.start()
-    try:
-        write_line_chart(path, x, series, title="memory")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size < 3 * 4 * 711 * len("780.00,450.00 ") + 2000
-    assert peak <= 2.8e6
-    text = path.read_text(encoding="ascii")
-    assert text == render_line_chart(x, series, title="memory")
-    assert _points(text) == polyline_points(x, [y for _, y in series])
+    for order in (_SORTED, _SHUFFLED):
+        x, series = _chart_series(order)
+        tracemalloc.start()
+        try:
+            write_line_chart(path, x, series, title="memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if order is _SORTED:
+            assert path.stat().st_size < 3 * 4 * 711 * len("780.00,450.00 ") + 2000
+        else:
+            assert path.stat().st_size > 1_300_000
+        assert peak <= 2.8e6
+        text = path.read_text(encoding="ascii")
+        assert text == render_line_chart(x, series, title="memory")
+        assert _points(text) == polyline_points(x, [y for _, y in series])
 
 
 def _traced_peak(run):
@@ -270,11 +293,10 @@ def _traced_peak(run):
 
 
 def test_output_path_peak_memory_is_bounded():
-    # The benchmark gates peak RSS, so the formatter's working memory is
-    # held to blocks: 32768 rows of four %.17g cells peak near 2.0 MB, and
-    # the parts of a three-series 32768-point chart near 1.0 MB.
-    x = np.arange(32768) * (2.0 * np.pi / 32768)
-    series = [("a", 1.0 + np.cos(20.0 * x)), ("b", 1.0 + np.cos(2.0 * x)), ("c", np.abs(np.sin(7.0 * x)))]
+    # The benchmark gates peak RSS, so the formatters' working memory is
+    # held to blocks: 32768 rows of four %.17g cells, and the parts of a
+    # three-series 32768-point chart whose x is sorted or shuffled (every
+    # point kept).
     columns = [np.random.default_rng(j).standard_normal(32768) for j in range(4)]
     next(format_rows([np.ones(2)]))  # build the formatters' tables outside the traced runs
     render_line_chart(np.arange(2.0), [("a", np.ones(2))])
@@ -284,7 +306,9 @@ def test_output_path_peak_memory_is_bounded():
             pass
 
     assert _traced_peak(consume) <= 3.0e6
-    assert _traced_peak(lambda: svgplot._chart_parts(x, series, "memory")) <= 3.0e6
+    for order in (_SORTED, _SHUFFLED):
+        x, series = _chart_series(order)
+        assert _traced_peak(lambda: svgplot._chart_parts(x, series, "memory")) <= 3.0e6
 
 
 @pytest.mark.parametrize("value", [1e20, -1e300, sys.float_info.max, -sys.float_info.max])
