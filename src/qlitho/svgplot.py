@@ -332,8 +332,10 @@ def _polylines(x, ys, sx, sy) -> list[list[str]]:
     # bound[i]: a run starts at point i, or i is len(x), where the last run ends.
     bound = np.concatenate(([True], column[1:] != column[:-1], [True]))
     starts = np.flatnonzero(bound)
-    # Each block of runs begins with the first run that starts in its block of points.
-    edges = starts[np.unique(np.searchsorted(starts, [*range(0, len(x), _BLOCK_CELLS), len(x)]))]
+    # Each block of runs begins with the first run that starts in its block
+    # of points.  Not np.unique: it imports numpy.ma, 1.7 MB of resident memory.
+    firsts = starts[np.searchsorted(starts, [*range(0, len(x), _BLOCK_CELLS), len(x)])]
+    edges = list(dict.fromkeys(firsts.tolist()))
     del column, starts
     polylines = []
     for y in ys:

@@ -158,9 +158,11 @@ def _points(text):
 def test_polylines_match_per_point_oracle(rows):
     # Sorted x fills each pixel column with many points, of which M4 keeps
     # at most four; shuffled x puts nearly every point in a run of its own,
-    # so nearly every point is kept and formatted.
+    # so nearly every point is kept and formatted.  Two x values make two
+    # runs, which at 32768 rows span several blocks of selected points.
     rng = np.random.default_rng(rows)
-    for x in (np.sort(rng.uniform(-4.0, 4.0, rows)), rng.uniform(-4.0, 4.0, rows)):
+    sorted_x = np.sort(rng.uniform(-4.0, 4.0, rows))
+    for x in (sorted_x, rng.uniform(-4.0, 4.0, rows), np.floor(sorted_x / 4.0)):
         for n_series in range(1, 7):
             ys = [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4) for _ in range(n_series)]
             text = render_line_chart(x, [(f"s{j}", y) for j, y in enumerate(ys)], title="t")
@@ -182,17 +184,6 @@ def test_polylines_match_oracle_at_shared_x_block_edges(n_series):
             assert _points(text) == polyline_points(x, ys), rows
             kept = {len(p.split()) for p in _points(text)}
             assert (kept == {rows}) if shuffled else (max(kept) < _BLOCK)
-
-
-def test_pixel_column_run_longer_than_a_selection_block_is_selected_whole():
-    # Runs are selected a block of about _BLOCK_CELLS points at a time; a
-    # run that spans several blocks keeps at most 4 points all the same.
-    rng = np.random.default_rng(5)
-    x = np.r_[np.arange(100.0), np.full(2 * svgplot._BLOCK_CELLS + 3, 100.5), 101.0 + np.arange(100.0)]
-    y = rng.standard_normal(len(x))
-    points = _points(render_line_chart(x, [("a", y)]))
-    assert points == polyline_points(x, [y])
-    assert len(points[0].split()) == 100 + 4 + 100
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf]
