@@ -200,8 +200,7 @@ _GOLDEN_CSV = {
 # the doses and their formatting.  At grid 64 every pixel column holds one
 # point, so every point is drawn.  At grid 4097 a column holds about six,
 # of which the chart keeps at most four a series (M4); those two digests
-# were taken when M4 came in, from SVGs whose points matched the per-point
-# oracle of their CSV columns.
+# are of SVGs whose points match the per-point oracle of their CSV columns.
 _GOLDEN_SVG = {
     "noon --n 3 --grid 64":
         "07a2c780937042fdf2241acc1615d19bd63af8bcf45e0516c75b374407d838e1",
