@@ -2,11 +2,11 @@
 
 Two indistinguishable photons entering a balanced beamsplitter on
 opposite ports never exit on opposite ports: the two coincidence
-amplitudes cancel, and the pair leaves bunched as the entangled state
-(|2,0> + |0,2>)/sqrt2 (up to a phase).  This demo evolves |1,1> through
-the beamsplitter, prints every output amplitude, and contrasts the
-coincidence probability with the 1/2 expected for distinguishable
-particles.
+amplitudes cancel to rounding, and the pair leaves bunched as the
+entangled state (|2,0> + |0,2>)/sqrt2 (up to a phase).  This demo
+evolves |1,1> through the beamsplitter, prints every output amplitude,
+and contrasts the coincidence probability with the 1/2 expected for
+distinguishable particles.
 
 Run from the repository root:
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dosing import SubstrateConvention
+from .dosing import SubstrateConvention, _check_convention
 
 
 def classical_one_photon(phi):
@@ -33,5 +33,6 @@ def noon_exposure(n_photons: int, phi, convention=SubstrateConvention.SYMMETRIC)
     """Path-entangled N-photon fringe 1 + cos(2 N phi), 1 + cos(N phi) in SINGLE_ARM."""
     if n_photons < 1:
         raise ValueError("photon number must be a positive integer")
+    _check_convention(convention)
     rate = 2.0 if convention is SubstrateConvention.SYMMETRIC else 1.0
     return 1.0 + np.cos(rate * n_photons * np.asarray(phi, dtype=float))

@@ -72,18 +72,22 @@ class SubstrateConvention(enum.Enum):
     SINGLE_ARM = "single-arm"
 
 
+def _check_convention(convention) -> None:
+    if not isinstance(convention, SubstrateConvention):
+        raise ValueError(f"unknown substrate convention {convention!r}")
+
+
 def _field(phis, convention: SubstrateConvention, site: str):
     """Field arrays (alpha, beta) that dose a state at ``site`` ("substrate",
     "shifter" or "inputs"), and the dose's doublings per absorbed photon."""
     if not np.all(np.isfinite(phis)):
         raise ValueError("substrate phase must be finite")
+    _check_convention(convention)
     wave = np.exp(1j * np.atleast_1d(phis))
     if convention is SubstrateConvention.SYMMETRIC:
         field = (wave, wave.conj())
-    elif convention is SubstrateConvention.SINGLE_ARM:
-        field = (np.ones_like(wave) if site == "substrate" else wave, np.ones_like(wave))
     else:
-        raise ValueError(f"unknown substrate convention {convention!r}")
+        field = (np.ones_like(wave) if site == "substrate" else wave, np.ones_like(wave))
     if site == "inputs":
         return _INPUT_CHAIN.T @ field / 2, 1
     return field, 0
@@ -102,9 +106,11 @@ def interferometer(phi: float, convention: SubstrateConvention = SubstrateConven
     mirror; SINGLE_ARM additionally applies the explicit phase shifter,
     while SYMMETRIC leaves the phase to the substrate field itself.
     """
+    _check_convention(convention)
+    shifter = phase_shifter(phi)  # refuses a non-finite phase in both conventions
     chain = compose(mirror(), beamsplitter())
     if convention is SubstrateConvention.SINGLE_ARM:
-        chain = compose(phase_shifter(phi), chain)
+        chain = compose(shifter, chain)
     return chain
 
 

@@ -25,6 +25,7 @@ fringe of |1,1> through a balanced splitter peaks at exactly 2.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -92,11 +93,15 @@ class FockState:
 def make_state(pairs) -> FockState:
     """Build a normalized state from a map of occupation pairs to amplitudes.
 
-    Raises on a negative occupation or a non-finite amplitude, or if all
-    amplitudes are zero (an empty map included): no state to normalize.
+    Raises on a non-integer or negative occupation, a non-finite amplitude,
+    or all-zero amplitudes (an empty map included): no state to normalize.
     """
     amps: dict[tuple[int, int], complex] = {}
-    for (n, m), amp in pairs.items():
+    for pair, amp in pairs.items():
+        try:
+            n, m = (operator.index(k) for k in pair)
+        except TypeError:
+            raise ValueError(f"occupations must be integers, got {pair!r}") from None
         if n < 0 or m < 0:
             raise ValueError(f"negative occupation in pair ({n}, {m})")
         z = complex(amp)

@@ -2,13 +2,12 @@
 
 A lossless element is a 2x2 unitary T acting on the annihilation
 operators, (c, d)^T = T (a, b)^T.  States evolve in the Schroedinger
-picture by rewriting each input creation operator in terms of the output
-ones,
-
-    a† -> T11 c† + T21 d†,      b† -> T12 c† + T22 d†,
-
-acting on each photon-number sector as one dense matrix.  No dose evolves
-a state: :mod:`qlitho.dosing` pulls the field back through T instead.
+picture, a† -> T11 c† + T21 d† and b† -> T12 c† + T22 d†: with T = exp(iH),
+that is exp(iG) for the number-conserving G = H11 a†a + H12 a†b +
+H21 b†a + H22 b†b.  On sector M, G is an (M+1)x(M+1) Hermitian
+tridiagonal matrix, so each occupied sector costs one Hermitian
+eigenproblem of that size.  No dose evolves a state: :mod:`qlitho.dosing`
+pulls the field back through T instead.
 """
 
 from __future__ import annotations
@@ -31,17 +30,16 @@ class ModeUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"mode unitary must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():
             raise ValueError("mode unitary entries must be finite")
         defect = np.abs(m.conj().T @ m - np.eye(2)).max()
         if defect > _UNITARITY_TOL:
             raise ValueError(
                 f"matrix is not unitary: max |T†T - I| = {defect:.3e}"
             )
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -69,38 +67,24 @@ def compose(outer: ModeUnitary, inner: ModeUnitary) -> ModeUnitary:
     return ModeUnitary(outer.matrix @ inner.matrix)
 
 
-def _create(vecs: np.ndarray, x: complex, y: complex) -> np.ndarray:
-    """(x a† + y b†) on the columns of vecs, sector M to sector M+1.
-
-    Row n of ``vecs`` is the amplitude of |n, M-n>:
-    a† |n, M-n> = sqrt(n+1) |n+1, M-n> and b† |n, M-n> = sqrt(M-n+1) |n, M-n+1>.
-    """
-    size = len(vecs)
-    root = np.sqrt(np.arange(size + 1.0))[:, None]
-    out = np.zeros((size + 1, vecs.shape[1]), dtype=complex)
-    out[1:] += x * root[1:] * vecs
-    out[:-1] += y * root[:0:-1] * vecs
-    return out
-
-
 def evolve(state: FockState, u: ModeUnitary) -> FockState:
     """Push a state through a linear element in the Schroedinger picture.
 
-    Sector M evolves by the (M+1)x(M+1) symmetric-power matrix of T,
-    S_M[p, n] = <p, M-p| U |n, M-n>.  Input creation operators become
-    a† -> T11 c† + T21 d† and b† -> T12 c† + T22 d†, so column n of S_M is
-    column n-1 of S_{M-1} after one such a† step, divided by sqrt(n)
-    (column 0 takes a b† step, divided by sqrt(M)).
+    H = -i log T is taken from the eigenvalue angles of T and its
+    eigenvectors, made orthonormal by QR (eig's pair need not be for a
+    repeated eigenvalue, as in -I).  Sector M evolves by exp(i G_M), with
+    G_M[n, n] = H11 n + H22 (M-n) and G_M[n+1, n] = H12 sqrt((n+1)(M-n));
+    the phases e^{i n arg H12} make G_M real symmetric for eigh.
     """
-    t = u.matrix
+    vals, vecs = np.linalg.eig(u.matrix)
+    w = np.linalg.qr(vecs)[0]
+    h = (w * np.angle(vals)) @ w.conj().T
     out = {}
-    sym = np.ones((1, 1), dtype=complex)  # S_0: the vacuum stays put
-    for total in range(max(state.sectors, default=-1) + 1):
-        if total:
-            raised = np.empty((total + 1, total + 1), dtype=complex)
-            raised[:, 1:] = _create(sym, t[0, 0], t[1, 0]) / np.sqrt(np.arange(1.0, total + 1))
-            raised[:, :1] = _create(sym[:, :1], t[0, 1], t[1, 1]) / math.sqrt(total)
-            sym = raised
-        if total in state.sectors:
-            out[total] = sym @ state.sectors[total]
+    for total, psi in state.sectors.items():
+        n = np.arange(total + 1.0)
+        diag = h[0, 0].real * n + h[1, 1].real * (total - n)
+        hop = abs(h[0, 1]) * np.sqrt(n[1:] * (total - n[:-1]))
+        lam, v = np.linalg.eigh(np.diag(diag) + np.diag(hop, -1))  # eigh reads the lower triangle
+        phase = np.exp(1j * np.angle(h[0, 1]) * n)
+        out[total] = phase * (v @ (np.exp(1j * lam) * (v.T @ (phase.conj() * psi))))
     return FockState(out)

@@ -70,6 +70,9 @@ def test_noon_exposure_period():
         assert np.max(np.abs(shifted - noon_exposure(n, grid))) < 1e-12
     with pytest.raises(ValueError, match="positive"):
         noon_exposure(0, grid)
+    for convention in ("symmetric", "single-arm", None):
+        with pytest.raises(ValueError, match="unknown substrate convention"):
+            noon_exposure(2, grid, convention)
 
 
 def test_simulated_single_photon_matches_classical_harmonics():

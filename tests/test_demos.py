@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs and writes charts that parse."""
+"""Smoke test: every demo script runs and writes charts that parse, and the
+Hong-Ou-Mandel demo prints a bunched pair."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -41,3 +43,9 @@ def test_demo_runs_and_writes_charts(tmp_path, demo):
         root = ET.parse(charts[name]).getroot()
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == series, name
+    if demo == "hong_ou_mandel":
+        # The pair bunches: no coincidences, each bunched port at 1/2.
+        probs = dict(re.findall(r"(\|\d,\d>)  amplitude \S+\s+probability (\S+)", result.stdout))
+        assert probs["|2,0>"] == probs["|0,2>"] == "0.500000"
+        quantum = re.search(r"coincidence probability \(quantum\)\s*: (\S+)", result.stdout)
+        assert float(quantum.group(1)) < 1e-20

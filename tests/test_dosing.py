@@ -48,6 +48,15 @@ def test_interferometer_matrices():
     chained = compose(phase_shifter(0.4), compose(mirror(), beamsplitter())).matrix
     assert np.max(np.abs(arm - chained)) < 1e-15
 
+    # Only members select a branch: the value string is not a convention.
+    for convention in ("single-arm", "symmetric", None):
+        with pytest.raises(ValueError, match="unknown substrate convention"):
+            interferometer(0.3, convention)
+    for convention in SubstrateConvention:
+        for phi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                interferometer(phi, convention)
+
 
 def test_input_chain_is_the_scaled_splitter_and_mirror():
     chain = compose(mirror(), beamsplitter()).matrix

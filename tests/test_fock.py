@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qlitho.dosing import deposition_rate
+from qlitho.dosing import deposition_rate, noon_state
 from qlitho.fock import (
     FieldCoefficients,
     FockState,
@@ -82,6 +82,12 @@ def test_make_state_rejects_bad_input():
         make_state({(1, 1): 0.0})
     with pytest.raises(ValueError, match="degenerate"):
         make_state({})
+    with pytest.raises(ValueError, match=r"integers, got \(0, 2\.5\)"):
+        noon_state(2.5)
+    with pytest.raises(ValueError, match="integers"):
+        make_state({(1.0, 0): 1.0})
+    state = make_state({(np.int64(2), np.uint8(1)): 1.0})
+    assert state.amplitudes == {(2, 1): 1.0}
 
 
 def test_annihilation_lowers_occupation():

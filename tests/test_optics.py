@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_state_map, random_unitary, transition_amplitude
-from qlitho.fock import FieldCoefficients, apply_field_power, make_state, squared_norm
+from qlitho.fock import FieldCoefficients, FockState, apply_field_power, make_state, squared_norm
 from qlitho.optics import (
     ModeUnitary,
     beamsplitter,
@@ -65,6 +65,13 @@ def test_unitarity_enforced():
         ModeUnitary(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         ModeUnitary(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        ModeUnitary(np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]).T)
+    # Unitaries held in memory that is not C-contiguous are accepted.
+    t = random_unitary(np.random.default_rng(3))
+    for view in (beamsplitter().matrix.T, t.conj().T, np.asfortranarray(t), np.asfortranarray(np.eye(2))):
+        assert not view.flags.c_contiguous
+        assert np.array_equal(ModeUnitary(view).matrix, view)
 
 
 def test_matrix_is_defensively_copied():
@@ -137,6 +144,33 @@ def test_norm_is_preserved():
         state = make_state(random_state_map(rng, cutoff))
         out = evolve(state, ModeUnitary(random_unitary(rng)))
         assert abs(squared_norm(out) - 1.0) < 1e-12
+
+
+def test_high_sectors_stay_unitary():
+    # Dense sectors far above the oracles' reach keep their norm, and the
+    # inverse element T^H undoes the evolution.
+    rng = np.random.default_rng(41)
+    for total in (100, 200):
+        psi = rng.standard_normal(total + 1) + 1j * rng.standard_normal(total + 1)
+        state = FockState({total: psi / np.linalg.norm(psi)})
+        for u in (beamsplitter(), ModeUnitary(random_unitary(rng))):
+            out = evolve(state, u)
+            assert abs(squared_norm(out) - 1.0) < 1e-12, total
+            back = evolve(out, ModeUnitary(u.matrix.conj().T))
+            assert np.max(np.abs(back.sectors[total] - state.sectors[total])) < 1e-12, total
+
+
+def test_number_state_matches_binomial_closed_form():
+    # a†^M / sqrt(M!) -> (T11 c† + T21 d†)^M / sqrt(M!), so
+    # <p, M-p| U |M, 0> = sqrt(C(M, p)) T11^p T21^(M-p).
+    total = 400
+    t = random_unitary(np.random.default_rng(43))
+    out = evolve(make_state({(total, 0): 1.0}), ModeUnitary(t))
+    p = np.arange(total + 1)
+    log_binom = np.array([math.lgamma(total + 1) - math.lgamma(k + 1) - math.lgamma(total - k + 1) for k in p])
+    log_amp = 0.5 * log_binom + p * np.log(abs(t[0, 0])) + (total - p) * np.log(abs(t[1, 0]))
+    expected = np.exp(log_amp + 1j * (p * np.angle(t[0, 0]) + (total - p) * np.angle(t[1, 0])))
+    assert np.max(np.abs(out.sectors[total] - expected)) < 1e-12
 
 
 def test_photon_number_is_conserved():
