@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dosing import SubstrateConvention, _check_convention
+from .fock import _count
 
 
 def classical_one_photon(phi):
@@ -24,15 +25,13 @@ def classical_n_photon(n_photons: int, phi):
     and two-photon forms at N = 1, 2.  Evaluated as 2 ((1 + cos 2phi)/2)^N,
     whose base never exceeds 1, so no N overflows.
     """
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
+    n_photons = _count(n_photons, "photon number")
     return 2.0 * (classical_one_photon(phi) / 2.0) ** n_photons
 
 
 def noon_exposure(n_photons: int, phi, convention=SubstrateConvention.SYMMETRIC):
     """Path-entangled N-photon fringe 1 + cos(2 N phi), 1 + cos(N phi) in SINGLE_ARM."""
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
+    n_photons = _count(n_photons, "photon number")
     _check_convention(convention)
     rate = 2.0 if convention is SubstrateConvention.SYMMETRIC else 1.0
     return 1.0 + np.cos(rate * n_photons * np.asarray(phi, dtype=float))

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FieldCoefficients, FockState, _field_powers, _lowering_terms, make_state
+from .fock import FieldCoefficients, FockState, _count, _field_powers, _lowering_terms, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Upper bound on the elements of one block of work (dose arrays, synthesis QR
@@ -134,7 +134,9 @@ def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray
     for psi in state.sectors.values():
         if len(psi) <= n_photons:
             continue
-        terms, ks, norm = _lowering_terms(psi, n_photons, scaled=True)
+        terms, _, ks, norm = _lowering_terms(psi, n_photons, scaled=True)
+        if not terms.size:
+            continue
         step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
         for lo in range(0, len(doses), step):
             block = slice(lo, lo + step)
@@ -146,8 +148,7 @@ def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray
 
 def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention, site: str):
     """Doses over the phases ``phis`` of a fixed state sitting at ``site``."""
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
+    n_photons = _count(n_photons, "photon number")
     if site == "inputs" and n_photons > _MAX_INPUT_PHOTONS:
         raise ValueError(f"input-port doses need N <= {_MAX_INPUT_PHOTONS} (got {n_photons})")
     return _doses(state, n_photons, *_field(phis, convention, site))
@@ -267,8 +268,7 @@ def fourier_components(profile: ExposureProfile, max_harmonic: int) -> np.ndarra
     c_h = a_h / 2.  Harmonics at or above G/2 alias on a G-point grid and
     are refused.
     """
-    if max_harmonic < 0:
-        raise ValueError("max_harmonic must be nonnegative")
+    max_harmonic = _count(max_harmonic, "max_harmonic", least=0)
     g = profile.grid_points
     if max_harmonic >= g / 2:
         raise ValueError(
@@ -286,8 +286,7 @@ def min_feature(n_photons: int, wavelength: float) -> float:
     wavelength / N of substrate travel, so adjacent dark-to-bright
     features sit wavelength / (2 N) apart.
     """
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
+    n_photons = _count(n_photons, "photon number")
     if not (math.isfinite(wavelength) and wavelength > 0):
         raise ValueError("wavelength must be positive and finite")
     return wavelength / (2.0 * n_photons)

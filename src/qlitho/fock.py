@@ -20,6 +20,13 @@ float range at any N, and divide the squared sum by N!/4^s.  Dividing
 after squaring, rather than normalizing each coefficient, lets the
 roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the two-photon
 fringe of |1,1> through a balanced splitter peaks at exactly 2.
+
+Only the output rows j that a nonzero psi reaches are kept, each with
+its row index, so the product for a sparse sector (a squeezed vacuum's
+|n, n>) spans those rows, not all M-N+1.  The field powers
+alpha^k beta^(N-k) are numpy's exact squaring below N = 100; from
+N = 100 on they are built from such powers (see _field_powers), never
+from libm cpow.
 """
 
 from __future__ import annotations
@@ -127,6 +134,18 @@ def make_state(pairs) -> FockState:
     return FockState(sectors)
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int; ValueError unless it is an integer of at least ``least``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        kind = "positive" if least > 0 else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+    return count
+
+
 def squared_norm(state: FockState) -> float:
     """Sum of |amplitude|^2 over all occupation pairs."""
     return float(sum(np.sum(np.abs(psi) ** 2) for psi in state.sectors.values()))
@@ -135,46 +154,85 @@ def squared_norm(state: FockState) -> float:
 def _lowering_terms(psi: np.ndarray, power: int, scaled: bool = False):
     """Coefficients of e^power on one sector array.
 
-    Returns ``(terms, ks, norm)``: terms[j, i] = psi[j+k] sqrt(power!) w(j, k)
-    is the coefficient of alpha^k beta^(power-k), k = ks[i], for output
-    pair (j, M-power-j); only columns holding a nonzero coefficient are
-    kept.  ``scaled`` divides the terms by 2^s, 4^s <= power! < 4^(s+1),
+    Returns ``(terms, rows, ks, norm)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k)
+    is the coefficient of alpha^k beta^(power-k), k = ks[c], for output
+    pair (j, M-power-j), j = rows[i].  Only the output rows and the columns
+    holding a nonzero coefficient are kept: the field-power product of a
+    sparse sector spans the rows it reaches, and an all-zero sector has
+    none.  ``scaled`` divides the terms by 2^s, 4^s <= power! < 4^(s+1),
     and ``norm`` = power!/4^s (else 1) divides their squared sum into the
     dose.  Requires len(psi) > power; raises OverflowError if a term
     leaves the float range.
     """
     total = len(psi) - 1
     amp = psi[np.arange(total - power + 1)[:, None] + np.arange(power + 1)]
-    terms = np.zeros(amp.shape, dtype=complex)
     fact = math.factorial(power)
-    shift = (fact.bit_length() - 1) // 2 if scaled else 0
-    for j, k in zip(*np.nonzero(amp)):
-        n = j + k
-        square = fact * math.comb(power, k) * math.comb(n, k) * math.comb(total - n, power - k)
-        terms[j, k] = amp[j, k] * math.sqrt(square / (1 << 2 * shift))
-    ks = np.flatnonzero(terms.any(axis=0))
-    return terms[:, ks], ks, fact / (1 << 2 * shift) if scaled else 1.0
+    four_s = 1 << 2 * ((fact.bit_length() - 1) // 2) if scaled else 1
+    jj, kk = np.nonzero(amp)
+    weights = [
+        math.sqrt(fact * math.comb(power, k) * math.comb(n, k) * math.comb(total - n, power - k) / four_s)
+        for n, k in zip((jj + kk).tolist(), kk.tolist())
+    ]
+    terms = np.zeros(amp.shape, dtype=complex)
+    terms[jj, kk] = amp[jj, kk] * np.array(weights)
+    rows, ks = terms.any(axis=1).nonzero()[0], terms.any(axis=0).nonzero()[0]
+    return terms[rows[:, None], ks], rows, ks, fact / four_s if scaled else 1.0
+
+
+# numpy's complex power squares an integer exponent below this; at or above
+# it, it calls libm cpow, several times slower and less accurate.
+_SQUARED_EXPONENTS = 100
 
 
 def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarray) -> np.ndarray:
-    """alpha^k beta^(power-k): one row per k in ks, one column per field."""
-    return alpha ** ks[:, None] * beta ** (power - ks)[:, None]
+    """alpha^k beta^(power-k): one row per k in ks, one column per field.
+
+    From power 100 on, each power is built in place from numpy powers with
+    exponents below 100: z^n = z^(n mod 64) (z^64)^(n div 64), the quotient
+    split the same way until it is below 100.  Each row multiplies in its
+    alpha, then its beta factors, level by level; besides the rows this
+    holds one scratch row and the current rung z^(64^level).
+    """
+    if power < _SQUARED_EXPONENTS:
+        return alpha ** ks[:, None] * beta ** (power - ks)[:, None]
+    out = np.empty((len(ks), len(alpha)), dtype=complex)
+    scratch, rung = np.empty_like(out[0]), np.empty_like(out[0])
+    started = [False] * len(ks)
+    for z, exps in ((alpha, ks.tolist()), (beta, (power - ks).tolist())):
+        while any(exps):
+            for row, n in enumerate(exps):
+                digit = n % 64 if n >= _SQUARED_EXPONENTS else n
+                if not digit:
+                    continue
+                if not started[row]:
+                    np.power(z, digit, out=out[row])
+                    started[row] = True
+                elif digit == 1:
+                    out[row] *= z
+                else:
+                    out[row] *= np.power(z, digit, out=scratch)
+            exps = [n // 64 if n >= _SQUARED_EXPONENTS else 0 for n in exps]
+            if any(exps):
+                z = np.power(z, 64, out=rung)
+    return out
 
 
 def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> FockState:
     """Apply (alpha*a + beta*b)**power to the state.
 
-    Each sector M >= power maps densely to sector M - power (see the
-    module docstring); sectors below ``power`` are annihilated.  Returns
+    Each sector M >= power maps to sector M - power (see the module
+    docstring): the rows its amplitudes reach are formed and scattered
+    into a zero sector; sectors below ``power`` are annihilated.  Returns
     an unnormalized state: the zero vector, never an error, if no sector
     holds ``power`` photons.
     """
-    if power < 1:
-        raise ValueError("field power must be a positive integer")
+    power = _count(power, "field power")
     alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
     out = {}
     for total, psi in state.sectors.items():
         if total >= power:
-            terms, ks, _ = _lowering_terms(psi, power)
-            out[total - power] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
+            terms, rows, ks, _ = _lowering_terms(psi, power)
+            out[total - power] = sector = np.zeros(total - power + 1, dtype=complex)
+            if terms.size:
+                sector[rows] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
     return FockState(out)

@@ -198,7 +198,7 @@ def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
     (alpha, beta), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
     rows = []
     for p in basis.partitions:
-        terms, ks, norm = _lowering_terms(psi_np(n, p, 0.0).sectors[n], n, scaled=True)
+        terms, _, ks, norm = _lowering_terms(psi_np(n, p, 0.0).sectors[n], n, scaled=True)
         amp = (terms @ _field_powers(alpha, beta, n, ks))[0] / math.sqrt(norm)
         rows.append(amp * np.exp(1j * p * phis))
     return np.array(rows)

@@ -192,6 +192,12 @@ _GOLDEN_CSV = {
         "0ff13776e794ba7ae4baab397207b3ad2472a7171d7907a1bb2311ed87bfc4ff",
     "compare --n 4 --grid 4097":
         "131ae77322820b401e4f344df4614c7d97c6359fc3c24308f1f502b01a8b7b6f",
+    # From N = 100 on, the field powers are built from exponents below 100
+    # (fock._field_powers); these two pin that path's bits.
+    "compare --n 100 --grid 64":
+        "954dff71b92f740d7f8cd48848e56647e014b5c0d6c9430c5820f1e8b13730b8",
+    "noon --n 171 --grid 64":
+        "b2afd22f69cf45f6d9a2a237d8ebf615226508bfb11433aa2fa7a78f9ec09c91",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_dose, number_state_dose, random_state_map
 from qlitho import dosing
-from qlitho.baselines import classical_two_photon, noon_exposure
+from qlitho.baselines import classical_n_photon, classical_two_photon, noon_exposure
 from qlitho.dosing import (
     _INPUT_CHAIN,
     ExposureProfile,
@@ -27,7 +27,7 @@ from qlitho.dosing import (
     pipeline_rate,
     substrate_field,
 )
-from qlitho.fock import make_state
+from qlitho.fock import FieldCoefficients, apply_field_power, make_state
 from qlitho.optics import beamsplitter, compose, mirror, phase_shifter
 
 
@@ -467,3 +467,28 @@ def test_min_feature_values():
         min_feature(0, 248.0)
     with pytest.raises(ValueError):
         min_feature(2, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: noon_exposure(2.5, 0.3), id="noon_exposure"),
+    pytest.param(lambda: classical_n_photon(2.5, 0.3), id="classical_n_photon"),
+    pytest.param(lambda: min_feature(2.5, 1.0), id="min_feature"),
+    pytest.param(lambda: deposition_rate(noon_state(2), 1.5, 0.3), id="deposition_rate"),
+    pytest.param(lambda: pipeline_rate(noon_state(2), 2.0, 0.3), id="pipeline_rate"),
+    pytest.param(lambda: exposure_profile(noon_state(2), 2.0, 8), id="exposure_profile"),
+    pytest.param(lambda: apply_field_power(noon_state(2), FieldCoefficients(1.0, 1.0), 1.0),
+                 id="apply_field_power"),
+    pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), 2.5),
+                 id="fourier_components"),
+])
+def test_non_integer_photon_numbers_are_refused(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_numpy_integer_photon_numbers_are_accepted():
+    assert min_feature(np.int64(4), 1.0) == 0.125
+    assert noon_exposure(np.uint8(2), 0.0) == classical_n_photon(np.int32(3), 0.0) == 2.0
+    assert deposition_rate(noon_state(2), np.int16(2), 0.0) == deposition_rate(noon_state(2), 2, 0.0)
+    profile = ExposureProfile(phase_grid(16), np.ones(16))
+    assert fourier_components(profile, np.int64(0)).shape == (1,)

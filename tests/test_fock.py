@@ -2,18 +2,35 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlitho.dosing import deposition_rate, noon_state
+from oracles import dense_dose
+from qlitho import dosing
+from qlitho.dosing import (
+    SubstrateConvention,
+    _grid_doses,
+    deposition_rate,
+    interferometer,
+    noon_state,
+    phase_grid,
+    substrate_field,
+)
 from qlitho.fock import (
     FieldCoefficients,
     FockState,
+    _field_powers,
+    _lowering_terms,
     apply_field_power,
     make_state,
     squared_norm,
 )
+
+_SITES = ("substrate", "shifter", "inputs")
 
 
 def _mode_index(mode) -> int:
@@ -264,3 +281,108 @@ def test_high_occupancy_is_finite():
     value = squared_norm(out)
     assert math.isfinite(value)
     assert value > 0.0
+
+
+# ---------------------------------------------------------------------------
+# field powers: numpy's squaring below exponent 100, exponent splits above
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80)
+@given(st.integers(1, 99), st.data(), st.sampled_from(SubstrateConvention), st.sampled_from(_SITES))
+def test_field_powers_below_exponent_100_are_numpys_powers(power, data, convention, site):
+    phis = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)))
+    ks = np.array(sorted(data.draw(st.sets(st.integers(0, power), min_size=1, max_size=8))))
+    (alpha, beta), _ = dosing._field(phis, convention, site)
+    expected = alpha ** ks[:, None] * beta ** (power - ks)[:, None]
+    assert _field_powers(alpha, beta, power, ks).tobytes() == expected.tobytes()
+
+
+def _exact_power(z: complex, n: int) -> tuple[Decimal, Decimal]:
+    """z^n of the float z's exact value, by binary powering in 40-digit decimals."""
+    re, im = Decimal(z.real), Decimal(z.imag)
+    acc_re, acc_im = Decimal(1), Decimal(0)
+    while n:
+        if n & 1:
+            acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
+        n >>= 1
+        re, im = re * re - im * im, 2 * re * im
+    return acc_re, acc_im
+
+
+@pytest.mark.parametrize("power", [100, 171, 1000, 10**5])
+def test_field_powers_from_exponent_100_are_within_n_eps_of_exact(power):
+    # Relative error at most N eps; a power below the normal range may
+    # round to a subnormal or to zero, which the smallest normal covers.
+    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
+    ks = np.unique(np.clip([0, 1, 63, 64, 99, 100, 129, power // 2, power - 65, power - 1, power], 0, power))
+    bound = Decimal(power * np.finfo(float).eps)
+    tiny = Decimal(np.finfo(float).tiny)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for convention in SubstrateConvention:
+            for site in _SITES:
+                (alpha, beta), _ = dosing._field(phis, convention, site)
+                got = _field_powers(alpha, beta, power, ks)
+                for row, k in zip(got, ks.tolist()):
+                    for value, a, b in zip(row.tolist(), alpha.tolist(), beta.tolist()):
+                        (ar, ai), (br, bi) = _exact_power(a, k), _exact_power(b, power - k)
+                        er, ei = ar * br - ai * bi, ar * bi + ai * br
+                        err = ((Decimal(value.real) - er) ** 2 + (Decimal(value.imag) - ei) ** 2).sqrt()
+                        assert err <= bound * (er * er + ei * ei).sqrt() + tiny, (convention, site, k)
+
+
+# ---------------------------------------------------------------------------
+# sparse sectors: only the output rows a state reaches
+# ---------------------------------------------------------------------------
+
+def _squeezed_vacuum(r: float, top: int) -> FockState:
+    """Two-mode squeezed vacuum sum_n tanh^n r |n, n>, truncated at n = top."""
+    return make_state({(n, n): math.tanh(r) ** n for n in range(top + 1)})
+
+
+# Per-mode occupation bound and state.  The second holds an all-zero sector
+# above its others, so N = 4, 5 reach that sector only.
+_SPARSE_STATES = [
+    pytest.param(5, _squeezed_vacuum(0.8, 5), id="squeezed"),
+    pytest.param(5, FockState({5: np.zeros(6), 3: [0.6, 0.0, 0.8j, 0.0], 1: [0.0, 1.0]}), id="zero-sector"),
+]
+
+
+@pytest.mark.parametrize("cutoff, state", _SPARSE_STATES)
+def test_sparse_sector_doses_at_the_inputs_match_the_dense_oracle(cutoff, state):
+    phis = phase_grid(8)
+    for n_photons in range(1, 6):
+        for convention in SubstrateConvention:
+            doses = _grid_doses(state, n_photons, phis, convention, "inputs")
+            for phi, dose in zip(phis, doses):
+                f = substrate_field(phi, convention)
+                field = np.array([f.alpha, f.beta]) @ interferometer(phi, convention).matrix
+                expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
+                assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("cutoff, state", _SPARSE_STATES)
+def test_sparse_sector_field_powers_equal_repeated_annihilation(cutoff, state):
+    for mode in ("a", "b"):
+        step = state
+        for power in range(1, cutoff + 1):
+            step = apply_annihilation(step, mode)
+            direct = apply_field_power(state, FieldCoefficients(1.0 - (mode == "b"), float(mode == "b")), power)
+            assert set(direct.sectors) == set(step.sectors)
+            for total, psi in direct.sectors.items():
+                assert np.allclose(psi, step.sectors[total], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff, state", _SPARSE_STATES)
+def test_lowering_terms_return_only_rows_the_sector_reaches(cutoff, state):
+    for total, psi in state.sectors.items():
+        held = np.flatnonzero(psi)
+        for power in range(1, total + 1):
+            terms, rows, ks, _ = _lowering_terms(psi, power, scaled=True)
+            reached = {n - k for n in held for k in range(power + 1) if 0 <= n - k <= total - power}
+            assert rows.tolist() == sorted(reached)
+            assert terms.shape == (len(rows), len(ks))
+            assert terms.any(axis=1).all() and terms.any(axis=0).all()
+    # A squeezed sector |n, n> at N = 2 reaches 3 of its 2n - 1 output rows.
+    terms, rows, _, _ = _lowering_terms(_squeezed_vacuum(0.8, 5).sectors[10], 2)
+    assert rows.tolist() == [3, 4, 5] and terms.shape == (3, 3)
