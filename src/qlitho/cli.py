@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -260,7 +260,7 @@ def _load_target(path: str) -> ExposureProfile:
     """Rows of ``phi,value``; the first non-blank line may be a header."""
     phis = []
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         rows = ((lineno, raw.strip()) for lineno, raw in enumerate(fh, 1) if raw.strip())
         for index, (lineno, line) in enumerate(rows):
             cells = line.split(",")

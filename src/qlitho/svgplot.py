@@ -15,15 +15,20 @@ Every cell is exactly the text that Python's ``%.17g`` (CSV cells, by
 a few array passes over a block of cells instead of one ``%`` per cell.
 For ``%.17g`` the kernel forms |v| 10^q as an error-free double-double
 product (its error is below 1e-14 of a unit in the last printed place),
-rounds it to the integer significand D, writes D's digits from a table of
-4-digit groups, and gathers them into place by the printf rules: sign,
-fixed or scientific form, trailing zeros stripped, ``e+XX`` or ``e+XXX``.
-``%.2f`` sees only pixel coordinates, which lie in [40, 780].  A cell with
-no sign bit below 9999.995 is two uint32 words taken from tables: its
-integer part of at most four digits (leading zeros as NUL bytes, which
-joining the cells drops) and ".cc" with the separator; the float product
-v 100 < 10^6 decides the rounding, with an error below 1.2e-10.  Each
-series formats its own kept (x, y) pixel pairs, a block at a time.
+rounds it to the integer significand D, and takes a 32-byte record of
+eight uint32 words from one table: a head word "-0.", D's 4-digit groups,
+and the exponent's "e", sign and digits with the separator.  Three uint64
+masks of the cell's layout (sign, fixed or scientific form, exponent,
+digits through the last nonzero one) then keep each byte, move it one
+byte right to open the decimal point, put a ".", or NUL it; joining the
+cells drops the NULs.  So the text follows the printf rules: trailing
+zeros stripped, ``e+XX`` or ``e+XXX``.  ``%.2f`` sees only pixel
+coordinates, which lie in [40, 780].  A cell with no sign bit below
+9999.995 is two uint32 words taken from tables: its integer part of at
+most four digits (leading zeros as NUL bytes, which joining the cells
+drops) and ".cc" with the separator; the float product v 100 < 10^6
+decides the rounding, with an error below 1.2e-10.  Each series formats
+its own kept (x, y) pixel pairs, a block at a time.
 Three kinds of cell are formatted by ``%`` one at a time instead: a
 non-finite value; a value outside the kernel's range (``%.17g``: nonzero
 |v| outside [1e-280, 1e280); ``%.2f``: a set sign bit, or v >= 9999.995);
@@ -51,9 +56,7 @@ _LABEL_CHARS = 9
 
 # Cells per formatted block.  A %.17g cell holds up to about 36 float64
 # elements of memory while its block is formatted (a %.2f cell about ten):
-# a dozen per-cell numbers, its digits, source bytes and text.  The gather
-# indices, 8 bytes a text byte, are formed for at most _BLOCK_ELEMENTS text
-# bytes at a time.
+# a dozen per-cell numbers, its word indices, record and masks.
 _BLOCK_CELLS = max(1, _BLOCK_ELEMENTS // 8)
 # Decimal exponents of 10^q in the double-double table: 10^q * (2^27 + 1)
 # stays finite and the low word of 10^q stays a normal float.
@@ -61,11 +64,17 @@ _Q_MIN, _Q_MAX = -270, 300
 _SPLIT = float(2**27 + 1)  # Dekker's splitter: halves a float into 26-bit parts
 _TIE_BAND = 1e-6
 
-# Columns of a cell's source bytes, which the layouts index: the text of a
-# cell is its source bytes gathered in layout order, NUL-padded.
-_MINUS, _DIGIT0, _POINT, _ZERO, _E, _EXP_SIGN, _EXP0, _SEP, _NUL = 0, 1, 18, 19, 20, 21, 22, 25, 26
-_SOURCE = np.frombuffer(b"-" + b"0" * 17 + b".0e+000,\0", dtype=np.uint8)
-_LAYOUT_WIDTH = 32  # the longest cell, with sign and separator, is 25 bytes
+# A %.17g cell starts as a record of eight uint32 words, 32 bytes:
+#   bytes  0-3   the head word "-0." NUL
+#   bytes  4-23  "000" and the 17 digits of D, one word per 4-digit group
+#   bytes 24-31  NUL "e", the exponent's sign and 3 digits, the separator, NUL
+# Its layout (sign, form, digits kept) then keeps some bytes, moves some
+# one byte right to open the decimal point, and NULs the rest.
+_D0, _E, _SEP = 7, 25, 30  # the bytes of D's leading digit, of "e" and of the separator
+_HEAD = 10000  # the head word's index in the word table, after the 4-digit groups
+_EXP_MIN, _EXP_MAX = 16 - _Q_MAX, 17 - _Q_MIN  # decimal exponents the kernel prints
+_EXPS = _EXP_MAX - _EXP_MIN + 1
+_FORMS = 23  # fixed form for exponents -4..16, then scientific with 2 and 3 exponent digits
 # %.2f prints at most four integer digits for 0 <= v < 9999.995 (9999.996
 # prints 10000.00), and there v 100 < 10^6, so the float product v 100 is
 # within 2^-53 10^6 < 1.2e-10 < _TIE_BAND of the exact one.
@@ -85,8 +94,8 @@ def _digits4() -> np.ndarray:
 
 
 @functools.cache
-def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(hi, head, tail, lo) of 10^q for q = _Q_MIN.._Q_MAX.
+def _pow10() -> np.ndarray:
+    """Rows hi, head, tail and lo of 10^q for q = _Q_MIN.._Q_MAX.
 
     hi + lo equals 10^q to about 2^-106 relative (hi correctly rounded, lo
     the rounded remainder, both from exact integer arithmetic), and
@@ -102,7 +111,7 @@ def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     hi = np.array(hi)
     c = hi * _SPLIT
     head = c - (c - hi)
-    return hi, head, hi - head, np.array(lo)
+    return np.array([hi, head, hi - head, lo])
 
 
 def _round_scaled(a: np.ndarray, q):
@@ -113,7 +122,7 @@ def _round_scaled(a: np.ndarray, q):
     the hi word of 10^q is exact, so the fraction of a 10^q is known to
     about 1e-14.
     """
-    hi, head, tail, lo = (table[q - _Q_MIN] for table in _pow10())
+    hi, head, tail, lo = np.take(_pow10(), q - _Q_MIN, axis=1)
     c = a * _SPLIT
     a_head = c - (c - a)
     a_tail = a - a_head
@@ -127,26 +136,43 @@ def _round_scaled(a: np.ndarray, q):
     return floor + (frac > 0.5), floor, np.abs(frac - 0.5) < _TIE_BAND
 
 
-def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 ASCII digits of each integer 0 <= d < 10^17, zero-padded, and
-    how many of them are significant (through the last nonzero one; 1 for 0)."""
-    chunks = np.empty((len(d), 5), dtype=np.int64)  # the leading digit, then 4-digit groups
-    for j in (4, 3, 2, 1):
-        high = d // 10**4
-        chunks[:, j] = d - high * 10**4
-        d = high
-    chunks[:, 0] = d
-    n_sig = np.ones(len(d), dtype=np.int64)
-    for j in range(1, 5):  # the last nonzero group sets the count
-        np.copyto(n_sig, 4 * j + 1 - _trailing_zeros4()[chunks[:, j]], where=chunks[:, j] != 0)
-    return _digits4()[chunks].view(np.uint8)[:, 3:], n_sig
-
-
 @functools.cache
-def _trailing_zeros4() -> np.ndarray:
-    """Trailing zeros of 0000..9999 as 4-digit groups (4 for 0000)."""
-    n = np.arange(10000)
-    return sum((n % m == 0).astype(np.int8) for m in (10, 100, 1000, 10000))
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """Tables of the %.17g kernel: the record words, the first layout key
+    of each decimal exponent, the place of the last nonzero digit of each
+    4-digit group, and the keep, move and put masks of each layout key.
+
+    The words are _digits4, the head word at _HEAD, then bytes 24-27 and
+    then bytes 28-31 of the record for each exponent _EXP_MIN.._EXP_MAX.
+    A cell's layout key is 17 (_FORMS sign + form) plus the digits it
+    keeps after D's leading one.  A mask row is the 32 record bytes, as
+    little-endian uint64 words: a kept byte stays, a moved one takes the
+    byte to its left, a put one is ".", and every other byte becomes NUL.
+    """
+    e = np.arange(_EXP_MIN, _EXP_MAX + 1)
+    tail = np.zeros((len(e), 8), dtype=np.uint8)  # record bytes 24-31
+    tail[:, 1] = ord("e")
+    tail[:, 2] = np.where(e < 0, ord("-"), ord("+"))
+    tail[:, 3:6] = _digits4().view(np.uint8).reshape(10000, 4)[np.abs(e), 1:]
+    head = np.frombuffer(b"-0.\0", dtype=np.uint8).view(np.uint32)
+    words = np.concatenate([_digits4(), head, tail.view(np.uint32).T.ravel()])
+    form_keys = np.where((e >= -4) & (e <= 16), e + 4, 21 + (np.abs(e) >= 100)) * 17
+    group = np.arange(10000)
+    places = 4 - sum((group % m == 0).astype(np.int8) for m in (10, 100, 1000, 10000))
+    places[0] = -16  # below every other group's place: 0000 keeps no digit
+    sign, form, n, b = np.ix_(range(2), range(_FORMS), range(1, 18), range(32))
+    fixed = form < 21
+    x = np.where(fixed, form - 4, 0)  # x >= 0: integer digits after D's leading one
+    below = x < 0  # "0.", then -x - 1 zeros before D's digits
+    point = ~below & (n > x + 1)
+    keep = (b == 0) & (sign == 1) | (b == _SEP) | ~below & (b >= _D0) & (b <= _D0 + x)
+    keep = keep | below & ((b == 1) | (b == 2) | (b > _D0 + x) & (b < _D0 + n))
+    keep = keep | ~fixed & (b >= _E) & (b < _SEP) & ((b != _E + 2) | (form == _FORMS - 1))
+    move = point & (b >= _D0 + x + 2) & (b <= _D0 + n)
+    put = np.where(point & (b == _D0 + x + 1), ord("."), 0)
+    masks = [np.broadcast_to(m, keep.shape).astype(np.uint8).reshape(-1, 32).view("<u8")
+             for m in (keep * 255, move * 255, put)]
+    return words, form_keys, places, *masks
 
 
 @functools.cache
@@ -160,36 +186,6 @@ def _pixel_words() -> tuple[np.ndarray, np.ndarray]:
     cents = np.zeros((100, 4), dtype=np.uint8)
     cents[:, 0], cents[:, 1:3] = ord("."), digits[:100, 2:]
     return integer.view(np.uint32).ravel(), cents.view(np.uint32).ravel()
-
-
-@functools.cache
-def _layouts_g17() -> tuple[np.ndarray, np.ndarray]:
-    """Layout rows of %.17g and their lengths: fixed form for exponents
-    -4..16, then scientific with a 2- and a 3-digit exponent, each for
-    1..17 significant digits; the unsigned rows, then the signed.
-
-    A row lists the source columns of a cell's text and its separator,
-    NUL-padded to _LAYOUT_WIDTH.
-    """
-    digits = [_DIGIT0 + i for i in range(17)]
-    bodies = []
-    for x in range(-4, 17):
-        for n in range(1, 18):
-            if x >= 0:
-                fraction = digits[x + 1:n]
-                bodies.append(digits[:x + 1] + ([_POINT] + fraction if fraction else []))
-            else:
-                bodies.append([_ZERO, _POINT] + [_ZERO] * (-x - 1) + digits[:n])
-    for width in (2, 3):
-        for n in range(1, 18):
-            mantissa = digits[:1] + ([_POINT] + digits[1:n] if n > 1 else [])
-            bodies.append(mantissa + [_E, _EXP_SIGN] + list(range(_EXP0 + 3 - width, _EXP0 + 3)))
-    rows = [body + [_SEP] for body in bodies]
-    rows += [[_MINUS] + row for row in rows]
-    index = np.full((len(rows), _LAYOUT_WIDTH), _NUL, dtype=np.uint8)
-    for i, row in enumerate(rows):
-        index[i, :len(row)] = row
-    return index, np.array([len(row) for row in rows])
 
 
 def _with_percent(text: np.ndarray, v: np.ndarray, fallback: np.ndarray, spec: str, seps: str) -> np.ndarray:
@@ -218,10 +214,6 @@ def _text(values: np.ndarray, seps: str) -> np.ndarray:
     rows, k = values.shape
     v = values.ravel()
     a = np.abs(v)
-    source = np.empty((rows, k, len(_SOURCE)), dtype=np.uint8)
-    source[:] = _SOURCE
-    source[:, :, _SEP] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    source = source.reshape(len(v), len(_SOURCE))
     zero = a == 0.0
     fast = (a >= 1e-280) & (a < 1e280)
     scaled = np.where(fast, a, 1.0)
@@ -239,22 +231,32 @@ def _text(values: np.ndarray, seps: str) -> np.ndarray:
     d[carry] = 10**16
     d[zero] = 0
     exp10[zero] = 0
-    source[:, _DIGIT0:_DIGIT0 + 17], n_sig = _digits17(d)
-    source[:, _EXP_SIGN] = np.where(exp10 < 0, ord("-"), ord("+"))
-    source[:, _EXP0:_EXP0 + 3] = _digits4()[np.abs(exp10)].view(np.uint8).reshape(-1, 4)[:, 1:]
-    fixed = (exp10 >= -4) & (exp10 < 17)
-    key = np.where(fixed, (exp10 + 4) * 17, 21 * 17 + 17 * (np.abs(exp10) >= 100)) + n_sig - 1
-    layouts, lengths = _layouts_g17()
-    key += np.signbit(v) * (len(layouts) // 2)
-    width = int(lengths[key].max())
-    layouts = np.ascontiguousarray(layouts[:, :width])
-    text = np.empty((len(v), width), dtype=np.uint8)
-    step = max(1, _BLOCK_ELEMENTS // width)
-    for start in range(0, len(v), step):
-        # uint8 layout rows plus each cell's source offset: the gather index.
-        index = np.take(layouts, key[start:start + step], axis=0)
-        index = index + np.arange(start, start + len(index))[:, None] * source.shape[1]
-        text[start:start + step] = source.ravel()[index]
+    words, form_keys, places, keep, move, put = _g17_tables()
+    e = exp10 - _EXP_MIN
+    index = np.empty((len(v), 8), dtype=np.intp)  # the words of each record
+    index[:, 0] = _HEAD
+    kept = np.zeros(len(v), dtype=np.int8)  # digits kept after D's leading one
+    for j in (5, 4, 3, 2):
+        high = d // 10**4
+        group = d - high * 10**4
+        index[:, j] = group
+        np.maximum(kept, places[group] + 4 * (j - 2), out=kept)
+        d = high
+    index[:, 1] = d
+    index[:, 6] = e + (_HEAD + 1)
+    index[:, 7] = e + (_HEAD + 1 + _EXPS)
+    record = np.take(words, index)
+    del index
+    text = record.view(np.uint8)
+    text.reshape(rows, k, 32)[:, :, _SEP] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    key = form_keys[e] + kept + np.signbit(v) * (len(keep) // 2)
+    r = record.view("<u8").ravel()
+    moved = r << 8
+    moved[1:] |= r[:-1] >> 56
+    moved &= np.take(move, key, axis=0).ravel()
+    r &= np.take(keep, key, axis=0).ravel()
+    r |= moved
+    r |= np.take(put, key, axis=0).ravel()
     return _with_percent(text, v, ~(fast | zero) | tie, "%.17g", seps)
 
 

@@ -424,6 +424,26 @@ def test_synthesize_reads_target_csv(monkeypatch, tmp_path):
         assert float(rows[0][1]) == 1.0
 
 
+def test_synthesize_reads_headerless_target_after_a_byte_order_mark(monkeypatch, tmp_path):
+    # A UTF-8 byte-order mark is not part of the first row: a headerless
+    # target keeps all its rows and fits as the same target without one.
+    target = trench_target(32)
+    text = "\n".join(f"{phi:.17g},{val:.17g}" for phi, val in zip(target.phis, target.doses)) + "\n"
+    outputs = []
+    for encoding in ("ascii", "utf-8-sig"):
+        target_path = tmp_path / "pattern.csv"
+        target_path.write_text(text, encoding=encoding)
+        code = run_cli(
+            monkeypatch, tmp_path,
+            "--command", "synthesize", "--generations", "4", "--target", str(target_path),
+        )
+        assert code == 0, encoding
+        _, rows = read_rows(tmp_path / "synthesize.csv")
+        assert len(rows) == 32
+        outputs.append((tmp_path / "synthesize.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("peak, expected", [(1e155, 2), (1e150, 0)])
 def test_synthesize_bounds_the_target_scale(monkeypatch, tmp_path, capsys, peak, expected):
     # The fit squares the target and sums it over the grid; beyond 10^150 the
@@ -499,6 +519,15 @@ def test_config_file_rejects_unknown_keys(monkeypatch, tmp_path, capsys):
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "classical.csv").exists()
+
+
+def test_config_file_after_a_byte_order_mark_parses(monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 16\n", encoding="utf-8-sig")
+    code = run_cli(monkeypatch, tmp_path, "--command", "classical", "--config", str(cfg))
+    assert code == 0
+    _, rows = read_rows(tmp_path / "classical.csv")
+    assert len(rows) == 16
 
 
 # ---------------------------------------------------------------------------

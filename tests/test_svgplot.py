@@ -1,11 +1,14 @@
 """Tests of the SVG line-chart writer."""
 
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,62 @@ def _edge_values():
 def test_formatter_matches_percent_on_edge_values(spec):
     values = _edge_values()
     assert _by_formatter([values], spec) == _by_percent([values], spec)
+
+
+def _g17_layout(text):
+    """(sign, form, significant digits) of a %.17g text: form 0..20 is
+    the fixed form of decimal exponents -4..16, 21 and 22 the scientific
+    form with a 2- and a 3-digit exponent."""
+    sign = text.startswith("-")
+    body = text.lstrip("-")
+    if "e" in body:
+        mantissa, exponent = body.split("e")
+        return sign, 18 + len(exponent), len(mantissa.replace(".", ""))
+    whole, _, fraction = body.partition(".")
+    digits = (whole + fraction).strip("0")
+    if not digits:
+        return sign, 4, 1
+    x = len(whole) - 1 if whole != "0" else -1 - (len(fraction) - len(fraction.lstrip("0")))
+    return sign, x + 4, len(digits)
+
+
+def test_formatter_matches_percent_on_every_g17_layout():
+    # One or more cells of every layout the %.17g kernel selects: both
+    # signs; the fixed form at exponents -4..16 and the scientific form
+    # with 2- and 3-digit exponents of either sign, each with 1..17
+    # significant digits.  Short texts come from m 10^j for an n-digit m
+    # (exact for integers up to 2^53, and at any exponent wherever the
+    # nearest double reads back in 17 digits), dyadic fractions and
+    # 10^x + 2^-p, whose decimals end; 17 digits from the largest doubles
+    # below powers of ten.
+    powers = [float(f"1e{k}") for k in range(-280, 280)]
+    values = powers + list(np.nextafter(powers, 0.0)) + [0.0]
+    values += [float(f"{10 ** (n - 1) + 2}e{j}") for n in range(1, 18) for j in range(-296, 281 - n)]
+    values += [float(f"{10 ** (n - 1) + r}e{j}") for n in range(1, 18) for r in range(2, 40, 3)
+               for j in range(-n - 3, 2 - n)]
+    values += [2.0**-p for p in range(1, 60)] + [10.0**x + 2.0**-p for x in range(16) for p in range(1, 17 - x)]
+    values = [v for v in values if v == 0.0 or 1e-280 <= v < 1e280]
+    values += [-v for v in values]
+    layouts = {_g17_layout("%.17g" % v) for v in values}
+    assert layouts == {(sign, form, n) for sign in (False, True) for form in range(23) for n in range(1, 18)}
+    assert _by_formatter([values], "%.17g") == _by_percent([values], "%.17g")
+
+
+def test_formatter_tables_are_built_on_first_use():
+    # A fresh import of the package and the CLI's parser build none of the
+    # formatters' tables, so the CLI's start-up does not pay for them.
+    code = (
+        "import qlitho, qlitho.cli\n"
+        "qlitho.cli.build_parser()\n"
+        "from qlitho import svgplot\n"
+        "tables = {name: f for name, f in vars(svgplot).items() if hasattr(f, 'cache_info')}\n"
+        "print(sorted(tables), sorted(name for name, f in tables.items() if f.cache_info().currsize))\n"
+    )
+    src = str(Path(svgplot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['_digits4', '_g17_tables', '_pixel_words', '_pow10'] []"
 
 
 @pytest.mark.parametrize("miss", [-1.0, 1.0])
