@@ -16,19 +16,17 @@ a few array passes over a block of cells instead of one ``%`` per cell.
 For ``%.17g`` the kernel forms |v| 10^q as an error-free double-double
 product (its error is below 1e-14 of a unit in the last printed place),
 rounds it to the integer significand D, and takes a 32-byte record of
-eight uint32 words from one table: a head word "-0.", D's 4-digit groups,
-and the exponent's "e", sign and digits with the separator.  Three uint64
-masks of the cell's layout (sign, fixed or scientific form, exponent,
-digits through the last nonzero one) then keep each byte, move it one
-byte right to open the decimal point, put a ".", or NUL it; joining the
-cells drops the NULs.  So the text follows the printf rules: trailing
-zeros stripped, ``e+XX`` or ``e+XXX``.  ``%.2f`` sees only pixel
-coordinates, which lie in [40, 780].  A cell with no sign bit below
-9999.995 is two uint32 words taken from tables: its integer part of at
-most four digits (leading zeros as NUL bytes, which joining the cells
-drops) and ".cc" with the separator; the float product v 100 < 10^6
-decides the rounding, with an error below 1.2e-10.  Each series formats
-its own kept (x, y) pixel pairs, a block at a time.
+uint32 words from one table: "-0.", D's 4-digit groups, the exponent
+(``e+XX`` or ``e+XXX``) and the separator.  Three uint64 masks chosen by
+the cell's printf layout (sign, fixed or scientific form, digits through
+the last nonzero one) keep each byte, move it one byte right to open the
+decimal point, put a ".", or NUL it; joining the cells drops the NULs.
+``%.2f`` sees only pixel coordinates, which lie in [40, 780].  A cell with
+no sign bit below 9999.995 is two uint32 words taken from tables: its
+integer part of at most four digits (leading zeros as NUL bytes, which
+joining the cells drops) and ".cc" with the separator; the float product
+v 100 < 10^6 decides the rounding, with an error below 1.2e-10.  Each
+series formats its own kept (x, y) pixel pairs, a block at a time.
 Three kinds of cell are formatted by ``%`` one at a time instead: a
 non-finite value; a value outside the kernel's range (``%.17g``: nonzero
 |v| outside [1e-280, 1e280); ``%.2f``: a set sign bit, or v >= 9999.995);
@@ -73,7 +71,6 @@ _TIE_BAND = 1e-6
 _D0, _E, _SEP = 7, 25, 30  # the bytes of D's leading digit, of "e" and of the separator
 _HEAD = 10000  # the head word's index in the word table, after the 4-digit groups
 _EXP_MIN, _EXP_MAX = 16 - _Q_MAX, 17 - _Q_MIN  # decimal exponents the kernel prints
-_EXPS = _EXP_MAX - _EXP_MIN + 1
 _FORMS = 23  # fixed form for exponents -4..16, then scientific with 2 and 3 exponent digits
 # %.2f prints at most four integer digits for 0 <= v < 9999.995 (9999.996
 # prints 10000.00), and there v 100 < 10^6, so the float product v 100 is
@@ -244,14 +241,14 @@ def _text(values: np.ndarray, seps: str) -> np.ndarray:
         d = high
     index[:, 1] = d
     index[:, 6] = e + (_HEAD + 1)
-    index[:, 7] = e + (_HEAD + 1 + _EXPS)
+    index[:, 7] = e + (_HEAD + 1 + len(form_keys))
     record = np.take(words, index)
     del index
     text = record.view(np.uint8)
     text.reshape(rows, k, 32)[:, :, _SEP] = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     key = form_keys[e] + kept + np.signbit(v) * (len(keep) // 2)
     r = record.view("<u8").ravel()
-    moved = r << 8
+    moved = r << 8  # each byte takes the byte to its left (byte 0 is never moved)
     moved[1:] |= r[:-1] >> 56
     moved &= np.take(move, key, axis=0).ravel()
     r &= np.take(keep, key, axis=0).ravel()

@@ -78,14 +78,13 @@ def _g17_layout(text):
 
 
 def test_formatter_matches_percent_on_every_g17_layout():
-    # One or more cells of every layout the %.17g kernel selects: both
-    # signs; the fixed form at exponents -4..16 and the scientific form
-    # with 2- and 3-digit exponents of either sign, each with 1..17
-    # significant digits.  Short texts come from m 10^j for an n-digit m
-    # (exact for integers up to 2^53, and at any exponent wherever the
-    # nearest double reads back in 17 digits), dyadic fractions and
-    # 10^x + 2^-p, whose decimals end; 17 digits from the largest doubles
-    # below powers of ten.
+    # Cells of every layout the %.17g kernel selects, so every row of its
+    # mask tables is used: both signs; the fixed form at exponents -4..16
+    # and the scientific form with 2- and 3-digit exponents of either
+    # sign; each with 1..17 significant digits.  n-digit texts come from
+    # m 10^j for an n-digit m (wherever the nearest double prints as
+    # m 10^j), from dyadic fractions and 10^x + 2^-p, whose decimals end,
+    # and 17-digit ones from the largest doubles below powers of ten.
     powers = [float(f"1e{k}") for k in range(-280, 280)]
     values = powers + list(np.nextafter(powers, 0.0)) + [0.0]
     values += [float(f"{10 ** (n - 1) + 2}e{j}") for n in range(1, 18) for j in range(-296, 281 - n)]
