@@ -135,9 +135,10 @@ def make_state(pairs) -> FockState:
 
 
 def _count(value, what: str, least: int = 1) -> int:
-    """``value`` as an int; ValueError unless it is an integer of at least ``least``."""
+    """``value`` as an int; ValueError unless it is an integer (not a bool) of at
+    least ``least``."""
     try:
-        count = operator.index(value)
+        count = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = least - 1
     if count < least:

@@ -283,10 +283,11 @@ def test_resampled_profiles_match_the_direct_doses(drawn, data, convention, from
 
 
 def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatch):
-    # A profile is dosed on the 2 band + 1 phases that fix it when the state
-    # holds more than log2 G nonzero amplitudes, as the dense sectors below
-    # do; |1,1> and NOON states, whatever the grid, are dosed point by point
-    # and keep the bits of the direct doses.
+    # A profile is resampled when 2 band + 1 < G and the state holds more
+    # than log2 G nonzero amplitudes, as the dense sectors below do; it is
+    # then dosed on the 2N + 1 phases that fix it (half a period apart in
+    # SYMMETRIC, whose harmonics are even).  |1,1> and NOON states, whatever
+    # the grid, are dosed point by point and keep the bits of the direct doses.
     phases = []
 
     def counted(state, n_photons, phis, convention, site):
@@ -300,7 +301,7 @@ def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatc
                                         (40, 1024, symmetric)):
         phases.clear()
         exposure_profile(_dense_sector(n_photons, rng), n_photons, grid, convention, from_input=True)
-        assert phases == [2 * _band(n_photons, convention) + 1]
+        assert phases == [2 * n_photons + 1]
     cases = [(make_state({(1, 1): 1.0}), 2, True)] + [(noon_state(n), n, False) for n in (1, 2, 10, 30)]
     for state, n_photons, from_input in cases:
         for grid in (2, 8, 513, 4096):
@@ -311,6 +312,35 @@ def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatc
                 site = "inputs" if from_input else "substrate"
                 direct = _grid_doses(state, n_photons, profile.phis, convention, site)
                 assert np.array_equal(profile.doses, direct)
+
+
+@pytest.mark.parametrize("n_photons", [1, 5, 12])
+@pytest.mark.parametrize("extra", [2, 3], ids=["even_grid", "odd_grid"])
+@pytest.mark.parametrize("from_input", [False, True])
+def test_symmetric_profiles_are_resampled_from_half_a_period(monkeypatch, n_photons, extra,
+                                                             from_input):
+    # The smallest grids that take the resampled path, G = 4N + 2 and 4N + 3,
+    # on a state with sectors of N, N + 1 and N + 2 photons.  The 2N + 1 doses
+    # over [0, pi) fill the even bins of the spectrum; the odd ones stay zero.
+    spectra, irfft = [], np.fft.irfft
+
+    def kept(spectrum, grid):
+        spectra.append(spectrum.copy())
+        return irfft(spectrum, grid)
+
+    rng = np.random.default_rng(n_photons)
+    state = make_state({(k, total - k): complex(*rng.standard_normal(2))
+                        for total in range(n_photons, n_photons + 3) for k in range(total + 1)})
+    grid = 4 * n_photons + extra
+    monkeypatch.setattr(np.fft, "irfft", kept)
+    profile = exposure_profile(state, n_photons, grid, SubstrateConvention.SYMMETRIC, from_input)
+    (spectrum,) = spectra
+    assert spectrum.shape == (grid // 2 + 1,)
+    assert np.all(spectrum[1::2] == 0.0)
+    assert np.all(spectrum[2 * n_photons + 1:] == 0.0)
+    site = "inputs" if from_input else "substrate"
+    direct = _grid_doses(state, n_photons, profile.phis, SubstrateConvention.SYMMETRIC, site)
+    assert np.abs(profile.doses - direct).max() <= 1e-12 * max(1.0, direct.max())
 
 
 def test_resampled_dark_points_are_clamped_to_zero():
@@ -459,6 +489,21 @@ def test_fourier_aliasing_guard():
     assert coeffs.shape == (8,)
 
 
+@pytest.mark.parametrize("grid", [4, 5, 16, 17, 1024])
+def test_fourier_components_match_an_explicit_dft(grid):
+    # Up to the top harmonic the guard allows, ceil(G/2) - 1, on even and odd grids.
+    doses = np.random.default_rng(grid).uniform(0.0, 3.0, grid)
+    profile = ExposureProfile(phase_grid(grid), doses)
+    top = (grid + 1) // 2 - 1
+    coeffs = fourier_components(profile, top)
+    harmonics = np.arange(top + 1)[:, None]
+    expected = np.exp(-1j * harmonics * profile.phis) @ doses / grid
+    assert coeffs.shape == (top + 1,)
+    assert np.abs(coeffs - expected).max() <= 1e-12 * doses.max()
+    with pytest.raises(ValueError, match="alias"):
+        fourier_components(profile, top + 1)
+
+
 def test_min_feature_values():
     assert min_feature(1, 248.0) == 124.0
     assert min_feature(2, 248.0) == 62.0
@@ -480,6 +525,12 @@ def test_min_feature_values():
                  id="apply_field_power"),
     pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), 2.5),
                  id="fourier_components"),
+    # bool is an int subclass, but True is no photon number and False no harmonic.
+    pytest.param(lambda: exposure_profile(noon_state(2), True, 512), id="exposure_profile_true"),
+    pytest.param(lambda: deposition_rate(noon_state(2), True, 0.3), id="deposition_rate_true"),
+    pytest.param(lambda: min_feature(True, 1.0), id="min_feature_true"),
+    pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), False),
+                 id="fourier_components_false"),
 ])
 def test_non_integer_photon_numbers_are_refused(call):
     with pytest.raises(ValueError, match="integer"):
