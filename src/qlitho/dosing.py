@@ -184,8 +184,7 @@ def pipeline_rate(
 
 def phase_grid(grid_points: int) -> np.ndarray:
     """Uniform phases [0, 2 pi): k * (2 pi / G) for k = 0 .. G-1."""
-    if grid_points < 1:
-        raise ValueError("grid must have at least one point")
+    grid_points = _count(grid_points, "number of grid points")
     return np.arange(grid_points) * (2.0 * np.pi / grid_points)
 
 
@@ -218,6 +217,10 @@ class ExposureProfile:
         doses.flags.writeable = False
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "doses", doses)
+
+    def __eq__(self, other):
+        return (isinstance(other, ExposureProfile) and np.array_equal(self.phis, other.phis)
+                and np.array_equal(self.doses, other.doses))
 
     @property
     def grid_points(self) -> int:

@@ -106,7 +106,7 @@ def make_state(pairs) -> FockState:
     amps: dict[tuple[int, int], complex] = {}
     for pair, amp in pairs.items():
         try:
-            n, m = (operator.index(k) for k in pair)
+            n, m = (_index(k) for k in pair)
         except TypeError:
             raise ValueError(f"occupations must be integers, got {pair!r}") from None
         if n < 0 or m < 0:
@@ -134,16 +134,23 @@ def make_state(pairs) -> FockState:
     return FockState(sectors)
 
 
-def _count(value, what: str, least: int = 1) -> int:
-    """``value`` as an int; ValueError unless it is an integer (not a bool) of at
-    least ``least``."""
+def _index(value) -> int:
+    """operator.index(value), which also raises TypeError for a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
+def _count(value, what: str, least: int | None = 1) -> int:
+    """``value`` as an int; ValueError unless it is an integer (see _index) of at
+    least ``least``, or any integer for None."""
     try:
-        count = least - 1 if isinstance(value, bool) else operator.index(value)
+        count = _index(value)
     except TypeError:
-        count = least - 1
-    if count < least:
-        kind = "positive" if least > 0 else "nonnegative"
-        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+        count = None
+    if count is None or least is not None and count < least:
+        kind = "an" if least is None else "a positive" if least > 0 else "a nonnegative"
+        raise ValueError(f"{what} must be {kind} integer, got {value!r}")
     return count
 
 

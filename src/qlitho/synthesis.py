@@ -10,18 +10,19 @@ a superposition is a plain complex vector alpha, one entry per partition.
 
 Phase bookkeeping (the subtle part): every partition contributes the
 paper's state psi_NP at phi = 0, the pair (|N-P, P> + |P, N-P>)/sqrt2,
-dosed where it sits by the SYMMETRIC substrate field of
-:mod:`qlitho.dosing`.  That field carries the position phase within each
-pair and doubles the single-partition fringe frequency to 2(N-2P).  The
-model then multiplies each partition's row by e^{i P phi}.  This is the
-model's per-partition factor, not a propagation phase: it is invisible
-in any single-partition dose but puts odd harmonics into the cross terms
-between partitions, and no state dosed in the SYMMETRIC convention has
-those (a known defect of the model, listed in ROADMAP.md).
+dosed where it sits by the SYMMETRIC substrate field u a + v b,
+(u, v) = (e^{i phi}, e^{-i phi}), of :mod:`qlitho.dosing`.  All of them
+lie in the one N-photon sector, so row P of the amplitude matrix A is
+two of its field powers, sqrt(C(N, P)/2) (u^P v^(N-P) + u^(N-P) v^P),
+or u^P v^P sqrt(C(N, P)) for 2P = N: sqrt(2 C(N, P)) cos((N-2P) phi),
+whose fringe runs at 2(N-2P).  The model then multiplies row P by
+e^{i P phi}.  This is the model's per-partition factor, not a
+propagation phase: it is invisible in any single-partition dose but puts
+odd harmonics into the cross terms between partitions, and no state
+dosed in the SYMMETRIC convention has those (a known defect of the
+model, listed in ROADMAP.md).
 
-Every dose here reads one amplitude matrix: row P is e^{i P phi} times
-the N-photon amplitude of psi_NP at phi = 0, taken from the per-sector
-dose core of :mod:`qlitho.fock`, so that dose(alpha) = |alpha @ A|^2 and
+Every dose here reads that one matrix, dose(alpha) = |alpha @ A|^2, so
 |alpha|^2 is the exposure scale: unit-norm alpha is one unit of exposure.
 """
 
@@ -29,14 +30,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dosing import _BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _field, phase_grid
-from .fock import FockState, _field_powers, _lowering_terms, make_state
+from .fock import FockState, _count, _field_powers, _index, make_state
 
 # Largest dose a basis may deposit, and largest target sample: the solver's
 # QR takes the column norms of the dose monomials and the target over the
@@ -72,8 +72,8 @@ class PartitionBasis:
 
     def __post_init__(self):
         try:
-            n = operator.index(self.n_photons)
-            parts = tuple(operator.index(p) for p in self.partitions)
+            n = _index(self.n_photons)
+            parts = tuple(_index(p) for p in self.partitions)
         except TypeError:
             raise ValueError("photon number and partitions must be integers") from None
         if n < 1:
@@ -127,25 +127,19 @@ def psi_np(n_photons: int, partition: int, phi: float) -> FockState:
 
     as in the SINGLE_ARM picture, where every position phase lives in the
     state.  At phi = 0 it is the pair (|N-P, P> + |P, N-P>)/sqrt2, the
-    synthesis basis state (see _amplitude_matrix).  For the degenerate
-    split 2P = N both terms coincide and the normalized single term
-    e^{i P phi} |P, P> is returned.
+    synthesis basis state, whose dose row sqrt(C(N, P)/2) (u^P v^(N-P) +
+    u^(N-P) v^P) _amplitude_matrix forms without building it.  For the
+    degenerate split 2P = N both terms coincide and the normalized single
+    term e^{i P phi} |P, P> is returned.
     """
-    n, p = n_photons, partition
-    if n < 1:
-        raise ValueError("photon number must be a positive integer")
+    n = _count(n_photons, "photon number")
+    p = _count(partition, "partition", least=None)
     if not 0 <= p <= n:
         raise ValueError(f"partition {p} out of range 0..{n}")
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
-    if 2 * p == n:
-        return make_state({(p, p): cmath.exp(1j * p * phi)})
-    return make_state(
-        {
-            (n - p, p): cmath.exp(1j * p * phi),
-            (p, n - p): cmath.exp(1j * (n - p) * phi),
-        }
-    )
+    # For 2P = N the two keys coincide, and so do their amplitudes.
+    return make_state({(n - p, p): cmath.exp(1j * p * phi), (p, n - p): cmath.exp(1j * (n - p) * phi)})
 
 
 def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
@@ -155,7 +149,8 @@ def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
     single term |P, P>, whose dose is the constant C(N, P) -- half the
     value the two-term formula would suggest at zero frequency.
     """
-    n, p = n_photons, partition
+    n = _count(n_photons, "photon number")
+    p = _count(partition, "partition", least=None)
     if not 0 <= 2 * p <= n:
         raise ValueError(f"partition {p} out of range 0..{n // 2}")
     phis = np.asarray(phis, dtype=float)
@@ -190,18 +185,28 @@ def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
     """Rows A[P] with dose(alpha) = |alpha @ A|^2.
 
     Row P is the N-photon amplitude of psi_np(N, P, 0) under the
-    SYMMETRIC substrate field of :mod:`qlitho.dosing`,
-    sqrt(2 C(N, P)) cos((N-2P) phi) (sqrt(C(N, P)) for the degenerate
-    split), times the model's per-partition factor e^{i P phi}.
+    SYMMETRIC substrate field u a + v b of :mod:`qlitho.dosing`, two of
+    the sector's field powers: sqrt(C(N, P)/2) (u^P v^(N-P) + u^(N-P) v^P),
+    or u^P v^P sqrt(C(N, P)) for 2P = N, the root correctly rounded;
+    times the model's per-partition factor e^{i P phi}.
     """
     n = basis.n_photons
-    (alpha, beta), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
-    rows = []
-    for p in basis.partitions:
-        terms, _, ks, norm = _lowering_terms(psi_np(n, p, 0.0).sectors[n], n, scaled=True)
-        amp = (terms @ _field_powers(alpha, beta, n, ks))[0] / math.sqrt(norm)
-        rows.append(amp * np.exp(1j * p * phis))
-    return np.array(rows)
+    (u, v), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
+    rows = np.empty((len(basis), len(u)), dtype=complex)
+    for row, p in zip(rows, basis.partitions):
+        np.sum(_field_powers(u, v, n, np.array(sorted({p, n - p}))), axis=0, out=row)
+        row *= _half_root(math.comb(n, p) * (2 if 2 * p == n else 1))
+        row *= np.exp(1j * p * phis)
+    return rows
+
+
+def _half_root(m: int) -> float:
+    """sqrt(m / 2) = sqrt(2 m) / 2, correctly rounded: the integer root of
+    2 m 4^t has at least 56 bits, and a sticky last bit where it is inexact."""
+    shift = max(0, 56 - m.bit_length() // 2)
+    scaled = 2 * m << 2 * shift
+    root = math.isqrt(scaled)
+    return math.ldexp(root | (root * root != scaled), -shift - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +409,8 @@ def _fit(
     matrix: np.ndarray, target: ExposureProfile, iterations: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """fit_superposition on the amplitude matrix of its basis at target.phis."""
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ValueError("iterations must be a positive integer")
-    if not isinstance(seed, int):
-        raise ValueError("seed must be an integer")
+    iterations = _count(iterations, "iterations")
+    seed = _count(seed, "seed", least=None)
     _check_target(target)
     k = len(matrix)
     peak = float(target.doses.max()) or 1.0  # a zero target is fitted as it is

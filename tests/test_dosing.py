@@ -29,6 +29,7 @@ from qlitho.dosing import (
 )
 from qlitho.fock import FieldCoefficients, apply_field_power, make_state
 from qlitho.optics import beamsplitter, compose, mirror, phase_shifter
+from qlitho.synthesis import psi_np, trench_target
 
 
 def test_substrate_field_coefficients():
@@ -467,6 +468,14 @@ def test_exposure_profile_keeps_private_copies():
     assert not profile.doses.flags.writeable and not profile.phis.flags.writeable
 
 
+def test_exposure_profiles_compare_by_their_samples():
+    profile = ExposureProfile(phase_grid(8), np.arange(8.0))
+    assert profile == ExposureProfile(phase_grid(8), np.arange(8))
+    assert profile != ExposureProfile(phase_grid(8), np.arange(1.0, 9.0))
+    assert profile != ExposureProfile(phase_grid(9), np.arange(9.0))
+    assert profile != (profile.phis, profile.doses)
+
+
 def test_fourier_components_of_classical_fringe():
     grid = phase_grid(512)
     profile = ExposureProfile(grid, classical_two_photon(grid))
@@ -531,6 +540,12 @@ def test_min_feature_values():
     pytest.param(lambda: min_feature(True, 1.0), id="min_feature_true"),
     pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), False),
                  id="fourier_components_false"),
+    pytest.param(lambda: noon_state(True), id="noon_state_true"),
+    pytest.param(lambda: make_state({(True, 0): 1.0}), id="make_state_true"),
+    pytest.param(lambda: psi_np(True, 0, 0.0), id="psi_np_true"),
+    # A grid size of 2.5 would space 3 phases 2pi/2.5 apart: no uniform grid.
+    pytest.param(lambda: phase_grid(2.5), id="phase_grid"),
+    pytest.param(lambda: trench_target(8.0), id="trench_target"),
 ])
 def test_non_integer_photon_numbers_are_refused(call):
     with pytest.raises(ValueError, match="integer"):

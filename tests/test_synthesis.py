@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qlitho.synthesis import (
     _check_target,
     _damped_steps,
     _dose_space,
+    _half_root,
     _hessian_map,
     _jacobian_map,
     _jacobians,
@@ -118,10 +120,11 @@ def test_psi_np_allows_partitions_up_to_n():
 
 
 def test_component_profile_matches_closed_form():
-    for n, p in [(2, 0), (2, 1), (5, 2), (7, 2), (10, 5), (12, 3)]:
+    for n, p in [(2, 0), (2, 1), (5, 2), (7, 2), (10, 5), (12, 3),
+                 (200, 60), (500, 250), (499, 0), (499, 249)]:
         profile = component_profile(n, p, 16)
         expected = component_closed_form(n, p, profile.phis)
-        assert np.max(np.abs(profile.doses - expected)) < 1e-9, (n, p)
+        assert np.max(np.abs(profile.doses - expected)) <= 1e-12 * math.comb(n, p), (n, p)
 
 
 def test_component_closed_form_matches_dense_oracle():
@@ -194,18 +197,39 @@ def test_genome_profile_is_nonnegative():
         assert np.all(profile.doses >= 0.0)
 
 
-def test_amplitude_matrix_matches_dense_oracle():
-    # The amplitude matrix every synthesis dose reads, against the dense oracle.
-    basis = PartitionBasis(10, (0, 1, 2, 3, 4, 5))
-    phis = phase_grid(32)
-    matrix = _amplitude_matrix(basis, phis)
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        alpha = raw / np.linalg.norm(raw)
-        fast = np.abs(alpha @ matrix) ** 2
-        exact = oracle_doses(10, basis.partitions, alpha, phis)
-        assert np.max(np.abs(fast - exact)) < 1e-9
+@st.composite
+def _superpositions(draw):
+    """A basis of N <= 10 photons with any strictly increasing partitions, and
+    unit-norm coefficients for it."""
+    n = draw(st.integers(1, 10))
+    partitions = tuple(sorted(draw(st.sets(st.integers(0, n // 2), min_size=1))))
+    raw = draw(arrays(complex, len(partitions), elements=st.complex_numbers(max_magnitude=1.0))
+               .filter(lambda a: np.linalg.norm(a) > 1e-3))
+    return PartitionBasis(n, partitions), raw / np.linalg.norm(raw)
+
+
+@settings(max_examples=60)
+@given(_superpositions(), st.integers(4, 40))
+@example((PartitionBasis(10, (0, 1, 2, 3, 4, 5)), np.full(6, 1 / math.sqrt(6))), 32)
+@example((PartitionBasis(4, (2,)), np.ones(1)), 4)
+def test_amplitude_matrix_matches_dense_oracle(superposition, grid):
+    # The amplitude matrix every synthesis dose reads, against the dense oracle,
+    # for P = 0 and the degenerate split 2P = N too.
+    basis, alpha = superposition
+    phis = phase_grid(grid)
+    fast = np.abs(alpha @ _amplitude_matrix(basis, phis)) ** 2
+    exact = oracle_doses(basis.n_photons, basis.partitions, alpha, phis)
+    assert np.max(np.abs(fast - exact)) < 1e-9
+
+
+@given(st.integers(1, 10**300))
+@example(math.comb(12, 4))  # a root that rounds up only by its sticky bit
+@example(math.comb(60, 26))  # math.sqrt(C / 2) is one ulp off here
+def test_half_root_is_correctly_rounded(m):
+    # The exact sqrt(m / 2) lies between the midpoints to the root's neighbours.
+    root = _half_root(m)
+    low, high = ((Fraction(root) + Fraction(math.nextafter(root, side))) / 2 for side in (0.0, math.inf))
+    assert low**2 <= Fraction(m, 2) <= high**2
 
 
 def test_dose_space_mse_matches_fitness_across_blocks(monkeypatch):
@@ -410,8 +434,11 @@ def test_partition_basis_validation():
         PartitionBasis(10, ())
     with pytest.raises(ValueError):
         PartitionBasis(0, (0,))
-    # Non-integral photon numbers and partitions are refused, not truncated.
-    for n, partitions in ((10, (1, 2.7)), (10.5, (1,)), (10, ("2",))):
+    with pytest.raises(ValueError, match="positive"):
+        component_closed_form(0, 0, phase_grid(8))
+    # Non-integral photon numbers and partitions are refused, not truncated;
+    # bool is an int subclass, but True is no photon number.
+    for n, partitions in ((10, (1, 2.7)), (10.5, (1,)), (10, ("2",)), (True, (0,)), (10, (False,))):
         with pytest.raises(ValueError, match="integers"):
             PartitionBasis(n, partitions)
     basis = PartitionBasis(np.int64(10), (np.int64(1), 2))
@@ -433,12 +460,15 @@ def test_genome_validation():
 
 def test_solver_config_validation():
     basis, target = PartitionBasis(10, (1, 3, 5)), trench_target(16)
-    for iterations in (0, -1, 2.5):
+    for iterations in (0, -1, 2.5, True):
         with pytest.raises(ValueError):
             fit_superposition(basis, target, iterations)
-    for seed in ("0", 1.5):
+    for seed in ("0", 1.5, True):
         with pytest.raises(ValueError):
             fit_superposition(basis, target, 1, seed)  # type: ignore[arg-type]
+    # numpy integers are integers.
+    np.testing.assert_array_equal(fit_superposition(basis, target, np.int64(2), np.int64(3))[1],
+                                  fit_superposition(basis, target, 2, 3)[1])
 
 
 # ---------------------------------------------------------------------------
