@@ -30,13 +30,12 @@ from .dosing import (
     ExposureProfile,
     SubstrateConvention,
     _grid_doses,
-    exposure_profile,
     min_feature,
     noon_state,
     phase_grid,
 )
 from .errors import ToleranceError
-from .fock import make_state
+from .fock import FockState, make_state
 from .svgplot import format_rows, write_line_chart
 from .synthesis import (
     _ITERATIONS,
@@ -52,7 +51,7 @@ _CONVENTIONS = {
     "paper": SubstrateConvention.SINGLE_ARM,
 }
 _FORMATS = ("csv", "svg", "both")
-# Fringe self-check tolerance for N below ~1.8e5; see _fringe_errors.
+# Fringe self-check tolerance for N below ~1.8e5; see _checked_fringe.
 _FRINGE_CHECK_TOL = 1e-9
 # Solver trace against the fitness of the emitted dose, relative to the target's
 # mean square (the error of a zero dose, which bounds every fitness).
@@ -172,13 +171,21 @@ def _emit(cfg: argparse.Namespace, header: list[str], columns: list[np.ndarray],
         write_line_chart(cfg.out + ".svg", phis, series, title=title)
 
 
-def _fringe_errors(doses: np.ndarray, analytic: np.ndarray, n: int) -> np.ndarray:
-    """|simulated - analytic| of an n-photon fringe, checked against its tolerance.
+def _checked_fringe(
+    cfg: argparse.Namespace, state: FockState, n: int, site: str
+) -> tuple[ExposureProfile, np.ndarray, np.ndarray]:
+    """The n-photon fringe of ``state`` at ``site``, dosed at every grid
+    point and checked against noon_exposure: profile, analytic, |difference|.
 
     The error is phase roundoff amplified by the fringe frequency, about
-    1.1e-15 n, so the tolerance grows with n beyond n ~ 1.8e5.
+    1.1e-15 n, so the tolerance grows with n beyond n ~ 1.8e5.  In the
+    paper convention a NOON state's phase e^{i n phi} rides on the state:
+    a phase shifter sits ahead of the substrate, commuted into its field.
     """
-    errors = np.abs(doses - analytic)
+    phis = phase_grid(cfg.grid)
+    profile = ExposureProfile(phis, _grid_doses(state, n, phis, cfg.convention, site))
+    analytic = noon_exposure(n, phis, cfg.convention)
+    errors = np.abs(profile.doses - analytic)
     worst = float(errors.max())
     tol = max(_FRINGE_CHECK_TOL, 8.0 * math.pi * n * np.finfo(float).eps)
     if not worst <= tol:
@@ -186,39 +193,25 @@ def _fringe_errors(doses: np.ndarray, analytic: np.ndarray, n: int) -> np.ndarra
             f"simulated {n}-photon fringe deviates from analytic form by {worst:.3e} "
             f"(tolerance {tol:.3e})"
         )
-    return errors
+    return profile, analytic, errors
 
 
 def cmd_fringe(cfg: argparse.Namespace) -> None:
-    """One- and two-photon fringes: classical baselines vs the simulated pair."""
-    pair = exposure_profile(make_state({(1, 1): 1.0}), 2, cfg.grid, cfg.convention, from_input=True)
+    """One- and two-photon fringes: classical baselines vs |1,1> fed into the inputs."""
+    pair, _, errors = _checked_fringe(cfg, make_state({(1, 1): 1.0}), 2, "inputs")
     phis = pair.phis
-    worst = float(_fringe_errors(pair.doses, noon_exposure(2, phis, cfg.convention), 2).max())
     _emit(
         cfg,
         ["phi", "delta_1_classical", "delta_2_classical", "delta_2_quantum"],
         [phis, classical_one_photon(phis), classical_two_photon(phis), pair.doses],
         title="Exposure fringes",
     )
-    print(f"two-photon fringe check: max deviation {worst:.3e}")
-
-
-def _noon_profile(cfg: argparse.Namespace) -> tuple[ExposureProfile, np.ndarray, np.ndarray]:
-    """The checked N-photon fringe at the substrate, its analytic form, |difference|.
-
-    In the paper convention the NOON phase e^{i N phi} rides on the state:
-    a phase shifter sits ahead of the substrate, commuted into its field.
-    """
-    phis = phase_grid(cfg.grid)
-    doses = _grid_doses(noon_state(cfg.n), cfg.n, phis, cfg.convention, "shifter")
-    profile = ExposureProfile(phis, doses)
-    analytic = noon_exposure(cfg.n, phis, cfg.convention)
-    return profile, analytic, _fringe_errors(profile.doses, analytic, cfg.n)
+    print(f"two-photon fringe check: max deviation {float(errors.max()):.3e}")
 
 
 def cmd_noon(cfg: argparse.Namespace) -> None:
     """Simulated N-photon path-entangled fringe against its analytic form."""
-    profile, analytic, errors = _noon_profile(cfg)
+    profile, analytic, errors = _checked_fringe(cfg, noon_state(cfg.n), cfg.n, "shifter")
     _emit(
         cfg,
         ["phi", "simulated", "analytic", "abs_error"],
@@ -247,7 +240,7 @@ def cmd_classical(cfg: argparse.Namespace) -> None:
 
 def cmd_compare(cfg: argparse.Namespace) -> None:
     """Classical baseline against the simulated entangled fringe at equal N."""
-    profile, _, _ = _noon_profile(cfg)
+    profile, _, _ = _checked_fringe(cfg, noon_state(cfg.n), cfg.n, "shifter")
     _emit(
         cfg,
         ["phi", "classical", "quantum"],

@@ -120,8 +120,7 @@ def interferometer(phi: float, convention: SubstrateConvention = SubstrateConven
 
 def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
     """The N-photon path-entangled state (|0,N> + e^{iN phi}|N,0>)/sqrt2."""
-    if n_photons < 1:
-        raise ValueError("photon number must be a positive integer")
+    n_photons = _count(n_photons, "photon number")
     return make_state(
         {
             (0, n_photons): 1.0,
@@ -138,7 +137,7 @@ def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray
     for psi in state.sectors.values():
         if len(psi) <= n_photons:
             continue
-        terms, _, ks, norm = _lowering_terms(psi, n_photons, scaled=True)
+        terms, _, ks, norm, _ = _lowering_terms(psi, n_photons)
         if not terms.size:
             continue
         step = max(1, _BLOCK_ELEMENTS // max(terms.shape))

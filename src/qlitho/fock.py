@@ -14,12 +14,13 @@ normalized power e^N / sqrt(N!) maps sector M to sector M-N,
 so an N-photon dose is a sum of squared "coefficients @ field powers".
 The squared weights are exact integers, rounded once and formed only
 where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
-is one) never meets a zero amplitude.  Doses use the coefficients of e^N
-itself, sqrt(N!) w, scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in
-float range at any N, and divide the squared sum by N!/4^s.  Dividing
-after squaring, rather than normalizing each coefficient, lets the
-roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the two-photon
-fringe of |1,1> through a balanced splitter peaks at exactly 2.
+is one) never meets a zero amplitude.  The coefficients of e^N itself,
+sqrt(N!) w, are scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in float
+range at any N: a dose divides their squared sum by N!/4^s, and
+apply_field_power multiplies their product by 2^s, which is exact.
+Dividing after squaring, rather than normalizing each coefficient, lets
+the roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the
+two-photon fringe of |1,1> through a balanced splitter peaks at exactly 2.
 
 Only the output rows j that a nonzero psi reaches are kept, each with
 its row index, so the product for a sparse sector (a squeezed vacuum's
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -100,6 +100,11 @@ class FockState:
 def make_state(pairs) -> FockState:
     """Build a normalized state from a map of occupation pairs to amplitudes.
 
+    The parts are scaled by the power of two that brings the largest into
+    [1/2, 1), which is exact, and divided by their norm, the moduli squared
+    by multiplication (libm's pow(x, 2) is not always x * x): z / sqrt(sum
+    |z|^2) to the bit wherever the squares are normal.
+
     Raises on a non-integer or negative occupation, a non-finite amplitude,
     or all-zero amplitudes (an empty map included): no state to normalize.
     """
@@ -115,19 +120,12 @@ def make_state(pairs) -> FockState:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("state amplitudes must be finite")
         amps[(n, m)] = z
-    try:
-        total = sum(abs(v) ** 2 for v in amps.values())
-    except OverflowError:
-        total = math.inf
-    if not sys.float_info.min <= total < math.inf:
-        # The squares overflow or underflow: normalize the amplitudes divided
-        # by their largest part instead.
-        scale = max((max(abs(z.real), abs(z.imag)) for z in amps.values()), default=0.0)
-        if scale == 0.0:
-            raise ValueError("degenerate state: all amplitudes are zero")
-        amps = {pair: z / scale for pair, z in amps.items()}
-        total = sum(abs(v) ** 2 for v in amps.values())
-    norm = math.sqrt(total)
+    scale = max((max(abs(z.real), abs(z.imag)) for z in amps.values()), default=0.0)
+    if scale == 0.0:
+        raise ValueError("degenerate state: all amplitudes are zero")
+    e = math.frexp(scale)[1]
+    amps = {pair: complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for pair, z in amps.items()}
+    norm = math.sqrt(sum(abs(v) * abs(v) for v in amps.values()))
     sectors: dict[int, np.ndarray] = {}
     for (n, m), z in amps.items():
         sectors.setdefault(n + m, np.zeros(n + m + 1, dtype=complex))[n] = z / norm
@@ -159,23 +157,22 @@ def squared_norm(state: FockState) -> float:
     return float(sum(np.sum(np.abs(psi) ** 2) for psi in state.sectors.values()))
 
 
-def _lowering_terms(psi: np.ndarray, power: int, scaled: bool = False):
-    """Coefficients of e^power on one sector array.
+def _lowering_terms(psi: np.ndarray, power: int):
+    """Coefficients of e^power on one sector array, divided by 2^s.
 
-    Returns ``(terms, rows, ks, norm)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k)
-    is the coefficient of alpha^k beta^(power-k), k = ks[c], for output
-    pair (j, M-power-j), j = rows[i].  Only the output rows and the columns
-    holding a nonzero coefficient are kept: the field-power product of a
-    sparse sector spans the rows it reaches, and an all-zero sector has
-    none.  ``scaled`` divides the terms by 2^s, 4^s <= power! < 4^(s+1),
-    and ``norm`` = power!/4^s (else 1) divides their squared sum into the
-    dose.  Requires len(psi) > power; raises OverflowError if a term
-    leaves the float range.
+    Returns ``(terms, rows, ks, norm, s)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k) / 2^s
+    is the coefficient of alpha^k beta^(power-k), k = ks[c], for output pair
+    (j, M-power-j), j = rows[i], with 4^s <= power! < 4^(s+1), and norm =
+    power!/4^s.  Only the output rows and the columns holding a nonzero
+    term are kept: the field-power product of a sparse sector spans the
+    rows it reaches, and an all-zero sector has none.  Requires
+    len(psi) > power; raises OverflowError if a term leaves the float range.
     """
     total = len(psi) - 1
     amp = psi[np.arange(total - power + 1)[:, None] + np.arange(power + 1)]
     fact = math.factorial(power)
-    four_s = 1 << 2 * ((fact.bit_length() - 1) // 2) if scaled else 1
+    s = (fact.bit_length() - 1) // 2
+    four_s = 1 << 2 * s
     jj, kk = np.nonzero(amp)
     weights = [
         math.sqrt(fact * math.comb(power, k) * math.comb(n, k) * math.comb(total - n, power - k) / four_s)
@@ -184,7 +181,7 @@ def _lowering_terms(psi: np.ndarray, power: int, scaled: bool = False):
     terms = np.zeros(amp.shape, dtype=complex)
     terms[jj, kk] = amp[jj, kk] * np.array(weights)
     rows, ks = terms.any(axis=1).nonzero()[0], terms.any(axis=0).nonzero()[0]
-    return terms[rows[:, None], ks], rows, ks, fact / four_s if scaled else 1.0
+    return terms[rows[:, None], ks], rows, ks, fact / four_s, s
 
 
 # numpy's complex power squares an integer exponent below this; at or above
@@ -232,15 +229,21 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
     docstring): the rows its amplitudes reach are formed and scattered
     into a zero sector; sectors below ``power`` are annihilated.  Returns
     an unnormalized state: the zero vector, never an error, if no sector
-    holds ``power`` photons.
+    holds ``power`` photons.  Formed at 2^-s of its size and multiplied
+    by 2^s, it takes powers whose N! overflows (NOON states up to N = 300
+    at alpha = beta = 1); raises OverflowError where a coefficient is not
+    finite, and for every power from 301 on, where 2^s (s >= 1024) is not.
     """
     power = _count(power, "field power")
     alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
     out = {}
     for total, psi in state.sectors.items():
         if total >= power:
-            terms, rows, ks, _ = _lowering_terms(psi, power)
+            terms, rows, ks, _, s = _lowering_terms(psi, power)
             out[total - power] = sector = np.zeros(total - power + 1, dtype=complex)
             if terms.size:
-                sector[rows] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
+                with np.errstate(over="ignore"):
+                    sector[rows] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0] * 2.0**s
+                if not np.isfinite(sector).all():
+                    raise OverflowError(f"a coefficient of the field power {power} exceeds the float range")
     return FockState(out)

@@ -707,7 +707,7 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(
         cli, "_grid_doses", lambda state, n, phis, convention, site: np.full(len(phis), 42.0)
     )
-    for command in ("noon", "compare"):
+    for command in ("fringe", "noon", "compare"):
         code = run_cli(monkeypatch, tmp_path, "--command", command, "--grid", "8")
         assert code == 4
         assert "tolerance violation" in capsys.readouterr().err

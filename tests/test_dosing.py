@@ -541,6 +541,8 @@ def test_min_feature_values():
     pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), False),
                  id="fourier_components_false"),
     pytest.param(lambda: noon_state(True), id="noon_state_true"),
+    pytest.param(lambda: noon_state("3"), id="noon_state_str"),
+    pytest.param(lambda: noon_state(2.5), id="noon_state_float"),
     pytest.param(lambda: make_state({(True, 0): 1.0}), id="make_state_true"),
     pytest.param(lambda: psi_np(True, 0, 0.0), id="psi_np_true"),
     # A grid size of 2.5 would space 3 phases 2pi/2.5 apart: no uniform grid.

@@ -88,6 +88,23 @@ def test_make_state_normalizes_amplitudes_whose_squares_leave_the_float_range(am
     assert abs(squared_norm(state) - 1.0) < 1e-15
 
 
+_PART = st.builds(math.copysign, st.floats(1e-150, 1e150), st.sampled_from((1.0, -1.0)))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.builds(complex, _PART, _PART),
+                       min_size=1, max_size=8), st.integers(-400, 400))
+def test_make_state_is_the_plain_quotient_wherever_the_squares_are_normal(pairs, shift):
+    # Scaling by a power of two first is exact, so it leaves z / sqrt(sum |z|^2) as
+    # it is (the moduli squared by multiplication, as make_state squares them); and
+    # the state times 2^shift, whose squares may leave the float range, is the same.
+    norm = math.sqrt(sum(abs(v) * abs(v) for v in pairs.values()))
+    state = make_state(pairs)
+    assert state.amplitudes == {pair: z / norm for pair, z in pairs.items()}
+    shifted = {p: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for p, z in pairs.items()}
+    assert make_state(shifted) == state
+
+
 def test_make_state_rejects_bad_input():
     with pytest.raises(ValueError, match="negative occupation"):
         make_state({(-1, 0): 1.0})
@@ -100,7 +117,7 @@ def test_make_state_rejects_bad_input():
     with pytest.raises(ValueError, match="degenerate"):
         make_state({})
     with pytest.raises(ValueError, match=r"integers, got \(0, 2\.5\)"):
-        noon_state(2.5)
+        make_state({(0, 2.5): 1.0})
     with pytest.raises(ValueError, match="integers"):
         make_state({(1.0, 0): 1.0})
     state = make_state({(np.int64(2), np.uint8(1)): 1.0})
@@ -283,6 +300,18 @@ def test_high_occupancy_is_finite():
     assert value > 0.0
 
 
+def test_field_power_of_a_noon_state_whose_n_factorial_leaves_the_float_range():
+    # e^N (|0,N> + |N,0>)/sqrt2 = sqrt(2 N!) |0,0> at alpha = beta = 1: finite up
+    # to N = 300, although N! overflows from N = 171 on.
+    for n_photons in (171, 300):
+        out = apply_field_power(noon_state(n_photons), FieldCoefficients(1.0, 1.0), n_photons)
+        assert list(out.amplitudes) == [(0, 0)]
+        expected = float(math.isqrt(2 * math.factorial(n_photons)))
+        assert abs(out.amplitude(0, 0) - expected) <= 1e-12 * expected
+    with pytest.raises(OverflowError):
+        apply_field_power(noon_state(301), FieldCoefficients(1.0, 1.0), 301)
+
+
 # ---------------------------------------------------------------------------
 # field powers: numpy's squaring below exponent 100, exponent splits above
 # ---------------------------------------------------------------------------
@@ -378,11 +407,11 @@ def test_lowering_terms_return_only_rows_the_sector_reaches(cutoff, state):
     for total, psi in state.sectors.items():
         held = np.flatnonzero(psi)
         for power in range(1, total + 1):
-            terms, rows, ks, _ = _lowering_terms(psi, power, scaled=True)
+            terms, rows, ks, _, _ = _lowering_terms(psi, power)
             reached = {n - k for n in held for k in range(power + 1) if 0 <= n - k <= total - power}
             assert rows.tolist() == sorted(reached)
             assert terms.shape == (len(rows), len(ks))
             assert terms.any(axis=1).all() and terms.any(axis=0).all()
     # A squeezed sector |n, n> at N = 2 reaches 3 of its 2n - 1 output rows.
-    terms, rows, _, _ = _lowering_terms(_squeezed_vacuum(0.8, 5).sectors[10], 2)
+    terms, rows, _, _, _ = _lowering_terms(_squeezed_vacuum(0.8, 5).sectors[10], 2)
     assert rows.tolist() == [3, 4, 5] and terms.shape == (3, 3)
