@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dosing import SubstrateConvention, _check_convention
+from .dosing import SubstrateConvention, _check_convention, _phases
 from .fock import _count
 
 
 def classical_one_photon(phi):
     """Single-photon / coherent fringe 1 + cos(2 phi)."""
-    return 1.0 + np.cos(2.0 * np.asarray(phi, dtype=float))
+    return 1.0 + np.cos(2.0 * _phases(phi))
 
 
 def classical_two_photon(phi):
@@ -34,4 +34,4 @@ def noon_exposure(n_photons: int, phi, convention=SubstrateConvention.SYMMETRIC)
     n_photons = _count(n_photons, "photon number")
     _check_convention(convention)
     rate = 2.0 if convention is SubstrateConvention.SYMMETRIC else 1.0
-    return 1.0 + np.cos(rate * n_photons * np.asarray(phi, dtype=float))
+    return 1.0 + np.cos(rate * n_photons * _phases(phi))

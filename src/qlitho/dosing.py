@@ -25,8 +25,8 @@ harmonics only (phi -> phi + pi scales every field power alpha^n
 beta^(N-n) by (-1)^N), so in both conventions it is a trigonometric
 polynomial of degree N in stride phi, stride 2 or 1, and its values at
 2N + 1 uniform phases over 2 pi / stride fix it everywhere.  That lets
-:func:`exposure_profile` dose a dense state at those phases only and
-interpolate the grid.
+:func:`exposure_profile` dose any state at those phases only and
+interpolate any finer grid.
 
 Two conventions relate the point phase ``phi`` to the field:
 
@@ -81,13 +81,19 @@ def _check_convention(convention) -> None:
         raise ValueError(f"unknown substrate convention {convention!r}")
 
 
+def _phases(phis) -> np.ndarray:
+    """``phis`` as a float array; ValueError unless every phase is finite."""
+    phis = np.asarray(phis, dtype=float)
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("phase must be finite")
+    return phis
+
+
 def _field(phis, convention: SubstrateConvention, site: str):
     """Field arrays (alpha, beta) that dose a state at ``site`` ("substrate",
     "shifter" or "inputs"), and the dose's doublings per absorbed photon."""
-    if not np.all(np.isfinite(phis)):
-        raise ValueError("substrate phase must be finite")
+    wave = np.exp(1j * np.atleast_1d(_phases(phis)))
     _check_convention(convention)
-    wave = np.exp(1j * np.atleast_1d(phis))
     if convention is SubstrateConvention.SYMMETRIC:
         field = (wave, wave.conj())
     else:
@@ -238,32 +244,24 @@ def exposure_profile(
     With ``from_input`` the source sits at the interferometer inputs (see
     the module docstring); otherwise it is taken to be at the substrate.
 
-    The dose is a trigonometric polynomial in phi of degree band = 2N
-    (SYMMETRIC) or N (SINGLE_ARM), the paper's lambda/2N fringe.  In
-    SYMMETRIC its harmonics are even, so in both conventions its values
-    at 2N + 1 uniform phases fix it: over [0, 2 pi) in SINGLE_ARM, over
-    half the period, [0, pi), in SYMMETRIC.  The state is dosed at those
-    phases only, and the grid interpolated through the spectrum (their
-    rfft into bins 0, stride, ..., band of a zeroed G-point half
-    spectrum, then irfft), when both hold:
-
-    * 2 band + 1 < G, and
-    * the direct dose costs more per point than the log2 G of the
-      resampling: the state holds more than log2 G nonzero amplitudes in
-      sectors of at least N photons.
-
-    Otherwise, as for |1,1> and NOON states, every point is dosed directly.
-    Resampled doses of dense sectors up to N = 120 on grids up to 4096
-    points measured within 7e-14 of the largest direct dose.  A dark
-    point can come out a rounding error below zero and is clamped to 0.
+    The dose, of degree band = 2N or N in phi, is fixed by its values at
+    2N + 1 uniform phases over [0, 2 pi / stride) (see the module
+    docstring).  Where 2 band + 1 < G the state is dosed at those phases
+    only and the grid interpolated through the spectrum (their rfft into
+    bins 0, stride, ..., band of a zeroed G-point half spectrum, then
+    irfft); otherwise every point is dosed.  N, G and the convention pick
+    the path, never the state.  Resampled doses of dense sectors
+    (N <= 120, G = 1024), |N,0> at the inputs (N <= 150, G = 4096) and
+    NOON states (N <= 100, G = 32768) measured within 9e-14 of the
+    largest exact dose.  A dark point can come out a rounding error below
+    zero and is clamped to 0.
     """
+    n_photons = _count(n_photons, "photon number")
     phis = phase_grid(grid_points)
     site = "inputs" if from_input else "substrate"
     stride = 2 if convention is SubstrateConvention.SYMMETRIC else 1
     band = stride * n_photons
-    work = sum(np.count_nonzero(psi) for psi in source.sectors.values() if len(psi) > n_photons)
-    # An N below 1 takes the direct path, which rejects it.
-    if not (1 < 2 * band + 1 < grid_points and work > math.log2(grid_points)):
+    if not 2 * band + 1 < grid_points:
         return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, site))
     coarse = 2 * n_photons + 1
     samples = _grid_doses(source, n_photons, phase_grid(coarse) / stride, convention, site)

@@ -17,10 +17,12 @@ where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
 is one) never meets a zero amplitude.  The coefficients of e^N itself,
 sqrt(N!) w, are scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in float
 range at any N: a dose divides their squared sum by N!/4^s, and
-apply_field_power multiplies their product by 2^s, which is exact.
-Dividing after squaring, rather than normalizing each coefficient, lets
-the roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the
-two-photon fringe of |1,1> through a balanced splitter peaks at exactly 2.
+apply_field_power restores 2^s on their product with ldexp, which is
+exact.  Dividing after squaring, rather than normalizing each
+coefficient, lets the roundings of a splitter's 1/sqrt2 and of sqrt(2!)
+cancel: the two-photon fringe of |1,1> through a balanced splitter,
+dosed point by point as the CLI doses it, peaks at exactly 2 (resampled
+through an FFT by exposure_profile, at 2.000000000000001).
 
 Only the output rows j that a nonzero psi reaches are kept, each with
 its row index, so the product for a sparse sector (a squeezed vacuum's
@@ -59,7 +61,8 @@ class FieldCoefficients:
 class FockState:
     """Two-mode number state, held as its photon-number sectors.
 
-    ``sectors`` maps each photon number M to a read-only copy of the array
+    ``sectors`` maps each photon number M (an int; a float or bool is
+    refused) to a read-only copy of the array
     ``psi[n] = <n, M-n|state>`` of length M+1.  Operators may return
     unnormalized states (or the zero vector); make_state's have unit norm.
     """
@@ -67,7 +70,8 @@ class FockState:
     sectors: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        frozen = {total: np.array(psi, dtype=complex) for total, psi in self.sectors.items()}
+        frozen = {_count(total, "sector key", least=None): np.array(psi, dtype=complex)
+                  for total, psi in self.sectors.items()}
         for total, psi in frozen.items():
             if total < 0 or psi.shape != (total + 1,):
                 raise ValueError(f"sector {total} needs {total + 1} amplitudes, got shape {psi.shape}")
@@ -229,10 +233,11 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
     docstring): the rows its amplitudes reach are formed and scattered
     into a zero sector; sectors below ``power`` are annihilated.  Returns
     an unnormalized state: the zero vector, never an error, if no sector
-    holds ``power`` photons.  Formed at 2^-s of its size and multiplied
-    by 2^s, it takes powers whose N! overflows (NOON states up to N = 300
-    at alpha = beta = 1); raises OverflowError where a coefficient is not
-    finite, and for every power from 301 on, where 2^s (s >= 1024) is not.
+    holds ``power`` photons.  Formed at 2^-s of its size and scaled back
+    by 2^s with ldexp, it returns every finite coefficient, also where N!
+    or 2^s alone overflows (NOON states up to N = 300 at alpha = beta = 1,
+    and past N = 300 at alpha = beta = 1/2); raises OverflowError where a
+    coefficient is not finite.
     """
     power = _count(power, "field power")
     alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
@@ -243,7 +248,8 @@ def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> Foc
             out[total - power] = sector = np.zeros(total - power + 1, dtype=complex)
             if terms.size:
                 with np.errstate(over="ignore"):
-                    sector[rows] = (terms @ _field_powers(alpha, beta, power, ks))[:, 0] * 2.0**s
+                    amp = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
+                    sector.real[rows], sector.imag[rows] = np.ldexp(amp.real, s), np.ldexp(amp.imag, s)
                 if not np.isfinite(sector).all():
                     raise OverflowError(f"a coefficient of the field power {power} exceeds the float range")
     return FockState(out)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import _BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _field, phase_grid
+from .dosing import _BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _field, _phases, phase_grid
 from .fock import FockState, _count, _field_powers, _index, make_state
 
 # Largest dose a basis may deposit, and largest target sample: the solver's
@@ -153,7 +153,7 @@ def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
     p = _count(partition, "partition", least=None)
     if not 0 <= 2 * p <= n:
         raise ValueError(f"partition {p} out of range 0..{n // 2}")
-    phis = np.asarray(phis, dtype=float)
+    phis = _phases(phis)
     c = float(math.comb(n, p))
     if 2 * p == n:
         return np.full(phis.shape, c)

@@ -19,6 +19,7 @@ from qlitho.dosing import (
     phase_grid,
 )
 from qlitho.fock import make_state
+from qlitho.synthesis import component_closed_form
 
 
 def test_one_photon_values():
@@ -26,6 +27,22 @@ def test_one_photon_values():
     assert abs(classical_one_photon(math.pi / 2.0)) < 1e-15
     grid = phase_grid(64)
     assert np.max(np.abs(classical_one_photon(grid) - (1.0 + np.cos(2.0 * grid)))) == 0.0
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, [0.0, math.nan], [-math.inf, 1.0]])
+@pytest.mark.parametrize("closed_form", [
+    classical_one_photon,
+    classical_two_photon,
+    lambda phi: classical_n_photon(3, phi),
+    lambda phi: noon_exposure(2, phi),
+    lambda phi: noon_exposure(2, phi, SubstrateConvention.SINGLE_ARM),
+    lambda phi: component_closed_form(4, 2, phi),
+    lambda phi: component_closed_form(4, 1, phi),
+], ids=["one_photon", "two_photon", "n_photon", "noon", "noon_single_arm", "component_degenerate",
+        "component"])
+def test_closed_forms_refuse_non_finite_phases(closed_form, phi):
+    with pytest.raises(ValueError, match="phase must be finite"):
+        closed_form(phi)
 
 
 def test_two_photon_harmonic_identity():

@@ -283,12 +283,11 @@ def test_resampled_profiles_match_the_direct_doses(drawn, data, convention, from
         assert np.abs(fourier_components(profile, top)[band + 1:]).max() <= scale
 
 
-def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatch):
-    # A profile is resampled when 2 band + 1 < G and the state holds more
-    # than log2 G nonzero amplitudes, as the dense sectors below do; it is
-    # then dosed on the 2N + 1 phases that fix it (half a period apart in
-    # SYMMETRIC, whose harmonics are even).  |1,1> and NOON states, whatever
-    # the grid, are dosed point by point and keep the bits of the direct doses.
+def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monkeypatch):
+    # Only N, G and the convention pick the path: a grid of more than
+    # 2 band + 1 points is resampled from the 2N + 1 doses that fix the
+    # fringe, whatever the state holds, and any other grid is dosed point by
+    # point.  Dense, sparse (|1,1>, NOON) and multi-sector states alike.
     phases = []
 
     def counted(state, n_photons, phis, convention, site):
@@ -297,22 +296,21 @@ def test_profiles_are_resampled_only_where_the_direct_dose_costs_more(monkeypatc
 
     monkeypatch.setattr(dosing, "_grid_doses", counted)
     rng = np.random.default_rng(3)
-    single_arm, symmetric = SubstrateConvention.SINGLE_ARM, SubstrateConvention.SYMMETRIC
-    for n_photons, grid, convention in ((12, 512, single_arm), (24, 256, single_arm),
-                                        (40, 1024, symmetric)):
-        phases.clear()
-        exposure_profile(_dense_sector(n_photons, rng), n_photons, grid, convention, from_input=True)
-        assert phases == [2 * n_photons + 1]
-    cases = [(make_state({(1, 1): 1.0}), 2, True)] + [(noon_state(n), n, False) for n in (1, 2, 10, 30)]
+    multi = make_state({(k, total - k): complex(*rng.standard_normal(2))
+                        for total in range(3, 6) for k in range(total + 1)})
+    cases = ([(_dense_sector(12, rng), 12, True), (make_state({(1, 1): 1.0}), 2, True)]
+             + [(noon_state(n), n, False) for n in (1, 2, 10, 30)]
+             + [(multi, 3, False), (multi, 3, True)])
     for state, n_photons, from_input in cases:
-        for grid in (2, 8, 513, 4096):
-            for convention in SubstrateConvention:
+        site = "inputs" if from_input else "substrate"
+        for convention in SubstrateConvention:
+            edge = 2 * _band(n_photons, convention) + 1
+            for grid in (2, edge - 1, edge, edge + 1, 4096):
                 phases.clear()
                 profile = exposure_profile(state, n_photons, grid, convention, from_input)
-                assert phases == [grid]
-                site = "inputs" if from_input else "substrate"
+                assert phases == ([2 * n_photons + 1] if grid > edge else [grid])
                 direct = _grid_doses(state, n_photons, profile.phis, convention, site)
-                assert np.array_equal(profile.doses, direct)
+                assert np.abs(profile.doses - direct).max() <= 1e-12 * max(1.0, direct.max())
 
 
 @pytest.mark.parametrize("n_photons", [1, 5, 12])

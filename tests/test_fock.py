@@ -281,6 +281,10 @@ def test_fock_state_rejects_misshapen_sectors():
     for sectors in ({2: np.ones(2)}, {-1: np.ones(0)}, {1: np.ones((2, 1))}):
         with pytest.raises(ValueError, match="amplitudes"):
             FockState(sectors)
+    for key in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="sector key must be an integer"):
+            FockState({key: np.ones(3)})
+    assert FockState({np.int64(1): [0.0, 1.0]}).amplitudes == {(1, 0): 1.0}
 
 
 def test_amplitude_of_negative_occupation_is_zero():
@@ -310,6 +314,12 @@ def test_field_power_of_a_noon_state_whose_n_factorial_leaves_the_float_range():
         assert abs(out.amplitude(0, 0) - expected) <= 1e-12 * expected
     with pytest.raises(OverflowError):
         apply_field_power(noon_state(301), FieldCoefficients(1.0, 1.0), 301)
+    # At alpha = beta = 1/2 the one coefficient, sqrt(2 N!) 2^-N, is finite past
+    # N = 300, where 2^s (s >= 1024) alone would overflow.
+    out = apply_field_power(noon_state(301), FieldCoefficients(0.5, 0.5), 301)
+    assert list(out.amplitudes) == [(0, 0)]
+    expected = math.isqrt(2 * math.factorial(301)) / 2**301
+    assert abs(out.amplitude(0, 0) - expected) <= 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------
