@@ -19,6 +19,7 @@ the table.  Flags override the file, which overrides the defaults.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .dosing import (
 )
 from .errors import ToleranceError
 from .fock import FockState, make_state
-from .svgplot import format_rows, write_line_chart
+from .svgplot import _write_text, format_rows, write_line_chart
 from .synthesis import (
     _ITERATIONS,
     PartitionBasis,
@@ -157,9 +158,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV with '.' decimals, ',' separators, LF endings, 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(format_rows(columns))
+    _write_text(path, itertools.chain([",".join(header) + "\n"], format_rows(columns)))
 
 
 def _emit(cfg: argparse.Namespace, header: list[str], columns: list[np.ndarray], title: str) -> None:
@@ -292,12 +291,9 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
             )
     else:
         target = trench_target(cfg.grid)
-    # One amplitude matrix serves the fit and the dose of its result.
-    matrix = _amplitude_matrix(basis, target.phis)
-    alpha, trace = _fit(matrix, target, cfg.generations, cfg.seed)
+    alpha, trace = _fit(basis, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
-    quantum = np.abs(alpha @ matrix) ** 2
-    del matrix  # not held while the outputs are written
+    quantum = np.abs(alpha @ _amplitude_matrix(basis, target.grid_points)) ** 2
     final_fitness = float(np.mean((quantum - target.doses) ** 2))
     gap = abs(final_fitness - float(trace[-1]))
     tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.doses**2)), np.finfo(float).tiny)
@@ -335,9 +331,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         "trace_initial": float(trace[0]),
         "trace_final": float(trace[-1]),
     }
-    with open(cfg.out + "_summary.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(cfg.out + "_summary.json", [json.dumps(summary, indent=2, sort_keys=True), "\n"])
     print(
         f"synthesis fitness {final_fitness:.6e} vs classical error {classical.error:.6e} "
         f"(seed {cfg.seed})"

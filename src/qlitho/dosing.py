@@ -60,8 +60,8 @@ import numpy as np
 from .fock import FieldCoefficients, FockState, _count, _field_powers, _lowering_terms, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
-# Upper bound on the elements of one block of work (dose arrays, synthesis QR
-# rows, formatted output rows), so that large grids do not raise peak memory.
+# Upper bound on the elements of one block of work (dose arrays and formatted
+# output rows), so that large grids do not raise peak memory.
 _BLOCK_ELEMENTS = 1 << 16
 
 _INPUT_CHAIN = np.array([[1, -1j], [-1j, 1]])  # sqrt2 compose(mirror(), beamsplitter())

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -485,6 +486,25 @@ def render_line_chart(x, series, title: str = "") -> str:
 
 def write_line_chart(path, x, series, title: str = "") -> None:
     """Write the chart of render_line_chart to ``path``, one part at a time."""
-    parts = _chart_parts(x, series, title)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(parts)
+    _write_text(path, _chart_parts(x, series, title))
+
+
+def _write_text(path, parts) -> None:
+    """Write the ASCII strings ``parts`` to ``path`` over its old bytes, then
+    cut the file at the end of what was written, also when a write fails.
+
+    The file is opened as open(path, "w") opens it (created 0o666 less the
+    umask, symlinks followed, the same inode kept, no newline translation)
+    but without O_TRUNC: a file cut to zero and written again is flushed
+    to disk at close on some file systems (ext4's auto_da_alloc), one
+    overwritten in place is not.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n", closefd=False) as fh:
+            fh.writelines(parts)
+    finally:
+        try:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)

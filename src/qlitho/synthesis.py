@@ -22,8 +22,11 @@ odd harmonics into the cross terms between partitions, and no state
 dosed in the SYMMETRIC convention has those (a known defect of the
 model, listed in ROADMAP.md).
 
-Every dose here reads that one matrix, dose(alpha) = |alpha @ A|^2, so
-|alpha|^2 is the exposure scale: unit-norm alpha is one unit of exposure.
+So row P holds two harmonics with real coefficients (_row_spectra).  The
+solver works on the spectra of the doses the rows make (_dose_space); the
+grid matrix A is one inverse FFT of the rows, and every dose on the grid
+reads it, dose(alpha) = |alpha @ A|^2, so |alpha|^2 is the exposure
+scale: unit-norm alpha is one unit of exposure.
 """
 
 from __future__ import annotations
@@ -35,12 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import _BLOCK_ELEMENTS, ExposureProfile, SubstrateConvention, _field, _phases, phase_grid
-from .fock import FockState, _count, _field_powers, _index, make_state
+from .dosing import ExposureProfile, _phases, phase_grid
+from .fock import FockState, _count, _index, make_state
 
-# Largest dose a basis may deposit, and largest target sample: the solver's
-# QR takes the column norms of the dose monomials and the target over the
-# grid, and the fitness sums squared errors; both must stay finite.
+# Largest dose a basis may deposit, and largest target sample.  On the grid
+# every dose monomial is bounded by the basis's dose bound B (|A_i|^2 <= w_i^2
+# and |A_i conj A_j| <= w_i w_j, w_P^2 = 2 C(N, P)), so by Parseval each column
+# of the solver's spectral QR has norm at most sqrt(G) B, and each entry,
+# sqrt(2G) times a sum of at most four coefficient products c_i c_j <= B / 4,
+# at most sqrt(2G) B: finite at B = 10^150 for any grid that fits in memory.
+# The target enters that QR divided by its peak.  The fitness sums squared
+# errors over the grid, about G 10^300 at most, which must stay finite too.
 _MAX_DOSE = 10**150
 # Smallest exposure scale a fit returns: the square of every coefficient of
 # the fitted vector then stays clear of underflow.
@@ -128,7 +136,7 @@ def psi_np(n_photons: int, partition: int, phi: float) -> FockState:
     as in the SINGLE_ARM picture, where every position phase lives in the
     state.  At phi = 0 it is the pair (|N-P, P> + |P, N-P>)/sqrt2, the
     synthesis basis state, whose dose row sqrt(C(N, P)/2) (u^P v^(N-P) +
-    u^(N-P) v^P) _amplitude_matrix forms without building it.  For the
+    u^(N-P) v^P) _row_spectra gives without building it.  For the
     degenerate split 2P = N both terms coincide and the normalized single
     term e^{i P phi} |P, P> is returned.
     """
@@ -178,26 +186,33 @@ def genome_profile(alpha, basis: PartitionBasis, grid_points: int) -> ExposurePr
     """
     alpha = _coefficients(alpha, basis)
     phis = phase_grid(grid_points)
-    return ExposureProfile(phis, np.abs(alpha @ _amplitude_matrix(basis, phis)) ** 2)
+    return ExposureProfile(phis, np.abs(alpha @ _amplitude_matrix(basis, grid_points)) ** 2)
 
 
-def _amplitude_matrix(basis: PartitionBasis, phis: np.ndarray) -> np.ndarray:
-    """Rows A[P] with dose(alpha) = |alpha @ A|^2.
+def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bins (k x 2) and real coefficients (k x 2) of the rows of A on G points.
 
-    Row P is the N-photon amplitude of psi_np(N, P, 0) under the
-    SYMMETRIC substrate field u a + v b of :mod:`qlitho.dosing`, two of
-    the sector's field powers: sqrt(C(N, P)/2) (u^P v^(N-P) + u^(N-P) v^P),
-    or u^P v^P sqrt(C(N, P)) for 2P = N, the root correctly rounded;
-    times the model's per-partition factor e^{i P phi}.
+    Row P (see the module docstring) has the harmonics 3P-N and N-P, each
+    with sqrt(C(N, P)/2); for 2P = N, the one harmonic P with sqrt(C(N, P))
+    and a second term 0.  The roots are correctly rounded.  The harmonics
+    are reduced mod G as integers, e^{i h phi} = e^{i (h mod G) phi} on the
+    grid, so a grid coarser than the band folds them exactly.
     """
     n = basis.n_photons
-    (u, v), _ = _field(phis, SubstrateConvention.SYMMETRIC, "substrate")
-    rows = np.empty((len(basis), len(u)), dtype=complex)
-    for row, p in zip(rows, basis.partitions):
-        np.sum(_field_powers(u, v, n, np.array(sorted({p, n - p}))), axis=0, out=row)
-        row *= _half_root(math.comb(n, p) * (2 if 2 * p == n else 1))
-        row *= np.exp(1j * p * phis)
-    return rows
+    bins = np.array([((3 * p - n) % grid_points, (n - p) % grid_points) for p in basis.partitions])
+    roots = (_half_root(math.comb(n, p) * (2 if 2 * p == n else 1)) for p in basis.partitions)
+    coef = np.array([(r, 0.0 if 2 * p == n else r) for p, r in zip(basis.partitions, roots)])
+    return bins, coef
+
+
+def _amplitude_matrix(basis: PartitionBasis, grid_points: int) -> np.ndarray:
+    """Rows A[P] on phase_grid(G), with dose(alpha) = |alpha @ A|^2: one
+    inverse FFT of the row spectra of _row_spectra, folded into G bins."""
+    g = _count(grid_points, "number of grid points")
+    bins, coef = _row_spectra(basis, g)
+    spectra = np.zeros((len(basis), g), dtype=complex)
+    np.add.at(spectra, (np.arange(len(basis))[:, None], bins), coef)
+    return np.fft.ifft(spectra, norm="forward", out=spectra)
 
 
 def _half_root(m: int) -> float:
@@ -263,7 +278,7 @@ def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
     largest = max(np.abs(alpha.real).max(), np.abs(alpha.imag).max())
     if largest > 0.0:
         alpha = alpha / largest
-    u = np.abs(alpha @ _amplitude_matrix(basis, target.phis)) ** 2
+    u = np.abs(alpha @ _amplitude_matrix(basis, target.grid_points)) ** 2
     return float(_scaled_sse(u, target.doses) / len(u))
 
 
@@ -293,7 +308,7 @@ def _hessian_map(k: int) -> tuple[np.ndarray, np.ndarray]:
     return index, factor
 
 
-def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dose_space(basis: PartitionBasis, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map x = [Re alpha | Im alpha] to a residual whose norm is the dose error.
 
     The dose |alpha @ A|^2 is linear in the lifted matrix alpha alpha^H:
@@ -301,30 +316,55 @@ def _dose_space(matrix: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     |A_i|^2, Re(A_i conj A_j) and Im(A_i conj A_j) (i < j) on the grid,
     and m holds their coefficients |alpha_i|^2, 2 Re(alpha_i conj alpha_j)
     and -2 Im(alpha_i conj alpha_j), each a quadratic form (1/2) x^T H x.
-    With [V | p] = Q R, Q orthonormal, the residual V m - p has the norm
-    of w - c for w = R_V m and c the last column of R; its last row holds
-    the part of p outside the span of V.  R has min(G, k^2+1) rows and is
-    accumulated over row blocks of the grid (TSQR), so [V | p] is never
-    formed whole; a block holds at least k^2+1 rows, which keeps the
-    stacked QRs near the cost of one QR of [V | p].
+
+    The residual V m - p is taken in harmonic space.  A_i conj A_j has a
+    term c_i c_j e^{i (h - h') phi} for each pair of harmonics of rows i
+    and j (_row_spectra): real coefficients, so the spectra of |A_i|^2 and
+    Re(A_i conj A_j) are real and those of Im(A_i conj A_j) imaginary, and
+    each is folded into bins mod G, at most 4 k^2 terms.  By Parseval on
+    the grid, |V m - p|^2 is the sum over the rfft bins b of
+    (w_b / G) |(V m)^_b - p^_b|^2, w_b = 1 at bins 0 and G/2 and 2 between,
+    over the real and imaginary parts of the support bins, where some
+    monomial has a term, plus the target's energy outside them: one real
+    row each, and a last row that holds only that energy, perp.  With that
+    [S | s] = Q R, the residual has the norm of w - c for w = R_V m and c
+    the last column of R.  R has min(rows, k^2+1) rows, rows = 2 (support
+    bins) at most, whatever G is: only the target's rfft is as long as the
+    grid.
 
     Returns R_V^T (k^2 x r, r the rows of R) and c.  The closed form
     mean(p^2) - <u,p>^2 / (G <u,u>) is not used: its error is roundoff
     of mean(p^2), not of the residual, so a target the basis reaches
     exactly would not score near zero.
     """
-    k, g = matrix.shape
+    g, k = len(target), len(basis)
+    bins, coef = _row_spectra(basis, g)
+    # Every term of A_i conj A_j, over ordered pairs (i, j): its bin and
+    # coefficient.  A bin past G/2 is the mirror of pair (j, i)'s term, which
+    # that pair lists at its own bin, so only the rfft bins are kept.
+    diff = (bins[:, None, :, None] - bins[None, :, None, :]) % g
+    keep = diff <= g // 2
+    pair = np.broadcast_to(np.arange(k * k).reshape(k, k, 1, 1), diff.shape)[keep]
+    support, at = np.unique(diff[keep], return_inverse=True)
+    terms = (coef[:, None, :, None] * coef[None, :, None, :])[keep]
+    cross = np.bincount(at * (k * k) + pair, terms, len(support) * k * k).reshape(-1, k, k)
     i, j = np.triu_indices(k, 1)
-    width = k * k + 1
-    tri = np.empty((0, width))
-    step = max(width, _BLOCK_ELEMENTS // width)
-    for start in range(0, g, step):
-        amp = matrix[:, start:start + step]
-        cross = amp[i] * amp[j].conj()
-        block = np.concatenate(
-            [amp.real**2 + amp.imag**2, cross.real, cross.imag, target[None, start:start + step]]
-        )
-        tri = np.linalg.qr(np.concatenate([tri, block.T]), mode="r")
+    spectrum = np.fft.rfft(target)
+    picked = spectrum[support]
+    spectrum[support] = 0.0
+    outside = spectrum.view(float)  # bin 0 is in the support; bin G/2 counts once
+    energy = 2.0 * (outside @ outside) - (spectrum[-1].real ** 2 if g % 2 == 0 else 0.0)
+    # Bins 0 and G/2 are real for real doses: no imaginary row.
+    sine = (support > 0) & (2 * support < g)
+    weight = np.where(sine, 2.0, 1.0)[:, None]
+    real = np.concatenate([cross.diagonal(0, 1, 2), (cross[:, i, j] + cross[:, j, i]) / 2,
+                           np.zeros((len(support), len(i))), picked.real[:, None] / g], axis=1)
+    imag = np.concatenate([np.zeros((len(support), k + len(i))), (cross[:, j, i] - cross[:, i, j]) / 2,
+                           picked.imag[:, None] / g], axis=1)[sine]
+    perp = np.zeros((1, k * k + 1))
+    perp[0, -1] = math.sqrt(energy / g)
+    stacked = np.concatenate([real * np.sqrt(weight * g), imag * math.sqrt(2.0 * g), perp])
+    tri = np.linalg.qr(stacked, mode="r")
     return tri[:, :-1].T.copy(), tri[:, -1].copy()
 
 
@@ -377,8 +417,11 @@ def fit_superposition(
     The unknown is x = [Re alpha | Im alpha] in R^{2k} with no norm
     constraint: the dose scale is |x|^2.  The residual w(x) - c of
     _dose_space is quadratic in x, and its norm squared over G is the
-    mean squared error of the dose, so the fit is a Levenberg-Marquardt
-    solve in 2k reals that never touches the grid after one QR.  Being
+    mean squared error of the dose.  It has min(rows, k^2+1) entries,
+    rows at most twice the harmonics the basis's doses hold on the grid,
+    so the fit is a Levenberg-Marquardt solve in 2k reals that reads the
+    grid only through the target's rfft, and its cost does not grow with
+    G once the grid holds every harmonic.  Being
     quadratic, the residual has the exact Hessian J J^T + sum_j res_j H_j
     with constant H_j, whose weighted sum is a gather of the k^2 weights
     res @ R_V (_hessian_map); every step is damped Newton on it, the
@@ -402,20 +445,19 @@ def fit_superposition(
     for a given seed, and a run that ends before its cap is the same run
     under any larger cap.
     """
-    return _fit(_amplitude_matrix(basis, target.phis), target, iterations, seed)
+    return _fit(basis, target, iterations, seed)
 
 
 def _fit(
-    matrix: np.ndarray, target: ExposureProfile, iterations: int, seed: int
+    basis: PartitionBasis, target: ExposureProfile, iterations: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """fit_superposition on the amplitude matrix of its basis at target.phis."""
+    """fit_superposition with every argument given, as the CLI calls it."""
     iterations = _count(iterations, "iterations")
     seed = _count(seed, "seed", least=None)
     _check_target(target)
-    k = len(matrix)
+    k = len(basis)
     peak = float(target.doses.max()) or 1.0  # a zero target is fitted as it is
-    doses = target.doses / peak
-    rows, c = _dose_space(matrix, doses)
+    rows, c = _dose_space(basis, target.doses / peak)
     jac = _jacobian_map(rows)
     index, factor = _hessian_map(k)
 
@@ -474,9 +516,9 @@ def _fit(
     # Bring the best start to unit norm before its optimal scale: a start
     # that has shrunk towards a zero target could square to subnormals.
     best_vec /= np.abs(best_vec).max()
-    alpha = (best_vec[:k] + 1j * best_vec[k:]) / np.linalg.norm(best_vec)
-    scale = float(_optimal_scale(np.abs(alpha @ matrix) ** 2, doses)) * peak
-    alpha *= math.sqrt(max(scale, _MIN_SCALE))
+    best_vec /= np.linalg.norm(best_vec)
+    scale = float(_optimal_scale(_jacobians(best_vec[None], jac)[1], c)[0]) * peak
+    alpha = (best_vec[:k] + 1j * best_vec[k:]) * math.sqrt(max(scale, _MIN_SCALE))
     return alpha, np.asarray(trace) / target.grid_points * peak * peak
 
 

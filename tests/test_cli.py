@@ -20,7 +20,7 @@ import qlitho.cli as cli
 import qlitho.synthesis as synthesis
 from oracles import csv_text, polyline_points
 from qlitho.dosing import phase_grid
-from qlitho.svgplot import format_rows
+from qlitho.svgplot import _write_text, format_rows
 from qlitho.synthesis import trench_target
 
 
@@ -340,14 +340,14 @@ def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, parti
 
 
 def test_synthesize_forms_the_amplitude_matrix_once(monkeypatch, tmp_path):
-    # The fit and the emitted quantum dose read the same matrix, built at the
-    # target's phases.
+    # The fit works on the rows' spectra; only the emitted quantum dose
+    # reads the grid matrix, built once on the target's grid.
     calls = []
     real = synthesis._amplitude_matrix
 
-    def counting(basis, phis):
-        calls.append(len(phis))
-        return real(basis, phis)
+    def counting(basis, grid_points):
+        calls.append(grid_points)
+        return real(basis, grid_points)
 
     for module in (synthesis, cli):
         monkeypatch.setattr(module, "_amplitude_matrix", counting)
@@ -700,6 +700,71 @@ def test_unwritable_out_exits_three(monkeypatch, tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_outputs_overwrite_longer_files_exactly(monkeypatch, tmp_path):
+    # CSV, SVG and summary are rewritten in place and cut at their new end.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    names = ("synthesize.csv", "synthesize.svg", "synthesize_summary.json")
+    for name in names:
+        (reused / name).write_bytes(b"x" * 200_000)
+    for where in (fresh, reused):
+        assert run_cli(monkeypatch, where, "--command", "synthesize", *SMALL_SYNTH,
+                       "--format", "both") == 0
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_new_output_file_has_the_mode_open_gives(monkeypatch, tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert run_cli(monkeypatch, tmp_path, "--command", "classical", "--grid", "8") == 0
+    assert (tmp_path / "classical.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_output_through_links_reaches_the_linked_file(monkeypatch, tmp_path):
+    # A symlinked output is written through to its target, and a hard link
+    # of an output sees the new bytes: the file keeps its inode.
+    expected_dir = tmp_path / "expected"
+    expected_dir.mkdir()
+    assert run_cli(monkeypatch, expected_dir, "--command", "classical", "--grid", "8") == 0
+    expected = (expected_dir / "classical.csv").read_bytes()
+    for kind in ("symlink", "hardlink"):
+        where = tmp_path / kind
+        where.mkdir()
+        elsewhere = where / "elsewhere.csv"
+        elsewhere.write_bytes(b"old bytes\n" * 1000)
+        inode = elsewhere.stat().st_ino
+        if kind == "symlink":
+            (where / "classical.csv").symlink_to(elsewhere)
+        else:
+            os.link(elsewhere, where / "classical.csv")
+        assert run_cli(monkeypatch, where, "--command", "classical", "--grid", "8") == 0
+        assert (where / "classical.csv").is_symlink() == (kind == "symlink")
+        assert elsewhere.read_bytes() == expected and elsewhere.stat().st_ino == inode
+
+
+def test_output_path_that_is_a_directory_exits_three(monkeypatch, tmp_path, capsys):
+    (tmp_path / "classical.csv").mkdir()
+    assert run_cli(monkeypatch, tmp_path, "--command", "classical", "--grid", "8") == 3
+    assert "i/o failure" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_the_prefix_written(tmp_path):
+    # The old tail past what was written goes, as with open(path, "w").
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"z" * 100_000)
+
+    def parts():
+        yield "first,"
+        yield "second\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_text(path, parts())
+    assert path.read_bytes() == b"first,second\n"
 
 
 def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import qlitho.synthesis as synthesis
 from oracles import dense_dose
 from qlitho.dosing import ExposureProfile, phase_grid
 from qlitho.synthesis import (
@@ -25,7 +25,6 @@ from qlitho.synthesis import (
     trench_target,
 )
 from qlitho.synthesis import (
-    _BLOCK_ELEMENTS,
     _amplitude_matrix,
     _check_target,
     _damped_steps,
@@ -56,7 +55,7 @@ def manual_superposition_map(n, partitions, coeffs, phi):
 
 def dose_space_mse(basis, target, points):
     """Scale-optimized MSE of rows x = [Re alpha | Im alpha], from the solver's residual."""
-    rows, c = _dose_space(_amplitude_matrix(basis, target.phis), target.doses)
+    rows, c = _dose_space(basis, target.doses)
     _, w = _jacobians(points, _jacobian_map(rows))
     return _scaled_sse(w, c) / target.grid_points
 
@@ -217,7 +216,7 @@ def test_amplitude_matrix_matches_dense_oracle(superposition, grid):
     # for P = 0 and the degenerate split 2P = N too.
     basis, alpha = superposition
     phis = phase_grid(grid)
-    fast = np.abs(alpha @ _amplitude_matrix(basis, phis)) ** 2
+    fast = np.abs(alpha @ _amplitude_matrix(basis, grid)) ** 2
     exact = oracle_doses(basis.n_photons, basis.partitions, alpha, phis)
     assert np.max(np.abs(fast - exact)) < 1e-9
 
@@ -232,10 +231,8 @@ def test_half_root_is_correctly_rounded(m):
     assert low**2 <= Fraction(m, 2) <= high**2
 
 
-def test_dose_space_mse_matches_fitness_across_blocks(monkeypatch):
-    # Five rows of any norm scored in the dose space, from a QR accumulated
-    # over 39-row grid blocks.
-    monkeypatch.setattr(synthesis, "_BLOCK_ELEMENTS", 1024)
+def test_dose_space_mse_matches_fitness_of_rows_of_any_norm():
+    # Five rows of any norm scored in the dose space, from the spectral QR.
     basis = PartitionBasis(10, (1, 2, 3, 4, 5))
     target = trench_target(256)
     points = np.random.default_rng(31).standard_normal((5, 10))
@@ -576,7 +573,7 @@ def test_curvature_is_the_derivative_of_the_jacobian():
     # row a of the solver's second-order term sum_j res_j H_j.
     basis = PartitionBasis(10, (1, 2, 4))
     target = trench_target(64)
-    rows, _ = _dose_space(_amplitude_matrix(basis, target.phis), target.doses)
+    rows, _ = _dose_space(basis, target.doses)
     jac = _jacobian_map(rows)
     index, factor = _hessian_map(len(basis))
     rng = np.random.default_rng(11)
@@ -593,13 +590,12 @@ def test_curvature_is_the_derivative_of_the_jacobian():
     assert np.array_equal(curvature, curvature.T)
 
 
-def test_ga_scores_in_dose_space_over_several_qr_blocks(monkeypatch):
-    # At G = 8192 one QR block holds fewer grid rows than the grid has, so
-    # the dose-space triangle is accumulated over several blocks.
+def test_ga_scores_in_dose_space_from_one_small_qr(monkeypatch):
+    # At G = 8192 the dose space is one QR of the support bins' rows: the
+    # harmonic differences of the rows lie in [-2N, 2N], so at most 2N + 1
+    # rfft bins, two rows each, and the perp row.
     target = trench_target(8192)
     basis = PartitionBasis(4, (0, 1, 2))
-    step = _BLOCK_ELEMENTS // (len(basis) ** 2 + 1)
-    assert step < target.grid_points
     calls = []
     real_qr = np.linalg.qr
 
@@ -609,28 +605,42 @@ def test_ga_scores_in_dose_space_over_several_qr_blocks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     best, trace = fit_superposition(basis, target, 2, seed=4)
-    assert len(calls) == -(-target.grid_points // step) > 1
+    assert len(calls) == 1 and calls[0] <= 2 * (2 * basis.n_photons + 1)
     assert abs(fitness(best, basis, target) - trace[-1]) <= 1e-12 * trace[-1]
 
 
-def test_qr_blocks_hold_at_least_one_triangle_of_rows(monkeypatch):
-    # A block never holds fewer grid rows than the triangle has columns, so
-    # the stacked QRs cost about what one QR of the whole grid would.
-    monkeypatch.setattr(synthesis, "_BLOCK_ELEMENTS", 1024)
+def test_dose_space_does_not_grow_with_the_grid(monkeypatch):
+    # Once the grid holds every harmonic of the doses, a finer grid adds
+    # no row to the QR, and the triangle has min(rows, k^2 + 1) rows.
     basis = PartitionBasis(20, (0, 2, 4, 6, 8, 10))
-    target = trench_target(300)
     width = len(basis) ** 2 + 1
-    rows = []
+    shapes = []
     real_qr = np.linalg.qr
 
     def counting_qr(a, mode):
-        rows.append(a.shape)
+        shapes.append(a.shape)
         return real_qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    _, c = _dose_space(_amplitude_matrix(basis, target.phis), target.doses)
-    assert len(rows) == -(-target.grid_points // width) and len(c) == width
-    assert rows[0] == (width, width) and set(rows[1:-1]) == {(2 * width, width)}
+    for grid in (300, 30000):
+        _, c = _dose_space(basis, trench_target(grid).doses)
+        assert len(c) == min(shapes[-1][0], width)
+    assert shapes[0] == shapes[1] and shapes[0][1] == width
+
+
+def test_dose_space_peaks_below_one_grid_array():
+    # At G = 2^20 only the target's rfft is as long as the grid: the peak of
+    # _dose_space stays below one G-point complex array.
+    grid = 1 << 20
+    target = trench_target(grid).doses
+    basis = PartitionBasis(10, (1, 2, 3, 4, 5))
+    tracemalloc.start()
+    try:
+        _dose_space(basis, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * grid
 
 
 def test_singular_damped_system_gives_a_failed_step():
