@@ -26,11 +26,14 @@ import sys
 
 import numpy as np
 
+from .baselines import _noon_grid_exposure
 from .baselines import classical_n_photon, classical_one_photon, classical_two_photon, noon_exposure
 from .dosing import (
     ExposureProfile,
     SubstrateConvention,
     _grid_doses,
+    _grid_profile,
+    _spectral_doses,
     min_feature,
     noon_state,
     phase_grid,
@@ -42,8 +45,8 @@ from .synthesis import (
     _ITERATIONS,
     PartitionBasis,
     _amplitude_matrix,
-    _fit,
     best_classical_fit,
+    fit_superposition,
     trench_target,
 )
 
@@ -173,17 +176,29 @@ def _emit(cfg: argparse.Namespace, header: list[str], columns: list[np.ndarray],
 def _checked_fringe(
     cfg: argparse.Namespace, state: FockState, n: int, site: str
 ) -> tuple[ExposureProfile, np.ndarray, np.ndarray]:
-    """The n-photon fringe of ``state`` at ``site``, dosed at every grid
-    point and checked against noon_exposure: profile, analytic, |difference|.
+    """The n-photon fringe of ``state`` at ``site`` on the grid, checked
+    against the closed form of noon_exposure at the phases it was dosed at:
+    profile, analytic, |difference|.
 
-    The error is phase roundoff amplified by the fringe frequency, about
-    1.1e-15 n, so the tolerance grows with n beyond n ~ 1.8e5.  In the
-    paper convention a NOON state's phase e^{i n phi} rides on the state:
-    a phase shifter sits ahead of the substrate, commuted into its field.
+    At the substrate and the shifter the dose is one folded FFT
+    (dosing._spectral_doses) at the exact grid phases 2 pi g / G, and the
+    closed form takes them reduced in integers
+    (baselines._noon_grid_exposure): both are exact to about 1e-15 at
+    every n.  At the inputs every rounded grid phase is dosed
+    (dosing._grid_doses) and checked at the same phase; the error there is
+    phase roundoff amplified by the fringe frequency, about 1.1e-15 n, so
+    the tolerance grows with n beyond n ~ 1.8e5.  In the paper convention a
+    NOON state's phase e^{i n phi} rides on the state: a phase shifter sits
+    ahead of the substrate, commuted into its field.
     """
     phis = phase_grid(cfg.grid)
-    profile = ExposureProfile(phis, _grid_doses(state, n, phis, cfg.convention, site))
-    analytic = noon_exposure(n, phis, cfg.convention)
+    if site == "inputs":
+        doses = _grid_doses(state, n, phis, cfg.convention, site)
+        analytic = noon_exposure(n, phis, cfg.convention)
+    else:
+        doses = _spectral_doses(state, n, cfg.grid, cfg.convention, site)
+        analytic = _noon_grid_exposure(n, cfg.grid, cfg.convention)
+    profile = _grid_profile(phis, doses)
     errors = np.abs(profile.doses - analytic)
     worst = float(errors.max())
     tol = max(_FRINGE_CHECK_TOL, 8.0 * math.pi * n * np.finfo(float).eps)
@@ -291,7 +306,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
             )
     else:
         target = trench_target(cfg.grid)
-    alpha, trace = _fit(basis, target, cfg.generations, cfg.seed)
+    alpha, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
     quantum = np.abs(alpha @ _amplitude_matrix(basis, target.grid_points)) ** 2
     final_fitness = float(np.mean((quantum - target.doses) ** 2))

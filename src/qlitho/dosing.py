@@ -13,9 +13,13 @@ psi_n = <n, N-n|psi>, it is the trigonometric polynomial
 
     rate = | sum_n psi_n sqrt(C(N, n)) alpha^n beta^(N-n) |^2,
 
-and every sector above N adds the squared norm of its dense image.  One
-evaluator, "coefficients @ field powers", serves a single phase and any
-set of phases; the phases are taken in blocks of bounded size.
+and every sector above N adds the squared norm of its dense image.  Two
+evaluators take it.  At the substrate and behind the SINGLE_ARM phase
+shifter every field power is a power of z = e^{i phi}, so a dose on the
+uniform grid, where z^G = 1, is one folded real FFT of the dose's
+spectrum (_spectral_doses): no field power and, in the top sector, no N!.
+Any other phase, and any phase at the inputs, is dosed as "coefficients @
+field powers" (_grid_doses), the phases taken in blocks of bounded size.
 
 The dose is band limited.  Every field below is a combination of
 e^{i phi} and e^{-i phi} (SYMMETRIC) or of e^{i phi} and 1 (SINGLE_ARM), so
@@ -25,8 +29,8 @@ harmonics only (phi -> phi + pi scales every field power alpha^n
 beta^(N-n) by (-1)^N), so in both conventions it is a trigonometric
 polynomial of degree N in stride phi, stride 2 or 1, and its values at
 2N + 1 uniform phases over 2 pi / stride fix it everywhere.  That lets
-:func:`exposure_profile` dose any state at those phases only and
-interpolate any finer grid.
+:func:`exposure_profile` dose a state at the inputs at those phases only
+and interpolate any finer grid.
 
 Two conventions relate the point phase ``phi`` to the field:
 
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FieldCoefficients, FockState, _count, _field_powers, _lowering_terms, make_state
+from .fock import FieldCoefficients, FockState, _count, _field_powers, _lowering_terms, _root, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Upper bound on the elements of one block of work (dose arrays and formatted
@@ -163,6 +167,58 @@ def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateCon
     return _doses(state, n_photons, *_field(phis, convention, site))
 
 
+def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
+                    convention: SubstrateConvention, site: str) -> np.ndarray:
+    """Doses on phase_grid(G) of a state at the substrate or behind the
+    SINGLE_ARM phase shifter (``site`` "substrate" or "shifter").
+
+    There the field is a monomial in z = e^{i phi}: alpha^k beta^(N-k) is
+    z^(2k-N) (SYMMETRIC), z^k (behind the shifter) or 1 (SINGLE_ARM at the
+    substrate), so each output row is a polynomial in z.  On the grid
+    z^G = 1: coefficient k goes into bin (stride k - offset) mod G, exact
+    for any G, with no band condition and no complex power.  The dose's
+    spectrum is then the rows' folded autocorrelation, summed over the rows
+    of every sector, and one real inverse FFT gives the dose at every grid
+    point.  A dark point can come out a rounding error below zero and is
+    clamped to 0.  In the top sector (M = N) the coefficients are
+    psi[k] sqrt(C(N, k)), the roots correctly rounded and formed only
+    where psi is nonzero, so no N! is formed; sectors above N take
+    _lowering_terms.  The correlation of U occupied bins is taken in blocks
+    of at most _BLOCK_ELEMENTS / U bins.
+    """
+    n_photons = _count(n_photons, "photon number")
+    grid_points = _count(grid_points, "number of grid points")
+    _check_convention(convention)
+    if convention is SubstrateConvention.SYMMETRIC:
+        stride, offset = 2, n_photons
+    else:
+        stride, offset = int(site == "shifter"), 0
+    spectrum = np.zeros((2, grid_points))
+    for total, psi in state.sectors.items():
+        if total < n_photons:
+            continue
+        if total == n_photons:
+            ks = np.flatnonzero(psi)
+            weights = [_root(math.comb(n_photons, k)) for k in ks.tolist()]
+            terms, norm = (psi[ks] * np.array(weights))[None], 1.0
+        else:
+            terms, _, ks, norm, _ = _lowering_terms(psi, n_photons)
+        if not terms.size:
+            continue
+        bins, fold = np.unique((stride * ks - offset) % grid_points, return_inverse=True)
+        rows = np.zeros((len(terms), len(bins)), dtype=complex)
+        np.add.at(rows, (slice(None), fold), terms)
+        step = max(1, _BLOCK_ELEMENTS // len(bins))
+        for lo in range(0, len(bins), step):
+            corr = rows[:, lo:lo + step].T @ rows.conj() / norm
+            lags = ((bins[lo:lo + step, None] - bins) % grid_points).ravel()
+            for part, values in zip(spectrum, (corr.real, corr.imag)):
+                part += np.bincount(lags, values.ravel(), grid_points)
+    real, imag = spectrum[:, : grid_points // 2 + 1]
+    doses = np.fft.irfft(real + 1j * imag, grid_points, norm="forward")
+    return np.maximum(doses, 0.0, out=doses)
+
+
 def deposition_rate(
     state: FockState,
     n_photons: int,
@@ -199,6 +255,13 @@ def _check_phase_grid(phis: np.ndarray) -> None:
         raise ValueError("phis must be the uniform grid k*2pi/G starting at 0")
 
 
+def _check_doses(doses: np.ndarray) -> None:
+    if not np.all(np.isfinite(doses)):
+        raise ValueError("doses must be finite")
+    if doses.min() < 0:
+        raise ValueError("doses must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ExposureProfile:
     """Nonnegative doses sampled on the uniform phase grid over [0, 2 pi)."""
@@ -214,14 +277,8 @@ class ExposureProfile:
         if len(phis) < 1:
             raise ValueError("profile needs at least one sample")
         _check_phase_grid(phis)
-        if not np.all(np.isfinite(doses)):
-            raise ValueError("doses must be finite")
-        if doses.min() < 0:
-            raise ValueError("doses must be nonnegative")
-        phis.flags.writeable = False
-        doses.flags.writeable = False
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "doses", doses)
+        _check_doses(doses)
+        _freeze(self, phis, doses)
 
     def __eq__(self, other):
         return (isinstance(other, ExposureProfile) and np.array_equal(self.phis, other.phis)
@@ -230,6 +287,23 @@ class ExposureProfile:
     @property
     def grid_points(self) -> int:
         return len(self.phis)
+
+
+def _freeze(profile: ExposureProfile, phis: np.ndarray, doses: np.ndarray) -> None:
+    phis.flags.writeable = False
+    doses.flags.writeable = False
+    object.__setattr__(profile, "phis", phis)
+    object.__setattr__(profile, "doses", doses)
+
+
+def _grid_profile(phis: np.ndarray, doses: np.ndarray) -> ExposureProfile:
+    """A profile of fresh float arrays, ``phis`` from phase_grid(len(doses)),
+    that takes them as they are: no copies and no grid check, only the check
+    of the doses."""
+    _check_doses(doses)
+    profile = object.__new__(ExposureProfile)
+    _freeze(profile, phis, doses)
+    return profile
 
 
 def exposure_profile(
@@ -244,31 +318,34 @@ def exposure_profile(
     With ``from_input`` the source sits at the interferometer inputs (see
     the module docstring); otherwise it is taken to be at the substrate.
 
-    The dose, of degree band = 2N or N in phi, is fixed by its values at
-    2N + 1 uniform phases over [0, 2 pi / stride) (see the module
-    docstring).  Where 2 band + 1 < G the state is dosed at those phases
-    only and the grid interpolated through the spectrum (their rfft into
-    bins 0, stride, ..., band of a zeroed G-point half spectrum, then
-    irfft); otherwise every point is dosed.  N, G and the convention pick
-    the path, never the state.  Resampled doses of dense sectors
-    (N <= 120, G = 1024), |N,0> at the inputs (N <= 150, G = 4096) and
-    NOON states (N <= 100, G = 32768) measured within 9e-14 of the
-    largest exact dose.  A dark point can come out a rounding error below
-    zero and is clamped to 0.
+    At the substrate every field power is a power of e^{i phi}, and every
+    grid is dosed by one folded real FFT of the dose's spectrum
+    (_spectral_doses), exact for any G.  At the inputs the dose, of degree band = 2N or N in phi, is
+    fixed by its values at 2N + 1 uniform phases over [0, 2 pi / stride)
+    (see the module docstring).  Where 2 band + 1 < G the state is dosed at
+    those phases only and the grid interpolated through the spectrum (their
+    rfft into bins 0, stride, ..., band of a zeroed G-point half spectrum,
+    then irfft); otherwise every point is dosed.  N, G and the convention
+    pick the path, never the state.  Resampled doses of dense sectors
+    (N <= 120, G = 1024) and |N,0> (N <= 150, G = 4096) measured within
+    9e-14 of the largest exact dose.  A dark point can come out a rounding
+    error below zero and is clamped to 0.
     """
     n_photons = _count(n_photons, "photon number")
+    if not from_input:
+        doses = _spectral_doses(source, n_photons, grid_points, convention, "substrate")
+        return _grid_profile(phase_grid(grid_points), doses)
     phis = phase_grid(grid_points)
-    site = "inputs" if from_input else "substrate"
     stride = 2 if convention is SubstrateConvention.SYMMETRIC else 1
     band = stride * n_photons
     if not 2 * band + 1 < grid_points:
-        return ExposureProfile(phis, _grid_doses(source, n_photons, phis, convention, site))
+        return _grid_profile(phis, _grid_doses(source, n_photons, phis, convention, "inputs"))
     coarse = 2 * n_photons + 1
-    samples = _grid_doses(source, n_photons, phase_grid(coarse) / stride, convention, site)
+    samples = _grid_doses(source, n_photons, phase_grid(coarse) / stride, convention, "inputs")
     spectrum = np.zeros(grid_points // 2 + 1, dtype=complex)
     spectrum[: band + 1 : stride] = np.fft.rfft(samples)
     doses = np.fft.irfft(spectrum, grid_points) * (grid_points / coarse)
-    return ExposureProfile(phis, np.maximum(doses, 0.0))
+    return _grid_profile(phis, np.maximum(doses, 0.0))
 
 
 def fourier_components(profile: ExposureProfile, max_harmonic: int) -> np.ndarray:

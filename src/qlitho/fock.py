@@ -12,6 +12,9 @@ normalized power e^N / sqrt(N!) maps sector M to sector M-N,
     w(j, k)^2 = C(N, k) C(j+k, k) C(M-j-k, N-k),
 
 so an N-photon dose is a sum of squared "coefficients @ field powers".
+On the grid at the substrate, qlitho.dosing folds the coefficients
+instead, and weights the top sector (M = N) by sqrt C(N, k) from _root,
+with no N!.
 The squared weights are exact integers, rounded once and formed only
 where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
 is one) never meets a zero amplitude.  The coefficients of e^N itself,
@@ -186,6 +189,15 @@ def _lowering_terms(psi: np.ndarray, power: int):
     terms[jj, kk] = amp[jj, kk] * np.array(weights)
     rows, ks = terms.any(axis=1).nonzero()[0], terms.any(axis=0).nonzero()[0]
     return terms[rows[:, None], ks], rows, ks, fact / four_s, s
+
+
+def _root(m: int) -> float:
+    """sqrt(m) of an integer m >= 0, correctly rounded: the integer root of
+    m 4^t has at least 56 bits, and a sticky last bit where it is inexact."""
+    shift = max(0, 56 - m.bit_length() // 2)
+    scaled = m << 2 * shift
+    root = math.isqrt(scaled)
+    return math.ldexp(root | (root * root != scaled), -shift)
 
 
 # numpy's complex power squares an integer exponent below this; at or above

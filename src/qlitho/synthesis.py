@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dosing import ExposureProfile, _phases, phase_grid
-from .fock import FockState, _count, _index, make_state
+from .fock import FockState, _count, _index, _root, make_state
 
 # Largest dose a basis may deposit, and largest target sample.  On the grid
 # every dose monomial is bounded by the basis's dose bound B (|A_i|^2 <= w_i^2
@@ -216,12 +216,8 @@ def _amplitude_matrix(basis: PartitionBasis, grid_points: int) -> np.ndarray:
 
 
 def _half_root(m: int) -> float:
-    """sqrt(m / 2) = sqrt(2 m) / 2, correctly rounded: the integer root of
-    2 m 4^t has at least 56 bits, and a sticky last bit where it is inexact."""
-    shift = max(0, 56 - m.bit_length() // 2)
-    scaled = 2 * m << 2 * shift
-    root = math.isqrt(scaled)
-    return math.ldexp(root | (root * root != scaled), -shift - 1)
+    """sqrt(m / 2) = sqrt(2 m) / 2, correctly rounded (see fock._root)."""
+    return _root(2 * m) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +441,6 @@ def fit_superposition(
     for a given seed, and a run that ends before its cap is the same run
     under any larger cap.
     """
-    return _fit(basis, target, iterations, seed)
-
-
-def _fit(
-    basis: PartitionBasis, target: ExposureProfile, iterations: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """fit_superposition with every argument given, as the CLI calls it."""
     iterations = _count(iterations, "iterations")
     seed = _count(seed, "seed", least=None)
     _check_target(target)

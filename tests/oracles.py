@@ -175,3 +175,40 @@ def polyline_points(x, ys):
             kept |= {run[0], run[-1], min(run, key=y.__getitem__), max(run, key=y.__getitem__)}
         points.append(" ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in sorted(kept)))
     return points
+
+
+def mp_monomial_doses(amplitudes, n_photons, exponents, grid, points, dps=40):
+    """Doses at phi = 2 pi g / grid, g in ``points``, to ``dps`` digits, of
+    the field alpha a + beta b with (alpha, beta) = (e^{i p phi}, e^{i q phi})
+    for (p, q) = ``exponents``.
+
+    From first principles: e^N |n, m> = sum_k C(N, k) alpha^k beta^(N-k)
+    a^k b^(N-k) |n, m>, with a^k |n> = sqrt(n!/(n-k)!) |n-k>, and the dose is
+    ||e^N |psi>||^2 / N!.  Each phase p k + q (N-k) is reduced mod grid in
+    integers before it meets pi.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rows = {}
+        for (n, m), amp in amplitudes.items():
+            for k in range(max(0, n_photons - m), min(n, n_photons) + 1):
+                weight = math.comb(n_photons, k) * mpmath.sqrt(
+                    math.perm(n, k) * math.perm(m, n_photons - k))
+                power = exponents[0] * k + exponents[1] * (n_photons - k)
+                row = rows.setdefault((n - k, m - n_photons + k), {})
+                row[power] = row.get(power, 0) + mpmath.mpc(amp) * weight
+        roots = {}
+        doses = []
+        for g in points:
+            total = mpmath.mpf(0)
+            for row in rows.values():
+                amp = mpmath.mpc(0)
+                for power, c in row.items():
+                    turn = power * g % grid
+                    if turn not in roots:
+                        roots[turn] = mpmath.expjpi(mpmath.mpf(2 * turn) / grid)
+                    amp += c * roots[turn]
+                total += abs(amp) ** 2
+            doses.append(total / math.factorial(n_photons))
+        return doses

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlitho.baselines import (
+    _noon_grid_exposure,
     classical_n_photon,
     classical_one_photon,
     classical_two_photon,
@@ -20,6 +21,24 @@ from qlitho.dosing import (
 )
 from qlitho.fock import make_state
 from qlitho.synthesis import component_closed_form
+
+
+@pytest.mark.parametrize("convention", list(SubstrateConvention))
+@pytest.mark.parametrize("n_photons", [3, 171, 10**6])
+@pytest.mark.parametrize("grid", [7, 64, 4097])
+def test_noon_grid_exposure_is_exact_at_any_n(convention, n_photons, grid):
+    # Each grid phase rate N 2 pi g / G is reduced in integers before the
+    # cosine, so the closed form keeps about 1e-15 at N = 10^6, where the
+    # cosine of the rounded phase is off by about N eps.
+    import mpmath
+
+    rate = 2 if convention is SubstrateConvention.SYMMETRIC else 1
+    got = _noon_grid_exposure(n_photons, grid, convention)
+    with mpmath.workdps(40):
+        exact = [1 + mpmath.cos(2 * mpmath.pi * rate * n_photons * g / grid) for g in range(grid)]
+        assert max(abs(float(x) - y) for x, y in zip(got, exact)) <= 1e-15
+    if n_photons < 200:
+        assert np.abs(got - noon_exposure(n_photons, phase_grid(grid), convention)).max() <= 1e-12
 
 
 def test_one_photon_values():

@@ -4,11 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlitho.cli as cli
+import qlitho.fock as fock
 import qlitho.synthesis as synthesis
 from oracles import csv_text, polyline_points
 from qlitho.dosing import phase_grid
@@ -177,11 +180,11 @@ def test_svg_output_is_deterministic(monkeypatch, tmp_path):
 _GOLDEN_NUMPY = "2.4.6"
 _GOLDEN_CSV = {
     "noon --n 3 --grid 64":
-        "9a3b11752b87051f6196521ad2e5afbadb38bf3840ad406f58375295ede42d54",
+        "b28609fb8a2fa563d85725a11566f13208e23513f56faaa1bf0015061b65dc5e",
     "noon --n 3 --grid 64 --convention paper":
-        "352dacbb3969efd9808413dabfa1159dc53a636347bb44a8060fe3d4a1cb33ed",
+        "5c9169f2d7110b1a95dbf8a243054eb87309866e6fe032a64629eb46fe5f0036",
     "compare --n 4 --grid 64":
-        "d195f4cf523bdaea36338c51b23fcec43ee1be4b34284ec55fada763ee4dc3b9",
+        "a1c935b7bdf5bf463c120655d67293904e4442296fae73706179abfed916815f",
     "classical --n 3 --grid 64":
         "30771aca27b7fb206df3667c60163d54c42c9d97ea0120ff7a2ad00611faeff6",
     "fringe --grid 64":
@@ -189,15 +192,15 @@ _GOLDEN_CSV = {
     "fringe --grid 64 --convention paper":
         "0ea866458ec9e972faec17ecb7cb160cc7c7662ed05f1058160ec18dcc326147",
     "noon --n 3 --grid 4097":
-        "0ff13776e794ba7ae4baab397207b3ad2472a7171d7907a1bb2311ed87bfc4ff",
+        "1c9f75f4bc7b5788d9ffb81cfe0845365c89d8106d647b57bf54217b19d46160",
     "compare --n 4 --grid 4097":
-        "131ae77322820b401e4f344df4614c7d97c6359fc3c24308f1f502b01a8b7b6f",
-    # From N = 100 on, the field powers are built from exponents below 100
-    # (fock._field_powers); these two pin that path's bits.
+        "c180eb23725152945aa2d837e033a0de721fabe1f5b36dde99d1af4b9a52028f",
+    # At N = 100 and 171 the NOON dose needs no N! and no field power
+    # (dosing._spectral_doses); these two pin that path's bits at large N.
     "compare --n 100 --grid 64":
-        "954dff71b92f740d7f8cd48848e56647e014b5c0d6c9430c5820f1e8b13730b8",
+        "a2bc20b5f1017fda9dfbf14f1014247570a63991b4595da9971507cacc72b85e",
     "noon --n 171 --grid 64":
-        "b2afd22f69cf45f6d9a2a237d8ebf615226508bfb11433aa2fa7a78f9ec09c91",
+        "e00bddffe993fdb0202859849e4a9569f011b16cb221f2a6406eac2d2ae53649",
 }
 
 
@@ -221,9 +224,9 @@ _GOLDEN_SVG = {
     "fringe --grid 64 --convention paper":
         "dde5db9646704281ca41f49c1b2622f31f406e2bc58a8036d6d9cd0ec33dd3eb",
     "noon --n 3 --grid 4097":
-        "cb7d8b51aa0b9212ec8f8d31b9e596f4dec1e2af809656e8fa4f82b296542171",
+        "668304956b4d64225aa3e3e16b1ccde76d0c5299bad0ab18a8587007921613ba",
     "compare --n 4 --grid 4097":
-        "78a0cd126674c93530efd699c5b0635690f2d6e8b0268f5ca59b8ea4baf92ae1",
+        "f7bc5e565199a3fc6ec1d7df8e32548b436fa631b5f89777c4d66d570e2ee328",
 }
 
 _golden_numpy_only = pytest.mark.skipif(
@@ -359,13 +362,13 @@ def test_synthesize_forms_the_amplitude_matrix_once(monkeypatch, tmp_path):
 def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
     # A solver whose reported trace disagrees with the fitness of the dose
     # it emits must trip the self-check.
-    real_fit = cli._fit
+    real_fit = cli.fit_superposition
 
     def skewed_fit(*args):
         best, trace = real_fit(*args)
         return best, trace * (1.0 + 1e-6)
 
-    monkeypatch.setattr(cli, "_fit", skewed_fit)
+    monkeypatch.setattr(cli, "fit_superposition", skewed_fit)
     code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
     assert code == 4
     assert "tolerance violation" in capsys.readouterr().err
@@ -768,9 +771,13 @@ def test_failed_write_leaves_the_prefix_written(tmp_path):
 
 
 def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
-    # Sabotage the dose routine so the fringe self-check must trip.
+    # Sabotage both dose routines so the fringe self-check must trip: fringe
+    # doses at the inputs, noon and compare at the shifter.
     monkeypatch.setattr(
         cli, "_grid_doses", lambda state, n, phis, convention, site: np.full(len(phis), 42.0)
+    )
+    monkeypatch.setattr(
+        cli, "_spectral_doses", lambda state, n, grid, convention, site: np.full(grid, 42.0)
     )
     for command in ("fringe", "noon", "compare"):
         code = run_cli(monkeypatch, tmp_path, "--command", command, "--grid", "8")
@@ -783,10 +790,10 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
 def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expected):
     # Phase roundoff grows with the fringe frequency: at N = 10^6 the check
     # allows 8 pi N eps ~ 5.6e-9, not the 1e-9 that holds up to N ~ 1.8e5.
-    def shifted_fringe(state, n, phis, convention, site):
-        return 1.0 + np.cos(2.0 * n * phis) + offset
+    def shifted_fringe(state, n, grid, convention, site):
+        return 1.0 + np.cos(2.0 * n * phase_grid(grid)) + offset
 
-    monkeypatch.setattr(cli, "_grid_doses", shifted_fringe)
+    monkeypatch.setattr(cli, "_spectral_doses", shifted_fringe)
     for command in ("noon", "compare"):
         code = run_cli(
             monkeypatch, tmp_path, "--command", command, "--n", "1000000", "--grid", "8"
@@ -795,8 +802,22 @@ def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expec
         assert ("tolerance violation" in capsys.readouterr().err) == (expected == 4)
 
 
+def test_noon_at_a_million_photons_forms_no_n_factorial(monkeypatch, tmp_path):
+    # The NOON dose at the shifter weights its top sector by sqrt C(N, k), and
+    # the closed form reduces each grid phase in integers, so both sides are
+    # exact to rounding at any N.
+    def refused(n):
+        raise AssertionError(f"math.factorial({n}) formed")
+
+    monkeypatch.setattr(fock, "math", types.SimpleNamespace(**{**vars(math), "factorial": refused}))
+    assert run_cli(monkeypatch, tmp_path, "--command", "noon", "--n", "1000000",
+                   "--grid", "512") == 0
+    data = np.loadtxt(tmp_path / "noon.csv", delimiter=",", skiprows=1)
+    assert data[:, 3].max() <= 1e-14
+
+
 @pytest.mark.parametrize("command, target", [
-    ("noon", "_grid_doses"), ("synthesize", "_fit"),
+    ("noon", "_spectral_doses"), ("synthesize", "fit_superposition"),
 ])
 def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target):
     # numpy raises a MemoryError subclass when an array cannot be allocated.
@@ -813,10 +834,10 @@ def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys, command, target)
 
 def test_dose_overflow_exits_two(monkeypatch, tmp_path, capsys):
     # A dose beyond the float range surfaces as OverflowError, not ValueError.
-    def overflow(state, n, phis, convention, site):
+    def overflow(state, n, grid, convention, site):
         raise OverflowError("integer division result too large for a float")
 
-    monkeypatch.setattr(cli, "_grid_doses", overflow)
+    monkeypatch.setattr(cli, "_spectral_doses", overflow)
     code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--grid", "8")
     assert code == 2
     err = capsys.readouterr().err

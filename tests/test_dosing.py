@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_dose, number_state_dose, random_state_map
+from oracles import dense_dose, mp_monomial_doses, number_state_dose, random_state_map
 from qlitho import dosing
 from qlitho.baselines import classical_n_photon, classical_two_photon, noon_exposure
 from qlitho.dosing import (
@@ -17,6 +17,8 @@ from qlitho.dosing import (
     ExposureProfile,
     SubstrateConvention,
     _grid_doses,
+    _grid_profile,
+    _spectral_doses,
     deposition_rate,
     exposure_profile,
     fourier_components,
@@ -284,10 +286,12 @@ def test_resampled_profiles_match_the_direct_doses(drawn, data, convention, from
 
 
 def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monkeypatch):
-    # Only N, G and the convention pick the path: a grid of more than
-    # 2 band + 1 points is resampled from the 2N + 1 doses that fix the
-    # fringe, whatever the state holds, and any other grid is dosed point by
-    # point.  Dense, sparse (|1,1>, NOON) and multi-sector states alike.
+    # At the inputs only N, G and the convention pick the path: a grid of
+    # more than 2 band + 1 points is resampled from the 2N + 1 doses that fix
+    # the fringe, whatever the state holds, and any other grid is dosed point
+    # by point.  At the substrate every grid takes the folded FFT, which doses
+    # no phase point by point.  Dense, sparse (|1,1>, NOON) and multi-sector
+    # states alike.
     phases = []
 
     def counted(state, n_photons, phis, convention, site):
@@ -308,7 +312,8 @@ def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monk
             for grid in (2, edge - 1, edge, edge + 1, 4096):
                 phases.clear()
                 profile = exposure_profile(state, n_photons, grid, convention, from_input)
-                assert phases == ([2 * n_photons + 1] if grid > edge else [grid])
+                assert phases == ([] if not from_input
+                                  else [2 * n_photons + 1] if grid > edge else [grid])
                 direct = _grid_doses(state, n_photons, profile.phis, convention, site)
                 assert np.abs(profile.doses - direct).max() <= 1e-12 * max(1.0, direct.max())
 
@@ -321,11 +326,13 @@ def test_symmetric_profiles_are_resampled_from_half_a_period(monkeypatch, n_phot
     # The smallest grids that take the resampled path, G = 4N + 2 and 4N + 3,
     # on a state with sectors of N, N + 1 and N + 2 photons.  The 2N + 1 doses
     # over [0, pi) fill the even bins of the spectrum; the odd ones stay zero.
+    # At the substrate the one irfft is of the folded dose spectrum, whose odd
+    # bins are zero as well.
     spectra, irfft = [], np.fft.irfft
 
-    def kept(spectrum, grid):
+    def kept(spectrum, grid, **kwargs):
         spectra.append(spectrum.copy())
-        return irfft(spectrum, grid)
+        return irfft(spectrum, grid, **kwargs)
 
     rng = np.random.default_rng(n_photons)
     state = make_state({(k, total - k): complex(*rng.standard_normal(2))
@@ -353,6 +360,47 @@ def test_resampled_dark_points_are_clamped_to_zero():
     exact = 2.0**n_photons * np.sin(profile.phis) ** (2 * n_photons)
     assert profile.doses.min() >= 0.0
     assert np.abs(profile.doses - exact).max() <= 1e-12 * 2.0**n_photons
+
+
+def _complex_normal(rng):
+    return complex(*rng.standard_normal(2))
+
+
+# name -> (state builder taking N and a generator, N).
+_SPECTRAL_STATES = {
+    "dense": (lambda n, rng: make_state({(k, n - k): _complex_normal(rng) for k in range(n + 1)}), 6),
+    "noon": (lambda n, rng: noon_state(n, 0.3), 7),
+    "noon_1000": (lambda n, rng: noon_state(n, 0.3), 1000),
+    "number": (lambda n, rng: make_state({(3, n - 3): 1.0}), 7),
+    "three_sectors": (lambda n, rng: make_state({(k, total - k): _complex_normal(rng)
+                                                 for total in range(n, n + 3)
+                                                 for k in range(total + 1)}), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPECTRAL_STATES))
+@pytest.mark.parametrize("convention, site, exponents", [
+    (SubstrateConvention.SYMMETRIC, "substrate", (1, -1)),
+    (SubstrateConvention.SYMMETRIC, "shifter", (1, -1)),
+    (SubstrateConvention.SINGLE_ARM, "substrate", (0, 0)),
+    (SubstrateConvention.SINGLE_ARM, "shifter", (1, 0)),
+])
+def test_spectral_doses_match_40_digit_doses(kind, convention, site, exponents):
+    # Grids below, at and past the 2 band + 1 phases that fix the dose, so the
+    # folded bins are covered; on grids past 64 points a sample of them is
+    # checked.  The field at the substrate and behind the shifter is
+    # (e^{i p phi}, e^{i q phi}), (p, q) = exponents.
+    rng = np.random.default_rng(sorted(_SPECTRAL_STATES).index(kind))
+    build, n_photons = _SPECTRAL_STATES[kind]
+    state = build(n_photons, rng)
+    band = _band(n_photons, convention)
+    for grid in [4, 5, 6, 7, 8, 9, 2 * band, 2 * band + 1, 2 * band + 2, 4096]:
+        points = range(grid) if grid <= 64 else sorted({0, *rng.choice(grid, 63, replace=False).tolist()})
+        exact = mp_monomial_doses(state.amplitudes, n_photons, exponents, grid, points)
+        doses = _spectral_doses(state, n_photons, grid, convention, site)
+        assert doses.shape == (grid,)
+        worst = max(abs(float(dose) - value) for dose, value in zip(doses[list(points)], exact))
+        assert worst <= 1e-15 * max(exact), grid
 
 
 @pytest.mark.parametrize("rate", [deposition_rate, pipeline_rate])
@@ -454,6 +502,21 @@ def test_exposure_profile_rejects_negative_doses():
         doses[2] = bad
         with pytest.raises(ValueError, match="nonnegative"):
             ExposureProfile(grid, doses)
+
+
+def test_grid_profiles_check_their_doses_but_take_their_arrays():
+    # Profiles the package builds on phase_grid skip the public constructor's
+    # copies and grid check, not its check of the doses.
+    for bad, message in ((np.nan, "finite"), (np.inf, "finite"), (-1e-13, "nonnegative")):
+        doses = np.ones(8)
+        doses[2] = bad
+        with pytest.raises(ValueError, match=message):
+            _grid_profile(phase_grid(8), doses)
+    phis, doses = phase_grid(8), np.arange(8.0)
+    profile = _grid_profile(phis, doses)
+    assert profile.phis is phis and profile.doses is doses
+    assert not phis.flags.writeable and not doses.flags.writeable
+    assert profile == ExposureProfile(phase_grid(8), np.arange(8.0))
 
 
 def test_exposure_profile_keeps_private_copies():

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import dense_dose
 from qlitho.dosing import ExposureProfile, phase_grid
+from qlitho.fock import _root
 from qlitho.synthesis import (
     ClassicalFit,
     PartitionBasis,
@@ -225,10 +226,12 @@ def test_amplitude_matrix_matches_dense_oracle(superposition, grid):
 @example(math.comb(12, 4))  # a root that rounds up only by its sticky bit
 @example(math.comb(60, 26))  # math.sqrt(C / 2) is one ulp off here
 def test_half_root_is_correctly_rounded(m):
-    # The exact sqrt(m / 2) lies between the midpoints to the root's neighbours.
-    root = _half_root(m)
-    low, high = ((Fraction(root) + Fraction(math.nextafter(root, side))) / 2 for side in (0.0, math.inf))
-    assert low**2 <= Fraction(m, 2) <= high**2
+    # The exact sqrt(m / 2), and sqrt(m) from fock._root, lie between the
+    # midpoints to the root's neighbours.
+    for root, square in ((_half_root(m), Fraction(m, 2)), (_root(m), Fraction(m))):
+        low, high = ((Fraction(root) + Fraction(math.nextafter(root, side))) / 2
+                     for side in (0.0, math.inf))
+        assert low**2 <= square <= high**2
 
 
 def test_dose_space_mse_matches_fitness_of_rows_of_any_norm():
