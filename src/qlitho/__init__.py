@@ -18,24 +18,18 @@ from .baselines import (
 from .dosing import (
     ExposureProfile,
     SubstrateConvention,
-    deposition_rate,
     exposure_profile,
     fourier_components,
     interferometer,
     min_feature,
     noon_state,
     phase_grid,
-    pipeline_rate,
-    substrate_field,
 )
 from .errors import ToleranceError
 from .svgplot import render_line_chart, write_line_chart
 from .fock import (
-    FieldCoefficients,
     FockState,
-    apply_field_power,
     make_state,
-    squared_norm,
 )
 from .optics import (
     ModeUnitary,
@@ -62,13 +56,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalFit",
     "ExposureProfile",
-    "FieldCoefficients",
     "FockState",
     "ModeUnitary",
     "PartitionBasis",
     "SubstrateConvention",
     "ToleranceError",
-    "apply_field_power",
     "beamsplitter",
     "best_classical_fit",
     "classical_n_photon",
@@ -76,7 +68,6 @@ __all__ = [
     "classical_two_photon",
     "component_closed_form",
     "compose",
-    "deposition_rate",
     "evolve",
     "exposure_profile",
     "fit_superposition",
@@ -91,11 +82,8 @@ __all__ = [
     "noon_state",
     "phase_grid",
     "phase_shifter",
-    "pipeline_rate",
     "psi_np",
     "render_line_chart",
-    "squared_norm",
-    "substrate_field",
     "trench_target",
     "write_line_chart",
 ]

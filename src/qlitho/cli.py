@@ -22,6 +22,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,8 +32,8 @@ from .baselines import classical_n_photon, classical_one_photon, classical_two_p
 from .dosing import (
     ExposureProfile,
     SubstrateConvention,
-    _grid_doses,
     _grid_profile,
+    _input_doses,
     _spectral_doses,
     min_feature,
     noon_state,
@@ -156,6 +157,8 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     for suffix in (".csv", ".svg", ".json"):
         if cfg.out.endswith(suffix):
             cfg.out = cfg.out[: -len(suffix)]
+    if os.path.basename(cfg.out) in ("", ".", ".."):
+        raise ValueError("--out must name a file, not only a directory or a suffix")
     return cfg
 
 
@@ -180,12 +183,12 @@ def _checked_fringe(
     against the closed form of noon_exposure at the phases it was dosed at:
     profile, analytic, |difference|.
 
-    At the substrate and the shifter the dose is one folded FFT
-    (dosing._spectral_doses) at the exact grid phases 2 pi g / G, and the
-    closed form takes them reduced in integers
+    Each site has one evaluator.  At the substrate and the shifter it is
+    one folded FFT (dosing._spectral_doses) at the exact grid phases
+    2 pi g / G, and the closed form takes them reduced in integers
     (baselines._noon_grid_exposure): both are exact to about 1e-15 at
-    every n.  At the inputs every rounded grid phase is dosed
-    (dosing._grid_doses) and checked at the same phase; the error there is
+    every n.  At the inputs it doses every rounded grid phase
+    (dosing._input_doses), checked at the same phase; the error there is
     phase roundoff amplified by the fringe frequency, about 1.1e-15 n, so
     the tolerance grows with n beyond n ~ 1.8e5.  In the paper convention a
     NOON state's phase e^{i n phi} rides on the state: a phase shifter sits
@@ -193,7 +196,7 @@ def _checked_fringe(
     """
     phis = phase_grid(cfg.grid)
     if site == "inputs":
-        doses = _grid_doses(state, n, phis, cfg.convention, site)
+        doses = _input_doses(state, n, phis, cfg.convention)
         analytic = noon_exposure(n, phis, cfg.convention)
     else:
         doses = _spectral_doses(state, n, cfg.grid, cfg.convention, site)

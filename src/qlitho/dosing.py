@@ -13,13 +13,13 @@ psi_n = <n, N-n|psi>, it is the trigonometric polynomial
 
     rate = | sum_n psi_n sqrt(C(N, n)) alpha^n beta^(N-n) |^2,
 
-and every sector above N adds the squared norm of its dense image.  Two
-evaluators take it.  At the substrate and behind the SINGLE_ARM phase
+and every sector above N adds the squared norm of its dense image.  Each
+site has one evaluator.  At the substrate and behind the SINGLE_ARM phase
 shifter every field power is a power of z = e^{i phi}, so a dose on the
 uniform grid, where z^G = 1, is one folded real FFT of the dose's
 spectrum (_spectral_doses): no field power and, in the top sector, no N!.
-Any other phase, and any phase at the inputs, is dosed as "coefficients @
-field powers" (_grid_doses), the phases taken in blocks of bounded size.
+At the inputs a dose at any phase is "coefficients @ field powers"
+(_input_doses), the phases taken in blocks of bounded size.
 
 The dose is band limited.  Every field below is a combination of
 e^{i phi} and e^{-i phi} (SYMMETRIC) or of e^{i phi} and 1 (SINGLE_ARM), so
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FieldCoefficients, FockState, _count, _field_powers, _lowering_terms, _root, make_state
+from .fock import FockState, _count, _field_powers, _lowering_terms, _root, make_state
 from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Upper bound on the elements of one block of work (dose arrays and formatted
@@ -93,24 +93,16 @@ def _phases(phis) -> np.ndarray:
     return phis
 
 
-def _field(phis, convention: SubstrateConvention, site: str):
-    """Field arrays (alpha, beta) that dose a state at ``site`` ("substrate",
-    "shifter" or "inputs"), and the dose's doublings per absorbed photon."""
+def _field(phis, convention: SubstrateConvention):
+    """Field arrays (alpha, beta) that dose a state at the interferometer
+    inputs, halved (see the module docstring)."""
     wave = np.exp(1j * np.atleast_1d(_phases(phis)))
     _check_convention(convention)
     if convention is SubstrateConvention.SYMMETRIC:
         field = (wave, wave.conj())
     else:
-        field = (np.ones_like(wave) if site == "substrate" else wave, np.ones_like(wave))
-    if site == "inputs":
-        return _INPUT_CHAIN.T @ field / 2, 1
-    return field, 0
-
-
-def substrate_field(phi: float, convention: SubstrateConvention = SubstrateConvention.SYMMETRIC) -> FieldCoefficients:
-    """Coefficients of the field operator at substrate phase ``phi``."""
-    (alpha, beta), _ = _field(float(phi), convention, "substrate")
-    return FieldCoefficients(complex(alpha[0]), complex(beta[0]))
+        field = (wave, np.ones_like(wave))
+    return _INPUT_CHAIN.T @ field / 2
 
 
 def interferometer(phi: float, convention: SubstrateConvention = SubstrateConvention.SYMMETRIC) -> ModeUnitary:
@@ -139,15 +131,15 @@ def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
     )
 
 
-def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray:
-    """2^(doubling N) ||e^N |state>||^2 / N! for each field (alpha[g], beta[g]); the
-    amplitudes take 2^floor(doubling N / 2) before squaring, to square at dose size."""
-    half, odd = divmod(doubling * n_photons, 2)
+def _doses(state: FockState, n_photons: int, field) -> np.ndarray:
+    """2^N ||e^N |state>||^2 / N! for each halved field (alpha[g], beta[g]); the
+    amplitudes take 2^floor(N / 2) before squaring, to square at dose size."""
+    half, odd = divmod(n_photons, 2)
     doses = np.zeros(len(field[0]))
     for psi in state.sectors.values():
         if len(psi) <= n_photons:
             continue
-        terms, _, ks, norm, _ = _lowering_terms(psi, n_photons)
+        terms, ks, norm = _lowering_terms(psi, n_photons)
         if not terms.size:
             continue
         step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
@@ -159,12 +151,12 @@ def _doses(state: FockState, n_photons: int, field, doubling: int) -> np.ndarray
     return np.ldexp(doses, odd)
 
 
-def _grid_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention, site: str):
-    """Doses over the phases ``phis`` of a fixed state sitting at ``site``."""
+def _input_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention):
+    """Doses over the phases ``phis`` of a fixed state at the interferometer inputs."""
     n_photons = _count(n_photons, "photon number")
-    if site == "inputs" and n_photons > _MAX_INPUT_PHOTONS:
+    if n_photons > _MAX_INPUT_PHOTONS:
         raise ValueError(f"input-port doses need N <= {_MAX_INPUT_PHOTONS} (got {n_photons})")
-    return _doses(state, n_photons, *_field(phis, convention, site))
+    return _doses(state, n_photons, _field(phis, convention))
 
 
 def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
@@ -202,7 +194,7 @@ def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
             weights = [_root(math.comb(n_photons, k)) for k in ks.tolist()]
             terms, norm = (psi[ks] * np.array(weights))[None], 1.0
         else:
-            terms, _, ks, norm, _ = _lowering_terms(psi, n_photons)
+            terms, ks, norm = _lowering_terms(psi, n_photons)
         if not terms.size:
             continue
         bins, fold = np.unique((stride * ks - offset) % grid_points, return_inverse=True)
@@ -217,30 +209,6 @@ def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
     real, imag = spectrum[:, : grid_points // 2 + 1]
     doses = np.fft.irfft(real + 1j * imag, grid_points, norm="forward")
     return np.maximum(doses, 0.0, out=doses)
-
-
-def deposition_rate(
-    state: FockState,
-    n_photons: int,
-    phi: float,
-    convention: SubstrateConvention = SubstrateConvention.SYMMETRIC,
-) -> float:
-    """Dose deposited at phase ``phi`` by a state already at the substrate.
-
-    Equals ||e(phi)^N |state>||^2 / N!.  If the state cannot supply N
-    photons the rate is exactly zero (never an error).
-    """
-    return float(_grid_doses(state, n_photons, float(phi), convention, "substrate")[0])
-
-
-def pipeline_rate(
-    input_state: FockState,
-    n_photons: int,
-    phi: float,
-    convention: SubstrateConvention = SubstrateConvention.SYMMETRIC,
-) -> float:
-    """Dose at ``phi`` for a state fed into the interferometer inputs."""
-    return float(_grid_doses(input_state, n_photons, float(phi), convention, "inputs")[0])
 
 
 def phase_grid(grid_points: int) -> np.ndarray:
@@ -339,9 +307,9 @@ def exposure_profile(
     stride = 2 if convention is SubstrateConvention.SYMMETRIC else 1
     band = stride * n_photons
     if not 2 * band + 1 < grid_points:
-        return _grid_profile(phis, _grid_doses(source, n_photons, phis, convention, "inputs"))
+        return _grid_profile(phis, _input_doses(source, n_photons, phis, convention))
     coarse = 2 * n_photons + 1
-    samples = _grid_doses(source, n_photons, phase_grid(coarse) / stride, convention, "inputs")
+    samples = _input_doses(source, n_photons, phase_grid(coarse) / stride, convention)
     spectrum = np.zeros(grid_points // 2 + 1, dtype=complex)
     spectrum[: band + 1 : stride] = np.fft.rfft(samples)
     doses = np.fft.irfft(spectrum, grid_points) * (grid_points / coarse)

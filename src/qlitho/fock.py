@@ -5,34 +5,33 @@ of every photon number M it holds, with no bound on M: a sector it does
 not hold is zero.  Only :func:`make_state` reads a map of occupation
 pairs; every operator is a dense map between sector arrays.
 
-The workhorse is a power of the field operator e = alpha*a + beta*b.  The
-normalized power e^N / sqrt(N!) maps sector M to sector M-N,
+The dose kernel is a power of the field operator e = alpha*a + beta*b.
+The normalized power e^N / sqrt(N!) maps sector M to sector M-N,
 
     out[j] = sum_k alpha^k beta^(N-k) w(j, k) psi[j+k],
     w(j, k)^2 = C(N, k) C(j+k, k) C(M-j-k, N-k),
 
 so an N-photon dose is a sum of squared "coefficients @ field powers".
-On the grid at the substrate, qlitho.dosing folds the coefficients
+qlitho.dosing takes that product at the interferometer inputs; at the
+substrate and behind the phase shifter it folds the coefficients
 instead, and weights the top sector (M = N) by sqrt C(N, k) from _root,
 with no N!.
 The squared weights are exact integers, rounded once and formed only
 where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
 is one) never meets a zero amplitude.  The coefficients of e^N itself,
 sqrt(N!) w, are scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in float
-range at any N: a dose divides their squared sum by N!/4^s, and
-apply_field_power restores 2^s on their product with ldexp, which is
-exact.  Dividing after squaring, rather than normalizing each
-coefficient, lets the roundings of a splitter's 1/sqrt2 and of sqrt(2!)
-cancel: the two-photon fringe of |1,1> through a balanced splitter,
-dosed point by point as the CLI doses it, peaks at exactly 2 (resampled
-through an FFT by exposure_profile, at 2.000000000000001).
+range at any N, and a dose divides their squared sum by N!/4^s.
+Dividing after squaring, rather than normalizing each coefficient, lets
+the roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the
+two-photon fringe of |1,1> through a balanced splitter, dosed point by
+point as the CLI doses it, peaks at exactly 2 (resampled through an FFT
+by exposure_profile, at 2.000000000000001).
 
-Only the output rows j that a nonzero psi reaches are kept, each with
-its row index, so the product for a sparse sector (a squeezed vacuum's
-|n, n>) spans those rows, not all M-N+1.  The field powers
-alpha^k beta^(N-k) are numpy's exact squaring below N = 100; from
-N = 100 on they are built from such powers (see _field_powers), never
-from libm cpow.
+Only the output rows j that a nonzero psi reaches are kept, so the
+product for a sparse sector (a squeezed vacuum's |n, n>) spans those
+rows, not all M-N+1.  The field powers alpha^k beta^(N-k) are numpy's
+exact squaring below N = 100; from N = 100 on they are built from such
+powers (see _field_powers), never from libm cpow.
 """
 
 from __future__ import annotations
@@ -44,20 +43,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FieldCoefficients:
-    """Coefficients (alpha, beta) of a field operator alpha*a + beta*b."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        for part in (self.alpha, self.beta):
-            z = complex(part)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("field coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,10 +77,6 @@ class FockState:
             for total, psi in self.sectors.items()
             for n in np.flatnonzero(psi)
         }
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(psi.any() for psi in self.sectors.values())
 
     def amplitude(self, n: int, m: int) -> complex:
         psi = self.sectors.get(n + m)
@@ -159,20 +140,15 @@ def _count(value, what: str, least: int | None = 1) -> int:
     return count
 
 
-def squared_norm(state: FockState) -> float:
-    """Sum of |amplitude|^2 over all occupation pairs."""
-    return float(sum(np.sum(np.abs(psi) ** 2) for psi in state.sectors.values()))
-
-
 def _lowering_terms(psi: np.ndarray, power: int):
     """Coefficients of e^power on one sector array, divided by 2^s.
 
-    Returns ``(terms, rows, ks, norm, s)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k) / 2^s
-    is the coefficient of alpha^k beta^(power-k), k = ks[c], for output pair
-    (j, M-power-j), j = rows[i], with 4^s <= power! < 4^(s+1), and norm =
-    power!/4^s.  Only the output rows and the columns holding a nonzero
-    term are kept: the field-power product of a sparse sector spans the
-    rows it reaches, and an all-zero sector has none.  Requires
+    Returns ``(terms, ks, norm)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k) / 2^s
+    is the coefficient of alpha^k beta^(power-k), k = ks[c], for the i-th
+    output pair (j, M-power-j) the sector reaches, 4^s <= power! < 4^(s+1),
+    and norm = power!/4^s.  Only the output rows and the columns holding a
+    nonzero term are kept: the field-power product of a sparse sector spans
+    the rows it reaches, and an all-zero sector has none.  Requires
     len(psi) > power; raises OverflowError if a term leaves the float range.
     """
     total = len(psi) - 1
@@ -188,7 +164,7 @@ def _lowering_terms(psi: np.ndarray, power: int):
     terms = np.zeros(amp.shape, dtype=complex)
     terms[jj, kk] = amp[jj, kk] * np.array(weights)
     rows, ks = terms.any(axis=1).nonzero()[0], terms.any(axis=0).nonzero()[0]
-    return terms[rows[:, None], ks], rows, ks, fact / four_s, s
+    return terms[rows[:, None], ks], ks, fact / four_s
 
 
 def _root(m: int) -> float:
@@ -236,32 +212,3 @@ def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarra
             if any(exps):
                 z = np.power(z, 64, out=rung)
     return out
-
-
-def apply_field_power(state: FockState, f: FieldCoefficients, power: int) -> FockState:
-    """Apply (alpha*a + beta*b)**power to the state.
-
-    Each sector M >= power maps to sector M - power (see the module
-    docstring): the rows its amplitudes reach are formed and scattered
-    into a zero sector; sectors below ``power`` are annihilated.  Returns
-    an unnormalized state: the zero vector, never an error, if no sector
-    holds ``power`` photons.  Formed at 2^-s of its size and scaled back
-    by 2^s with ldexp, it returns every finite coefficient, also where N!
-    or 2^s alone overflows (NOON states up to N = 300 at alpha = beta = 1,
-    and past N = 300 at alpha = beta = 1/2); raises OverflowError where a
-    coefficient is not finite.
-    """
-    power = _count(power, "field power")
-    alpha, beta = np.array([complex(f.alpha)]), np.array([complex(f.beta)])
-    out = {}
-    for total, psi in state.sectors.items():
-        if total >= power:
-            terms, rows, ks, _, s = _lowering_terms(psi, power)
-            out[total - power] = sector = np.zeros(total - power + 1, dtype=complex)
-            if terms.size:
-                with np.errstate(over="ignore"):
-                    amp = (terms @ _field_powers(alpha, beta, power, ks))[:, 0]
-                    sector.real[rows], sector.imag[rows] = np.ldexp(amp.real, s), np.ldexp(amp.imag, s)
-                if not np.isfinite(sector).all():
-                    raise OverflowError(f"a coefficient of the field power {power} exceeds the float range")
-    return FockState(out)

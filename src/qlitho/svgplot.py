@@ -295,7 +295,9 @@ def format_rows(columns):
     row ends with a newline.
     """
     seps = "," * (len(columns) - 1) + "\n"
-    for block in _blocks(len(columns[0]), len(columns)):
+    # Half-size blocks: at _BLOCK_CELLS a block's temporaries could outgrow
+    # glibc's heap-trim threshold, and then every block took fresh pages.
+    for block in _blocks(len(columns[0]), 2 * len(columns)):
         yield _join(_text(np.column_stack([col[block] for col in columns]), seps))
 
 

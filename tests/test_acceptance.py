@@ -15,16 +15,15 @@ from qlitho.baselines import classical_two_photon
 from qlitho.dosing import (
     ExposureProfile,
     SubstrateConvention,
-    deposition_rate,
+    _input_doses,
     exposure_profile,
     fourier_components,
     interferometer,
     min_feature,
     noon_state,
     phase_grid,
-    pipeline_rate,
 )
-from qlitho.fock import FieldCoefficients, apply_field_power, make_state, squared_norm
+from qlitho.fock import make_state
 from qlitho.optics import ModeUnitary, beamsplitter, evolve
 from qlitho.synthesis import (
     PartitionBasis,
@@ -108,37 +107,28 @@ def test_criterion_5_picture_equivalence():
         n_photons = int(rng.integers(1, min(cutoff, 4) + 1))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         t = random_unitary(rng)
-        f = FieldCoefficients(np.exp(1j * phi), np.exp(-1j * phi))
+        field = np.array([np.exp(1j * phi), np.exp(-1j * phi)])
 
         evolved = evolve(state, ModeUnitary(t))
-        schrodinger = squared_norm(
-            apply_field_power(evolved, f, n_photons)
-        ) / math.factorial(n_photons)
-
-        composed = np.array([f.alpha, f.beta]) @ t
-        heisenberg = squared_norm(
-            apply_field_power(
-                state,
-                FieldCoefficients(complex(composed[0]), complex(composed[1])),
-                n_photons,
-            )
-        ) / math.factorial(n_photons)
+        schrodinger = dense_dose(evolved.amplitudes, cutoff, n_photons, *field)
+        heisenberg = dense_dose(state.amplitudes, cutoff, n_photons, *(field @ t))
         worst = max(worst, abs(schrodinger - heisenberg))
     assert worst < 1e-9
 
     # High sectors: the evolved state dosed at the substrate equals the input
     # state dosed through the pulled-back field.
-    n_photons, phis = 200, phase_grid(12)
+    grid, n_photons = 12, 200
+    phis = phase_grid(grid)
     high_worst = 0.0
     for occ in ((100, 100), (150, 50)):
         state = make_state({occ: 1.0})
         for convention in SubstrateConvention:
             peak = exposure_profile(state, n_photons, 1024, convention, from_input=True).doses.max()
-            for phi in phis:
+            heisenberg = _input_doses(state, n_photons, phis, convention)
+            for g, phi in enumerate(phis):
                 evolved = evolve(state, interferometer(phi, convention))
-                schrodinger = deposition_rate(evolved, n_photons, phi, convention)
-                heisenberg = pipeline_rate(state, n_photons, phi, convention)
-                high_worst = max(high_worst, abs(schrodinger - heisenberg) / peak)
+                schrodinger = exposure_profile(evolved, n_photons, grid, convention).doses[g]
+                high_worst = max(high_worst, abs(schrodinger - heisenberg[g]) / peak)
     assert high_worst < 1e-12
     print(
         f"criterion 5 PASS: picture disagreement {worst:.2e} over 100 cases, "
@@ -203,20 +193,8 @@ def test_criterion_8_convention_reconciliation():
     worst = 0.0
     for occupations, n_photons in (({(1, 0): 1.0}, 1), ({(1, 1): 1.0}, 2)):
         source = make_state(occupations)
-        symmetric = np.array(
-            [
-                pipeline_rate(source, n_photons, phi, SubstrateConvention.SYMMETRIC)
-                for phi in grid
-            ]
-        )
-        single_arm = np.array(
-            [
-                pipeline_rate(
-                    source, n_photons, 2.0 * phi, SubstrateConvention.SINGLE_ARM
-                )
-                for phi in grid
-            ]
-        )
+        symmetric = _input_doses(source, n_photons, grid, SubstrateConvention.SYMMETRIC)
+        single_arm = _input_doses(source, n_photons, 2.0 * grid, SubstrateConvention.SINGLE_ARM)
         sym_mags = np.abs(
             fourier_components(ExposureProfile(grid, symmetric), 8)
         )

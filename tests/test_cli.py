@@ -136,6 +136,17 @@ def test_out_stem_strips_known_suffixes(monkeypatch, tmp_path):
     assert not (tmp_path / "results.csv.csv").exists()
 
 
+@pytest.mark.parametrize("out", [".csv", "dir/.svg", "dir/", ".", "dir/..", "dir/..json"])
+def test_out_naming_no_file_exits_two(monkeypatch, tmp_path, capsys, out):
+    # Once its suffix is stripped, a stem that names only a directory would
+    # write a hidden ".csv" or "..csv" beside or inside that directory.
+    (tmp_path / "dir").mkdir()
+    code = run_cli(monkeypatch, tmp_path, "--command", "noon", "--n", "3", "--grid", "8", "--out", out)
+    assert code == 2
+    assert "bad arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
 def test_svg_format(monkeypatch, tmp_path):
     code = run_cli(
         monkeypatch, tmp_path,
@@ -774,7 +785,7 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
     # Sabotage both dose routines so the fringe self-check must trip: fringe
     # doses at the inputs, noon and compare at the shifter.
     monkeypatch.setattr(
-        cli, "_grid_doses", lambda state, n, phis, convention, site: np.full(len(phis), 42.0)
+        cli, "_input_doses", lambda state, n, phis, convention: np.full(len(phis), 42.0)
     )
     monkeypatch.setattr(
         cli, "_spectral_doses", lambda state, n, grid, convention, site: np.full(grid, 42.0)

@@ -16,30 +16,19 @@ from qlitho.dosing import (
     _INPUT_CHAIN,
     ExposureProfile,
     SubstrateConvention,
-    _grid_doses,
     _grid_profile,
+    _input_doses,
     _spectral_doses,
-    deposition_rate,
     exposure_profile,
     fourier_components,
     interferometer,
     min_feature,
     noon_state,
     phase_grid,
-    pipeline_rate,
-    substrate_field,
 )
-from qlitho.fock import FieldCoefficients, apply_field_power, make_state
+from qlitho.fock import make_state
 from qlitho.optics import beamsplitter, compose, mirror, phase_shifter
 from qlitho.synthesis import psi_np, trench_target
-
-
-def test_substrate_field_coefficients():
-    f = substrate_field(0.3, SubstrateConvention.SYMMETRIC)
-    assert abs(f.alpha - np.exp(0.3j)) < 1e-15
-    assert abs(f.beta - np.exp(-0.3j)) < 1e-15
-    g = substrate_field(0.3, SubstrateConvention.SINGLE_ARM)
-    assert g.alpha == 1.0 and g.beta == 1.0
 
 
 def test_interferometer_matrices():
@@ -75,26 +64,40 @@ def test_noon_state_amplitudes():
         noon_state(0)
 
 
+def _substrate_field(phi, convention):
+    """(alpha, beta) of the field at the substrate, from the convention's definition."""
+    if convention is SubstrateConvention.SYMMETRIC:
+        return np.array([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
+    return np.array([1.0, 1.0])
+
+
+def _substrate_doses(state, n_photons, grid, convention):
+    """40-digit doses on phase_grid(grid) of a state at the substrate."""
+    exponents = (1, -1) if convention is SubstrateConvention.SYMMETRIC else (0, 0)
+    return np.array([float(d) for d in mp_monomial_doses(state.amplitudes, n_photons, exponents,
+                                                         grid, range(grid))])
+
+
 def test_noon_deposition_peak_and_null():
-    state = noon_state(2)
-    assert abs(deposition_rate(state, 2, 0.0, SubstrateConvention.SYMMETRIC) - 2.0) < 1e-12
-    null = deposition_rate(state, 2, math.pi / 4.0, SubstrateConvention.SYMMETRIC)
-    assert abs(null) < 1e-12
+    # Grid points 0 and 1 of an 8-point grid are phi = 0 and pi / 4.
+    doses = exposure_profile(noon_state(2), 2, 8, SubstrateConvention.SYMMETRIC).doses
+    assert abs(doses[0] - 2.0) < 1e-12
+    assert abs(doses[1]) < 1e-12
 
 
 def test_deposition_above_photon_content_is_zero():
     state = noon_state(2)
-    assert deposition_rate(state, 3, 0.1, SubstrateConvention.SYMMETRIC) == 0.0
+    assert np.all(exposure_profile(state, 3, 8, SubstrateConvention.SYMMETRIC).doses == 0.0)
     # however far N lies above the state's photon content
-    assert deposition_rate(state, 9, 0.1, SubstrateConvention.SYMMETRIC) == 0.0
+    assert np.all(exposure_profile(state, 9, 8, SubstrateConvention.SYMMETRIC).doses == 0.0)
 
 
 def test_deposition_rejects_bad_photon_count():
     state = noon_state(2)
     with pytest.raises(ValueError):
-        deposition_rate(state, 0, 0.1, SubstrateConvention.SYMMETRIC)
+        exposure_profile(state, 0, 8, SubstrateConvention.SYMMETRIC)
     with pytest.raises(ValueError, match="unknown substrate convention"):
-        deposition_rate(state, 2, 0.1, "symmetric")
+        exposure_profile(state, 2, 8, "symmetric")
 
 
 def test_deposition_matches_dense_oracle():
@@ -104,12 +107,12 @@ def test_deposition_matches_dense_oracle():
         amps = random_state_map(rng, cutoff)
         state = make_state(amps)
         n_photons = int(rng.integers(1, min(cutoff, 3) + 1))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        grid = int(rng.integers(4, 17))
         for convention in SubstrateConvention:
-            f = substrate_field(phi, convention)
-            expected = dense_dose(state.amplitudes, cutoff, n_photons, f.alpha, f.beta)
-            got = deposition_rate(state, n_photons, phi, convention)
-            assert abs(got - expected) < 1e-10
+            profile = exposure_profile(state, n_photons, grid, convention)
+            for phi, got in zip(profile.phis, profile.doses):
+                expected = dense_dose(state.amplitudes, cutoff, n_photons, *_substrate_field(phi, convention))
+                assert abs(got - expected) < 1e-10
 
 
 def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
@@ -127,8 +130,7 @@ def test_exposure_profile_matches_dense_oracle_on_multi_sector_states():
             for from_input in (False, True):
                 profile = exposure_profile(state, n_photons, 8, convention, from_input)
                 for phi, dose in zip(profile.phis, profile.doses):
-                    f = substrate_field(phi, convention)
-                    field = np.array([f.alpha, f.beta])
+                    field = _substrate_field(phi, convention)
                     if from_input:
                         field = field @ interferometer(phi, convention).matrix
                     expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
@@ -164,13 +166,13 @@ def test_doses_are_nonnegative_and_match_the_pulled_back_field(
     state, bound = drawn
     n_photons = data.draw(st.integers(1, bound))
     profile = exposure_profile(state, n_photons, grid, convention, from_input)
-    site = "inputs" if from_input else "substrate"
-    assert np.all(_grid_doses(state, n_photons, profile.phis, convention, site) >= 0.0)
+    if from_input:
+        direct = _input_doses(state, n_photons, profile.phis, convention)
+    else:
+        direct = _spectral_doses(state, n_photons, grid, convention, "substrate")
+    assert np.all(direct >= 0.0)
     for phi, dose in zip(profile.phis, profile.doses):
-        if convention is SubstrateConvention.SYMMETRIC:
-            field = np.array([cmath.exp(1j * phi), cmath.exp(-1j * phi)])
-        else:
-            field = np.array([1.0, 1.0])
+        field = _substrate_field(phi, convention)
         if from_input:
             field = field @ interferometer(phi, convention).matrix
         expected = dense_dose(state.amplitudes, bound, n_photons, *field)
@@ -188,11 +190,12 @@ def test_doses_are_nonnegative_and_match_the_pulled_back_field(
 def test_number_state_doses_match_exact_rationals(pair, n_photons, convention, grid):
     state = make_state({pair: 1.0})
     profile = exposure_profile(state, n_photons, grid, convention, from_input=True)
-    for k, sine in [(0, Fraction(0)), (1, Fraction(1, 2)), (7, Fraction(-1, 2))]:
+    points = [(0, Fraction(0)), (1, Fraction(1, 2)), (7, Fraction(-1, 2))]
+    piped = _input_doses(state, n_photons, profile.phis[[k for k, _ in points]], convention)
+    for (k, sine), dose in zip(points, piped):
         exact = float(number_state_dose(*pair, n_photons, 1 - sine, 1 + sine))
         assert abs(profile.doses[k] - exact) <= 1e-12 * exact, k
-        piped = pipeline_rate(state, n_photons, profile.phis[k], convention)
-        assert abs(piped - exact) <= 1e-12 * exact, k
+        assert abs(dose - exact) <= 1e-12 * exact, k
 
 
 def test_input_port_doses_of_order_one_survive_large_n():
@@ -200,7 +203,8 @@ def test_input_port_doses_of_order_one_survive_large_n():
     # halved input field's squared amplitudes are 2^-N of that: below the
     # float range beyond N = 1074.
     for n in (1100, 2000, 2044):
-        assert abs(pipeline_rate(make_state({(n, 0): 1.0}), n, 0.0) - 1.0) <= 1e-12, n
+        dose = _input_doses(make_state({(n, 0): 1.0}), n, [0.0], SubstrateConvention.SYMMETRIC)
+        assert abs(dose[0] - 1.0) <= 1e-12, n
 
 
 def test_input_port_doses_are_refused_past_the_float_limit():
@@ -209,10 +213,10 @@ def test_input_port_doses_are_refused_past_the_float_limit():
     # still dosed.
     state = make_state({(2045, 0): 1.0})
     with pytest.raises(ValueError, match="N <= 2044"):
-        pipeline_rate(state, 2045, 0.0)
+        _input_doses(state, 2045, [0.0], SubstrateConvention.SYMMETRIC)
     with pytest.raises(ValueError, match="N <= 2044"):
         exposure_profile(state, 2045, 8, SubstrateConvention.SINGLE_ARM, from_input=True)
-    assert abs(deposition_rate(state, 2045, 0.3) - 1.0) <= 1e-12
+    assert np.abs(exposure_profile(state, 2045, 8).doses - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=150)
@@ -229,8 +233,12 @@ def test_symmetric_doses_are_single_arm_doses_at_twice_the_phase(
     n_photons = data.draw(st.integers(1, bound))
     profile = exposure_profile(state, n_photons, 2 * half_grid, SubstrateConvention.SYMMETRIC,
                                from_input)
-    single_arm = _grid_doses(state, n_photons, 2.0 * profile.phis, SubstrateConvention.SINGLE_ARM,
-                             "inputs" if from_input else "shifter")
+    if from_input:
+        single_arm = _input_doses(state, n_photons, 2.0 * profile.phis, SubstrateConvention.SINGLE_ARM)
+    else:
+        # Twice the phases of a 2h-point grid run twice over the h-point grid.
+        single_arm = np.tile(_spectral_doses(state, n_photons, half_grid, SubstrateConvention.SINGLE_ARM,
+                                             "shifter"), 2)
     assert np.all(np.abs(profile.doses - single_arm)
                   <= 1e-12 * np.maximum(1.0, np.abs(profile.doses)))
     odd = fourier_components(profile, half_grid - 1)[1::2]
@@ -268,15 +276,16 @@ def test_resampled_profiles_match_the_direct_doses(drawn, data, convention, from
     edge = 2 * band + 1
     grid = data.draw(st.one_of(st.just(edge + 1), st.integers(edge - band, 3 * edge)))
     profile = exposure_profile(state, n_photons, grid, convention, from_input)
-    site = "inputs" if from_input else "substrate"
-    direct = _grid_doses(state, n_photons, profile.phis, convention, site)
+    if from_input:
+        direct = _input_doses(state, n_photons, profile.phis, convention)
+    else:
+        direct = _substrate_doses(state, n_photons, grid, convention)
     scale = 1e-12 * max(1.0, direct.max())
     assert np.abs(profile.doses - direct).max() <= scale
     assert profile.doses.min() >= 0.0
     for k in sorted({0, grid // 3, grid - 1}):
         phi = profile.phis[k]
-        f = substrate_field(phi, convention)
-        field = np.array([f.alpha, f.beta])
+        field = _substrate_field(phi, convention)
         if from_input:
             field = field @ interferometer(phi, convention).matrix
         assert abs(profile.doses[k] - dense_dose(state.amplitudes, cutoff, n_photons, *field)) <= scale
@@ -294,11 +303,11 @@ def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monk
     # states alike.
     phases = []
 
-    def counted(state, n_photons, phis, convention, site):
+    def counted(state, n_photons, phis, convention):
         phases.append(len(phis))
-        return _grid_doses(state, n_photons, phis, convention, site)
+        return _input_doses(state, n_photons, phis, convention)
 
-    monkeypatch.setattr(dosing, "_grid_doses", counted)
+    monkeypatch.setattr(dosing, "_input_doses", counted)
     rng = np.random.default_rng(3)
     multi = make_state({(k, total - k): complex(*rng.standard_normal(2))
                         for total in range(3, 6) for k in range(total + 1)})
@@ -306,7 +315,6 @@ def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monk
              + [(noon_state(n), n, False) for n in (1, 2, 10, 30)]
              + [(multi, 3, False), (multi, 3, True)])
     for state, n_photons, from_input in cases:
-        site = "inputs" if from_input else "substrate"
         for convention in SubstrateConvention:
             edge = 2 * _band(n_photons, convention) + 1
             for grid in (2, edge - 1, edge, edge + 1, 4096):
@@ -314,7 +322,10 @@ def test_profiles_are_resampled_exactly_where_the_grid_passes_2_band_plus_1(monk
                 profile = exposure_profile(state, n_photons, grid, convention, from_input)
                 assert phases == ([] if not from_input
                                   else [2 * n_photons + 1] if grid > edge else [grid])
-                direct = _grid_doses(state, n_photons, profile.phis, convention, site)
+                if from_input:
+                    direct = _input_doses(state, n_photons, profile.phis, convention)
+                else:
+                    direct = _substrate_doses(state, n_photons, grid, convention)
                 assert np.abs(profile.doses - direct).max() <= 1e-12 * max(1.0, direct.max())
 
 
@@ -344,8 +355,10 @@ def test_symmetric_profiles_are_resampled_from_half_a_period(monkeypatch, n_phot
     assert spectrum.shape == (grid // 2 + 1,)
     assert np.all(spectrum[1::2] == 0.0)
     assert np.all(spectrum[2 * n_photons + 1:] == 0.0)
-    site = "inputs" if from_input else "substrate"
-    direct = _grid_doses(state, n_photons, profile.phis, SubstrateConvention.SYMMETRIC, site)
+    if from_input:
+        direct = _input_doses(state, n_photons, profile.phis, SubstrateConvention.SYMMETRIC)
+    else:
+        direct = _substrate_doses(state, n_photons, grid, SubstrateConvention.SYMMETRIC)
     assert np.abs(profile.doses - direct).max() <= 1e-12 * max(1.0, direct.max())
 
 
@@ -403,30 +416,29 @@ def test_spectral_doses_match_40_digit_doses(kind, convention, site, exponents):
         assert worst <= 1e-15 * max(exact), grid
 
 
-@pytest.mark.parametrize("rate", [deposition_rate, pipeline_rate])
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("convention", list(SubstrateConvention))
-def test_rates_reject_non_finite_phases(rate, phi, convention):
+def test_rates_reject_non_finite_phases(phi, convention):
     with pytest.raises(ValueError, match="finite"):
-        rate(noon_state(2), 2, phi, convention)
+        _input_doses(noon_state(2), 2, [0.0, phi], convention)
 
 
 def test_single_photon_pipeline_fringes():
     source = make_state({(1, 0): 1.0})
-    for phi in np.linspace(0.0, 2.0 * math.pi, 17):
-        sym = pipeline_rate(source, 1, phi, SubstrateConvention.SYMMETRIC)
-        assert abs(sym - (1.0 - math.sin(2.0 * phi))) < 1e-12
-        arm = pipeline_rate(source, 1, phi, SubstrateConvention.SINGLE_ARM)
-        assert abs(arm - (1.0 - math.sin(phi))) < 1e-12
+    phis = np.linspace(0.0, 2.0 * math.pi, 17)
+    sym = _input_doses(source, 1, phis, SubstrateConvention.SYMMETRIC)
+    assert np.abs(sym - (1.0 - np.sin(2.0 * phis))).max() < 1e-12
+    arm = _input_doses(source, 1, phis, SubstrateConvention.SINGLE_ARM)
+    assert np.abs(arm - (1.0 - np.sin(phis))).max() < 1e-12
 
 
 def test_two_photon_pipeline_fringes():
     source = make_state({(1, 1): 1.0})
-    for phi in np.linspace(0.0, 2.0 * math.pi, 17):
-        sym = pipeline_rate(source, 2, phi, SubstrateConvention.SYMMETRIC)
-        assert abs(sym - (1.0 + math.cos(4.0 * phi))) < 1e-12
-        arm = pipeline_rate(source, 2, phi, SubstrateConvention.SINGLE_ARM)
-        assert abs(arm - (1.0 + math.cos(2.0 * phi))) < 1e-12
+    phis = np.linspace(0.0, 2.0 * math.pi, 17)
+    sym = _input_doses(source, 2, phis, SubstrateConvention.SYMMETRIC)
+    assert np.abs(sym - (1.0 + np.cos(4.0 * phis))).max() < 1e-12
+    arm = _input_doses(source, 2, phis, SubstrateConvention.SINGLE_ARM)
+    assert np.abs(arm - (1.0 + np.cos(2.0 * phis))).max() < 1e-12
 
 
 def test_phase_grid_layout():
@@ -463,8 +475,8 @@ def test_single_arm_noon_needs_phase_dependent_state():
     grid = phase_grid(64)
     doses = np.array(
         [
-            deposition_rate(noon_state(4, phi), 4, phi, SubstrateConvention.SINGLE_ARM)
-            for phi in grid
+            exposure_profile(noon_state(4, phi), 4, 64, SubstrateConvention.SINGLE_ARM).doses[k]
+            for k, phi in enumerate(grid)
         ]
     )
     expected = 1.0 + np.cos(4.0 * grid)
@@ -588,16 +600,17 @@ def test_min_feature_values():
     pytest.param(lambda: noon_exposure(2.5, 0.3), id="noon_exposure"),
     pytest.param(lambda: classical_n_photon(2.5, 0.3), id="classical_n_photon"),
     pytest.param(lambda: min_feature(2.5, 1.0), id="min_feature"),
-    pytest.param(lambda: deposition_rate(noon_state(2), 1.5, 0.3), id="deposition_rate"),
-    pytest.param(lambda: pipeline_rate(noon_state(2), 2.0, 0.3), id="pipeline_rate"),
+    pytest.param(lambda: _spectral_doses(noon_state(2), 1.5, 8, SubstrateConvention.SYMMETRIC, "substrate"),
+                 id="spectral_doses"),
+    pytest.param(lambda: _input_doses(noon_state(2), 2.0, [0.3], SubstrateConvention.SYMMETRIC),
+                 id="input_doses"),
     pytest.param(lambda: exposure_profile(noon_state(2), 2.0, 8), id="exposure_profile"),
-    pytest.param(lambda: apply_field_power(noon_state(2), FieldCoefficients(1.0, 1.0), 1.0),
-                 id="apply_field_power"),
     pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), 2.5),
                  id="fourier_components"),
     # bool is an int subclass, but True is no photon number and False no harmonic.
     pytest.param(lambda: exposure_profile(noon_state(2), True, 512), id="exposure_profile_true"),
-    pytest.param(lambda: deposition_rate(noon_state(2), True, 0.3), id="deposition_rate_true"),
+    pytest.param(lambda: _spectral_doses(noon_state(2), True, 8, SubstrateConvention.SYMMETRIC, "substrate"),
+                 id="spectral_doses_true"),
     pytest.param(lambda: min_feature(True, 1.0), id="min_feature_true"),
     pytest.param(lambda: fourier_components(ExposureProfile(phase_grid(16), np.ones(16)), False),
                  id="fourier_components_false"),
@@ -618,6 +631,9 @@ def test_non_integer_photon_numbers_are_refused(call):
 def test_numpy_integer_photon_numbers_are_accepted():
     assert min_feature(np.int64(4), 1.0) == 0.125
     assert noon_exposure(np.uint8(2), 0.0) == classical_n_photon(np.int32(3), 0.0) == 2.0
-    assert deposition_rate(noon_state(2), np.int16(2), 0.0) == deposition_rate(noon_state(2), 2, 0.0)
+    for grid in ([0.0], phase_grid(8)):
+        dose = _input_doses(noon_state(2), np.int16(2), grid, SubstrateConvention.SYMMETRIC)
+        assert dose.tobytes() == _input_doses(noon_state(2), 2, grid, SubstrateConvention.SYMMETRIC).tobytes()
+    assert exposure_profile(noon_state(2), np.int16(2), 8) == exposure_profile(noon_state(2), 2, 8)
     profile = ExposureProfile(phase_grid(16), np.ones(16))
     assert fourier_components(profile, np.int64(0)).shape == (1,)
