@@ -55,6 +55,19 @@ def test_input_chain_is_the_scaled_splitter_and_mirror():
     assert np.max(np.abs(_INPUT_CHAIN / math.sqrt(2.0) - chain)) < 1e-16
 
 
+def test_input_field_is_the_substrate_field_pulled_back_and_halved():
+    # (alpha, beta) @ T / sqrt2 with T = interferometer(phi), whose sqrt2 T is
+    # _INPUT_CHAIN: the halved field the input-port doses are taken of.
+    phis = np.linspace(-3.0, 7.0, 11)
+    for convention in SubstrateConvention:
+        alpha, beta = dosing._field(phis, convention)
+        for phi, a, b in zip(phis, alpha, beta):
+            pulled = _substrate_field(phi, convention) @ interferometer(phi, convention).matrix
+            assert np.abs(np.array([a, b]) - pulled / math.sqrt(2.0)).max() < 1e-15
+    with pytest.raises(ValueError, match="unknown substrate convention"):
+        dosing._field(phis, "symmetric")
+
+
 def test_noon_state_amplitudes():
     state = noon_state(3, 0.25)
     r = 1.0 / math.sqrt(2.0)

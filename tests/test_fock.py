@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_dose
+from oracles import dense_dose, random_state_map
 from qlitho import dosing
 from qlitho.dosing import (
     SubstrateConvention,
     _input_doses,
+    _spectral_doses,
     exposure_profile,
     interferometer,
     phase_grid,
@@ -113,6 +114,82 @@ def test_field_power_cancels_exactly():
     # under the SINGLE_ARM substrate field a + b, |1,0> - |0,1> doses 0.
     state = make_state({(1, 0): 1.0, (0, 1): -1.0})
     assert np.all(exposure_profile(state, 1, 8, SubstrateConvention.SINGLE_ARM).doses == 0.0)
+
+
+# Sites whose field coefficients are powers of e^{i phi}, of modulus 1.
+_UNIT_SITES = [
+    (SubstrateConvention.SYMMETRIC, "substrate"),
+    (SubstrateConvention.SINGLE_ARM, "substrate"),
+    (SubstrateConvention.SINGLE_ARM, "shifter"),
+]
+
+
+def test_one_photon_dose_of_a_number_state_is_its_occupation():
+    # a|n, m> = sqrt(n)|n-1, m> and b|n, m> = sqrt(m)|n, m-1> are orthogonal,
+    # so under unit field coefficients the N = 1 dose of |n, m> is n + m.
+    for pair in ((1, 0), (0, 1), (2, 0), (1, 1), (3, 4), (0, 0)):
+        state = make_state({pair: 1.0})
+        for convention, site in _UNIT_SITES:
+            doses = _spectral_doses(state, 1, 8, convention, site)
+            assert np.abs(doses - sum(pair)).max() < 1e-14, (pair, convention, site)
+    # At the inputs only mode a is lit by |n, 0>: its dose is n times that of |1, 0>.
+    phis = phase_grid(16)
+    for convention in SubstrateConvention:
+        single = _input_doses(make_state({(1, 0): 1.0}), 1, phis, convention)
+        for n in (2, 5):
+            doses = _input_doses(make_state({(n, 0): 1.0}), 1, phis, convention)
+            assert np.abs(doses - n * single).max() < 1e-13 * n
+
+
+def test_vacuum_doses_zero_at_every_site():
+    vacuum = make_state({(0, 0): 1.0})
+    for convention, site in _UNIT_SITES:
+        assert np.all(_spectral_doses(vacuum, 1, 8, convention, site) == 0.0)
+    for convention in SubstrateConvention:
+        assert np.all(exposure_profile(vacuum, 1, 8, convention, from_input=True).doses == 0.0)
+
+
+def test_one_photon_dose_averages_to_the_mean_photon_number():
+    # Over a period the N = 1 dose loses its cross term alpha* beta <a† b>,
+    # leaving |alpha|^2 <a† a> + |beta|^2 <b† b> = <n_a + n_b>.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        amps = random_state_map(rng, int(rng.integers(1, 7)))
+        mean = sum((n + m) * abs(z) ** 2 for (n, m), z in amps.items())
+        state = make_state(amps)
+        for convention, site in ((SubstrateConvention.SYMMETRIC, "substrate"),
+                                 (SubstrateConvention.SINGLE_ARM, "shifter")):
+            doses = _spectral_doses(state, 1, 8, convention, site)
+            assert abs(doses.mean() - mean) < 1e-13 * max(1.0, mean)
+
+
+def test_two_photon_pair_doses_twice_its_field_product():
+    # (alpha a + beta b)^2 |1,1> = 2 alpha beta |0,0>: the dose |2 alpha beta|^2 / 2!
+    # is 2 wherever both coefficients have modulus 1.
+    state = make_state({(1, 1): 1.0})
+    for convention, site in _UNIT_SITES:
+        doses = _spectral_doses(state, 2, 8, convention, site)
+        assert np.abs(doses - 2.0).max() < 1e-14, (convention, site)
+
+
+def test_full_depletion_dose():
+    # (alpha a + beta b)^3 |2,1>: each of the 3 orderings that annihilate everything
+    # contributes alpha^2 beta sqrt(2!) sqrt(1!), so the amplitude is 3 sqrt2 alpha^2 beta
+    # and the dose 18 / 3! = 3 under unit field coefficients.
+    state = make_state({(2, 1): 1.0})
+    for convention, site in _UNIT_SITES:
+        doses = _spectral_doses(state, 3, 8, convention, site)
+        assert np.abs(doses - 3.0).max() < 1e-14, (convention, site)
+    for convention in SubstrateConvention:
+        profile = exposure_profile(state, 3, 8, convention, from_input=True)
+        for phi, dose in zip(profile.phis, profile.doses):
+            if convention is SubstrateConvention.SYMMETRIC:
+                field = np.array([np.exp(1j * phi), np.exp(-1j * phi)])
+            else:
+                field = np.array([1.0, 1.0])
+            field = field @ interferometer(phi, convention).matrix
+            expected = 18.0 * abs(field[0] ** 2 * field[1]) ** 2 / 6.0
+            assert abs(dose - expected) < 1e-13
 
 
 def test_fock_state_is_immutable():
@@ -260,6 +337,23 @@ def test_sparse_sector_doses_at_the_inputs_match_the_dense_oracle(cutoff, state)
                 else:
                     field = np.array([1.0, 1.0])
                 field = field @ interferometer(phi, convention).matrix
+                expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
+                assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("cutoff, state", _SPARSE_STATES)
+def test_sparse_sector_doses_at_the_substrate_match_the_dense_oracle(cutoff, state):
+    # The folded FFT over sectors whose nonzero amplitudes are sparse, or, for
+    # N = 4, 5 of the second state, all zero.
+    phis = phase_grid(8)
+    for n_photons in range(1, 6):
+        for convention, site in _UNIT_SITES:
+            doses = _spectral_doses(state, n_photons, 8, convention, site)
+            for phi, dose in zip(phis, doses):
+                if convention is SubstrateConvention.SYMMETRIC:
+                    field = (np.exp(1j * phi), np.exp(-1j * phi))
+                else:
+                    field = (np.exp(1j * phi) if site == "shifter" else 1.0, 1.0)
                 expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
                 assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
 
