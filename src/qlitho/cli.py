@@ -45,9 +45,9 @@ from .svgplot import _write_text, format_rows, write_line_chart
 from .synthesis import (
     _ITERATIONS,
     PartitionBasis,
-    _amplitude_matrix,
     best_classical_fit,
     fit_superposition,
+    genome_profile,
     trench_target,
 )
 
@@ -147,9 +147,8 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         cfg.grid = _DEFAULT_GRID
     if cfg.grid is not None and cfg.grid < 4:
         raise ValueError("--grid must be at least 4")
-    wavelength = cfg.wavelength_nm
-    if wavelength is not None and not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValueError("--wavelength-nm must be positive")
+    if cfg.wavelength_nm is not None:
+        min_feature(cfg.n, cfg.wavelength_nm)  # noon's own check, before any output
 
     cfg.convention = _CONVENTIONS[cfg.convention]
     cfg.partitions = _parse_partitions(cfg.partitions)
@@ -311,7 +310,7 @@ def cmd_synthesize(cfg: argparse.Namespace) -> None:
         target = trench_target(cfg.grid)
     alpha, trace = fit_superposition(basis, target, cfg.generations, cfg.seed)
     classical = best_classical_fit(target)
-    quantum = np.abs(alpha @ _amplitude_matrix(basis, target.grid_points)) ** 2
+    quantum = genome_profile(alpha, basis, target.grid_points).doses
     final_fitness = float(np.mean((quantum - target.doses) ** 2))
     gap = abs(final_fitness - float(trace[-1]))
     tol = _FITNESS_CHECK_TOL * max(float(np.mean(target.doses**2)), np.finfo(float).tiny)

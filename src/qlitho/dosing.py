@@ -338,9 +338,11 @@ def min_feature(n_photons: int, wavelength: float) -> float:
 
     The N-photon fringe cos(2 N phi) completes a period every
     wavelength / N of substrate travel, so adjacent dark-to-bright
-    features sit wavelength / (2 N) apart.
+    features sit wavelength / (2 N) apart.  Raises ValueError unless that
+    is a positive normal float: a subnormal one would keep few bits.
     """
     n_photons = _count(n_photons, "photon number")
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValueError("wavelength must be positive and finite")
-    return wavelength / (2.0 * n_photons)
+    feature = wavelength / (2.0 * n_photons)
+    if not (math.isfinite(feature) and feature >= np.finfo(float).tiny):
+        raise ValueError(f"wavelength {wavelength!r} / {2 * n_photons} is not a positive normal float")
+    return feature

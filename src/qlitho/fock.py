@@ -29,9 +29,9 @@ by exposure_profile, at 2.000000000000001).
 
 Only the output rows j that a nonzero psi reaches are kept, so the
 product for a sparse sector (a squeezed vacuum's |n, n>) spans those
-rows, not all M-N+1.  The field powers alpha^k beta^(N-k) are numpy's
-exact squaring below N = 100; from N = 100 on they are built from such
-powers (see _field_powers), never from libm cpow.
+rows, not all M-N+1.  The field powers alpha^k beta^(N-k) are products
+of numpy's exact squaring at exponents below 100, for every N (see
+_field_powers), never of libm cpow.
 """
 
 from __future__ import annotations
@@ -184,31 +184,30 @@ _SQUARED_EXPONENTS = 100
 def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarray) -> np.ndarray:
     """alpha^k beta^(power-k): one row per k in ks, one column per field.
 
-    From power 100 on, each power is built in place from numpy powers with
-    exponents below 100: z^n = z^(n mod 64) (z^64)^(n div 64), the quotient
-    split the same way until it is below 100.  Each row multiplies in its
-    alpha, then its beta factors, level by level; besides the rows this
-    holds one scratch row and the current rung z^(64^level).
+    Each is a product of numpy powers with exponents below 100, z^n =
+    z^(n mod 64) (z^64)^(n div 64) for n >= 100 with the quotient split the
+    same way, taken for all rows level by level, alpha's and then beta's.
+    Below power 100 a row is numpy's alpha**k * beta**(power-k); from 100
+    on a row starts at its first factor other than z^0 and skips each z^0,
+    whose product would change only the sign of a zero part.
     """
-    if power < _SQUARED_EXPONENTS:
-        return alpha ** ks[:, None] * beta ** (power - ks)[:, None]
-    out = np.empty((len(ks), len(alpha)), dtype=complex)
-    scratch, rung = np.empty_like(out[0]), np.empty_like(out[0])
-    started = [False] * len(ks)
-    for z, exps in ((alpha, ks.tolist()), (beta, (power - ks).tolist())):
-        while any(exps):
-            for row, n in enumerate(exps):
-                digit = n % 64 if n >= _SQUARED_EXPONENTS else n
-                if not digit:
-                    continue
-                if not started[row]:
-                    np.power(z, digit, out=out[row])
-                    started[row] = True
-                elif digit == 1:
-                    out[row] *= z
-                else:
-                    out[row] *= np.power(z, digit, out=scratch)
-            exps = [n // 64 if n >= _SQUARED_EXPONENTS else 0 for n in exps]
-            if any(exps):
-                z = np.power(z, 64, out=rung)
+    out = started = None
+    for z, exps in ((alpha, ks[:, None]), (beta, (power - ks)[:, None])):
+        levels, top = [], int(exps.max())
+        while top >= _SQUARED_EXPONENTS:
+            split = exps >= _SQUARED_EXPONENTS
+            levels.append((z, np.where(split, exps % 64, exps)))
+            exps, z, top = np.where(split, exps // 64, 0), z**64, top // 64
+        for z, digits in levels + [(z, exps)]:
+            factors = z**digits
+            if out is None:  # a row not started holds z^0 = 1
+                out, started = factors, digits > 0
+            elif power < _SQUARED_EXPONENTS:
+                out = out * factors
+            else:
+                take = digits > 0
+                product = out * factors
+                np.copyto(product, factors, where=take & ~started)
+                np.copyto(product, out, where=~take)
+                out, started = product, started | take
     return out

@@ -23,10 +23,10 @@ dosed in the SYMMETRIC convention has those (a known defect of the
 model, listed in ROADMAP.md).
 
 So row P holds two harmonics with real coefficients (_row_spectra).  The
-solver works on the spectra of the doses the rows make (_dose_space); the
-grid matrix A is one inverse FFT of the rows, and every dose on the grid
-reads it, dose(alpha) = |alpha @ A|^2, so |alpha|^2 is the exposure
-scale: unit-norm alpha is one unit of exposure.
+solver works on the spectra of the doses the rows make (_dose_space).  A
+dose on the grid, dose(alpha) = |alpha @ A|^2, is one inverse FFT of the
+row spectra summed with weights alpha (_dose), so |alpha|^2 is the
+exposure scale: unit-norm alpha is one unit of exposure.
 """
 
 from __future__ import annotations
@@ -181,12 +181,12 @@ def _coefficients(alpha, basis: PartitionBasis) -> np.ndarray:
 def genome_profile(alpha, basis: PartitionBasis, grid_points: int) -> ExposureProfile:
     """Dose pattern |alpha @ A|^2 of the coefficient superposition alpha.
 
-    Its exposure scale is |alpha|^2 (see _amplitude_matrix); cross terms
-    between partitions arise from adding the rows.
+    Its exposure scale is |alpha|^2 (see _dose); cross terms between
+    partitions arise from adding the rows.
     """
     alpha = _coefficients(alpha, basis)
     phis = phase_grid(grid_points)
-    return ExposureProfile(phis, np.abs(alpha @ _amplitude_matrix(basis, grid_points)) ** 2)
+    return ExposureProfile(phis, _dose(alpha, basis, len(phis)))
 
 
 def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,14 +205,13 @@ def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, n
     return bins, coef
 
 
-def _amplitude_matrix(basis: PartitionBasis, grid_points: int) -> np.ndarray:
-    """Rows A[P] on phase_grid(G), with dose(alpha) = |alpha @ A|^2: one
-    inverse FFT of the row spectra of _row_spectra, folded into G bins."""
-    g = _count(grid_points, "number of grid points")
-    bins, coef = _row_spectra(basis, g)
-    spectra = np.zeros((len(basis), g), dtype=complex)
-    np.add.at(spectra, (np.arange(len(basis))[:, None], bins), coef)
-    return np.fft.ifft(spectra, norm="forward", out=spectra)
+def _dose(alpha: np.ndarray, basis: PartitionBasis, grid_points: int) -> np.ndarray:
+    """|alpha @ A|^2 on phase_grid(G): alpha_P times the row spectra of
+    _row_spectra, added into one G-bin spectrum, and one inverse FFT."""
+    bins, coef = _row_spectra(basis, grid_points)
+    spectrum = np.zeros(grid_points, dtype=complex)
+    np.add.at(spectrum, bins, alpha[:, None] * coef)
+    return np.abs(np.fft.ifft(spectrum, norm="forward", out=spectrum)) ** 2
 
 
 def _half_root(m: int) -> float:
@@ -274,7 +273,7 @@ def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
     largest = max(np.abs(alpha.real).max(), np.abs(alpha.imag).max())
     if largest > 0.0:
         alpha = alpha / largest
-    u = np.abs(alpha @ _amplitude_matrix(basis, target.grid_points)) ** 2
+    u = _dose(alpha, basis, target.grid_points)
     return float(_scaled_sse(u, target.doses) / len(u))
 
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import qlitho.cli as cli
 import qlitho.fock as fock
-import qlitho.synthesis as synthesis
 from oracles import csv_text, polyline_points
 from qlitho.dosing import phase_grid
 from qlitho.svgplot import _write_text, format_rows
@@ -353,23 +352,6 @@ def test_synthesize_large_doses_pass_self_checks(monkeypatch, tmp_path, n, parti
     assert code == 0
 
 
-def test_synthesize_forms_the_amplitude_matrix_once(monkeypatch, tmp_path):
-    # The fit works on the rows' spectra; only the emitted quantum dose
-    # reads the grid matrix, built once on the target's grid.
-    calls = []
-    real = synthesis._amplitude_matrix
-
-    def counting(basis, grid_points):
-        calls.append(grid_points)
-        return real(basis, grid_points)
-
-    for module in (synthesis, cli):
-        monkeypatch.setattr(module, "_amplitude_matrix", counting)
-    code = run_cli(monkeypatch, tmp_path, "--command", "synthesize", *SMALL_SYNTH)
-    assert code == 0
-    assert calls == [64]
-
-
 def test_synthesize_fitness_mismatch_exits_four(monkeypatch, tmp_path, capsys):
     # A solver whose reported trace disagrees with the fitness of the dose
     # it emits must trip the self-check.
@@ -558,7 +540,7 @@ OPTION_CASES = {
     "partitions": ("synthesize", "1,2", "1", ["1,x", "9", ","]),
     "grid": ("classical", "16", "8", ["sixteen", "2"]),
     "convention": ("fringe", "paper", "symmetric", ["sideways"]),
-    "wavelength_nm": ("noon", "248", "193", ["blue", "-1", "nan"]),
+    "wavelength_nm": ("noon", "248", "193", ["blue", "-1", "nan", "5e-324"]),
     "seed": ("synthesize", "3", "4", ["x", "1.5"]),
     "generations": ("synthesize", "3", "4", ["abc", "0", "-1"]),
     "out": ("classical", "result", "other.csv", ["bad\0stem"]),

@@ -607,6 +607,11 @@ def test_min_feature_values():
         min_feature(0, 248.0)
     with pytest.raises(ValueError):
         min_feature(2, -1.0)
+    # A feature below the smallest normal float would print rounded to few bits, or as 0.
+    assert min_feature(1, 2 * np.finfo(float).tiny) == np.finfo(float).tiny
+    for wavelength in (5e-324, 1e-322, 3 * np.finfo(float).tiny):
+        with pytest.raises(ValueError, match="positive normal float"):
+            min_feature(2, wavelength)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,7 @@
 """Tests for the two-mode Fock state module."""
 
 import dataclasses
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -273,6 +274,32 @@ def test_field_powers_below_exponent_100_are_numpys_powers(power, data, conventi
     alpha, beta = dosing._field(phis, convention)
     expected = alpha ** ks[:, None] * beta ** (power - ks)[:, None]
     assert _field_powers(alpha, beta, power, ks).tobytes() == expected.tobytes()
+
+
+def _split_factors(z: np.ndarray, n: int) -> list[np.ndarray]:
+    """numpy powers below 100 whose product, in order, is z^n for n >= 100:
+    z^(n mod 64) and then the split of (z^64)^(n div 64), z^0 left out."""
+    factors = []
+    while n >= 100:
+        if n % 64:
+            factors.append(np.power(z, n % 64))
+        n, z = n // 64, np.power(z, 64)
+    return factors + [np.power(z, n)] if n else factors
+
+
+@pytest.mark.parametrize("power", [100, 127, 128, 171, 1000, 2044, 10**5])
+def test_field_powers_from_exponent_100_are_the_split_products(power):
+    # Byte for byte, row by row, alpha's factors and then beta's.  On
+    # phase_grid(8) the SINGLE_ARM fields have exact zero parts, and the
+    # SYMMETRIC alpha at pi/4 is about 1e-16, so its z^64 underflows to 0.
+    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
+    ks = np.arange(0, power + 1, max(1, power // 2000))
+    for convention in SubstrateConvention:
+        alpha, beta = dosing._field(phis, convention)
+        got = _field_powers(alpha, beta, power, ks)
+        for row, k in zip(got, ks.tolist()):
+            factors = _split_factors(alpha, k) + _split_factors(beta, power - k)
+            assert row.tobytes() == functools.reduce(np.multiply, factors).tobytes(), (convention, k)
 
 
 def _exact_power(z: complex, n: int) -> tuple[Decimal, Decimal]:

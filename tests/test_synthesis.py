@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dense_dose
+from oracles import dense_dose, mp_monomial_doses
 from qlitho.dosing import ExposureProfile, phase_grid
 from qlitho.fock import _root
 from qlitho.synthesis import (
@@ -26,9 +26,9 @@ from qlitho.synthesis import (
     trench_target,
 )
 from qlitho.synthesis import (
-    _amplitude_matrix,
     _check_target,
     _damped_steps,
+    _dose,
     _dose_space,
     _half_root,
     _hessian_map,
@@ -212,14 +212,32 @@ def _superpositions(draw):
 @given(_superpositions(), st.integers(4, 40))
 @example((PartitionBasis(10, (0, 1, 2, 3, 4, 5)), np.full(6, 1 / math.sqrt(6))), 32)
 @example((PartitionBasis(4, (2,)), np.ones(1)), 4)
-def test_amplitude_matrix_matches_dense_oracle(superposition, grid):
-    # The amplitude matrix every synthesis dose reads, against the dense oracle,
-    # for P = 0 and the degenerate split 2P = N too.
+# Grids below the 2N+1 harmonics of the band fold the row spectra.
+@example((PartitionBasis(10, (0, 1, 2, 3, 4, 5)), np.full(6, 1 / math.sqrt(6))), 5)
+@example((PartitionBasis(9, (1, 4)), np.array([0.6, 0.8j])), 7)
+@example((PartitionBasis(7, (0, 2, 3)), np.array([0.6, -0.48j, 0.64])), 13)
+def test_dose_matches_dense_oracle(superposition, grid):
+    # The dose every synthesis path reads, against the dense oracle, for
+    # P = 0 and the degenerate split 2P = N too.
     basis, alpha = superposition
     phis = phase_grid(grid)
-    fast = np.abs(alpha @ _amplitude_matrix(basis, grid)) ** 2
+    fast = _dose(alpha, basis, grid)
     exact = oracle_doses(basis.n_photons, basis.partitions, alpha, phis)
     assert np.max(np.abs(fast - exact)) < 1e-9
+
+
+def test_dose_of_31_partitions_on_8192_points():
+    # The whole N = 60 half-sector on a large grid.  dense_dose would need
+    # 3721 x 3721 matrices here, so a few phases are checked against the
+    # same first-principles dose in 40 digits.
+    basis = PartitionBasis(60, tuple(range(31)))
+    alpha = np.exp(1j * np.arange(31)) / math.sqrt(31)
+    fast = _dose(alpha, basis, 8192)
+    phis = phase_grid(8192)
+    for g in (0, 1, 700, 2048, 4099, 8191):
+        amplitudes = manual_superposition_map(60, basis.partitions, alpha, phis[g])
+        exact = float(mp_monomial_doses(amplitudes, 60, (1, -1), 8192, [g])[0])
+        assert abs(fast[g] - exact) < 1e-14 * fast.max()
 
 
 @given(st.integers(1, 10**300))
@@ -644,6 +662,20 @@ def test_dose_space_peaks_below_one_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * grid
+
+
+def test_genome_profile_forms_no_partition_by_grid_array():
+    # A dose is one G-bin spectrum and one inverse FFT: at k = 31 and
+    # G = 8192 its peak stays below one k x G complex array.
+    basis = PartitionBasis(60, tuple(range(31)))
+    alpha = np.ones(31, dtype=complex)
+    tracemalloc.start()
+    try:
+        genome_profile(alpha, basis, 8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 31 * 8192 * 16
 
 
 def test_singular_damped_system_gives_a_failed_step():
