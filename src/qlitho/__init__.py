@@ -20,7 +20,6 @@ from .dosing import (
     SubstrateConvention,
     exposure_profile,
     fourier_components,
-    interferometer,
     min_feature,
     noon_state,
     phase_grid,
@@ -43,11 +42,9 @@ from .synthesis import (
     ClassicalFit,
     PartitionBasis,
     best_classical_fit,
-    component_closed_form,
     fit_superposition,
     fitness,
     genome_profile,
-    psi_np,
     trench_target,
 )
 
@@ -66,7 +63,6 @@ __all__ = [
     "classical_n_photon",
     "classical_one_photon",
     "classical_two_photon",
-    "component_closed_form",
     "compose",
     "evolve",
     "exposure_profile",
@@ -74,7 +70,6 @@ __all__ = [
     "fitness",
     "fourier_components",
     "genome_profile",
-    "interferometer",
     "make_state",
     "min_feature",
     "mirror",
@@ -82,7 +77,6 @@ __all__ = [
     "noon_state",
     "phase_grid",
     "phase_shifter",
-    "psi_np",
     "render_line_chart",
     "trench_target",
     "write_line_chart",

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, _count, _field_powers, _lowering_terms, _root, make_state
-from .optics import ModeUnitary, beamsplitter, compose, mirror, phase_shifter
 
 # Upper bound on the elements of one block of work (dose arrays and formatted
 # output rows), so that large grids do not raise peak memory.
@@ -103,21 +102,6 @@ def _field(phis, convention: SubstrateConvention):
     else:
         field = (wave, np.ones_like(wave))
     return _INPUT_CHAIN.T @ field / 2
-
-
-def interferometer(phi: float, convention: SubstrateConvention = SubstrateConvention.SYMMETRIC) -> ModeUnitary:
-    """Transfer matrix from the input ports to the substrate.
-
-    Both conventions route the input through the 50/50 splitter and the
-    mirror; SINGLE_ARM additionally applies the explicit phase shifter,
-    while SYMMETRIC leaves the phase to the substrate field itself.
-    """
-    _check_convention(convention)
-    shifter = phase_shifter(phi)  # refuses a non-finite phase in both conventions
-    chain = compose(mirror(), beamsplitter())
-    if convention is SubstrateConvention.SINGLE_ARM:
-        chain = compose(shifter, chain)
-    return chain
 
 
 def noon_state(n_photons: int, phi: float = 0.0) -> FockState:

@@ -187,11 +187,13 @@ def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarra
     Each is a product of numpy powers with exponents below 100, z^n =
     z^(n mod 64) (z^64)^(n div 64) for n >= 100 with the quotient split the
     same way, taken for all rows level by level, alpha's and then beta's.
-    Below power 100 a row is numpy's alpha**k * beta**(power-k); from 100
-    on a row starts at its first factor other than z^0 and skips each z^0,
-    whose product would change only the sign of a zero part.
+    z takes a level while its largest exponent over the rows is 100 or
+    more, and every row takes a factor at each: a row whose exponent is
+    below 100 takes it whole, and z^0 = 1 at the levels after.  Below
+    power 100 a row is numpy's alpha**k * beta**(power-k); from 100 on a
+    factor z^0 can change only the sign of a zero part, which no dose sees.
     """
-    out = started = None
+    out = None
     for z, exps in ((alpha, ks[:, None]), (beta, (power - ks)[:, None])):
         levels, top = [], int(exps.max())
         while top >= _SQUARED_EXPONENTS:
@@ -200,14 +202,5 @@ def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarra
             exps, z, top = np.where(split, exps // 64, 0), z**64, top // 64
         for z, digits in levels + [(z, exps)]:
             factors = z**digits
-            if out is None:  # a row not started holds z^0 = 1
-                out, started = factors, digits > 0
-            elif power < _SQUARED_EXPONENTS:
-                out = out * factors
-            else:
-                take = digits > 0
-                product = out * factors
-                np.copyto(product, factors, where=take & ~started)
-                np.copyto(product, out, where=~take)
-                out, started = product, started | take
+            out = factors if out is None else out * factors
     return out

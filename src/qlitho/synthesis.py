@@ -31,15 +31,14 @@ exposure scale: unit-norm alpha is one unit of exposure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import ExposureProfile, _phases, phase_grid
-from .fock import FockState, _count, _index, _root, make_state
+from .dosing import ExposureProfile, phase_grid
+from .fock import _count, _index, _root
 
 # Largest dose a basis may deposit, and largest target sample.  On the grid
 # every dose monomial is bounded by the basis's dose bound B (|A_i|^2 <= w_i^2
@@ -124,49 +123,6 @@ class ClassicalFit(NamedTuple):
 # ---------------------------------------------------------------------------
 # basis states and their doses
 # ---------------------------------------------------------------------------
-
-def psi_np(n_photons: int, partition: int, phi: float) -> FockState:
-    """The paper's partition state psi_NP at phase ``phi``.
-
-    The two occupations carry the phases
-
-        e^{i P phi} / sqrt2     on (N-P, P)
-        e^{i (N-P) phi} / sqrt2 on (P, N-P)
-
-    as in the SINGLE_ARM picture, where every position phase lives in the
-    state.  At phi = 0 it is the pair (|N-P, P> + |P, N-P>)/sqrt2, the
-    synthesis basis state, whose dose row sqrt(C(N, P)/2) (u^P v^(N-P) +
-    u^(N-P) v^P) _row_spectra gives without building it.  For the
-    degenerate split 2P = N both terms coincide and the normalized single
-    term e^{i P phi} |P, P> is returned.
-    """
-    n = _count(n_photons, "photon number")
-    p = _count(partition, "partition", least=None)
-    if not 0 <= p <= n:
-        raise ValueError(f"partition {p} out of range 0..{n}")
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    # For 2P = N the two keys coincide, and so do their amplitudes.
-    return make_state({(n - p, p): cmath.exp(1j * p * phi), (p, n - p): cmath.exp(1j * (n - p) * phi)})
-
-
-def component_closed_form(n_photons: int, partition: int, phis) -> np.ndarray:
-    """Analytic dose of a single partition: C(N,P) (1 + cos 2(N-2P) phi).
-
-    For the degenerate split 2P = N the normalized basis state is the
-    single term |P, P>, whose dose is the constant C(N, P) -- half the
-    value the two-term formula would suggest at zero frequency.
-    """
-    n = _count(n_photons, "photon number")
-    p = _count(partition, "partition", least=None)
-    if not 0 <= 2 * p <= n:
-        raise ValueError(f"partition {p} out of range 0..{n // 2}")
-    phis = _phases(phis)
-    c = float(math.comb(n, p))
-    if 2 * p == n:
-        return np.full(phis.shape, c)
-    return c * (1.0 + np.cos(2.0 * (n - 2 * p) * phis))
-
 
 def _coefficients(alpha, basis: PartitionBasis) -> np.ndarray:
     """The superposition coefficients as a complex vector, one per partition."""

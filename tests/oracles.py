@@ -5,6 +5,7 @@ permutations, deliberately sharing no code with the package's per-sector
 dose core, so agreement between the two is meaningful.
 """
 
+import cmath
 import itertools
 import math
 
@@ -40,6 +41,30 @@ def dense_dose(amplitudes, cutoff, n_photons, alpha, beta):
     for _ in range(n_photons):
         v = e @ v
     return float(np.vdot(v, v).real) / math.factorial(n_photons)
+
+
+def instrument_matrix(phi, convention):
+    """Transfer matrix T from the input ports to the substrate,
+    (c, d)^T = T (a, b)^T: the 50/50 splitter (1/sqrt2) [[-1, i], [i, -1]],
+    then the mirror -I, and for the single-arm convention the phase shifter
+    diag(e^{i phi}, 1) after them.  ``convention`` is a substrate convention
+    or its value, "symmetric" or "single-arm"."""
+    s = 1.0 / math.sqrt(2.0)
+    chain = -np.array([[-s, 1j * s], [1j * s, -s]])
+    if getattr(convention, "value", convention) == "single-arm":
+        chain = np.diag([cmath.exp(1j * phi), 1.0]) @ chain
+    return chain
+
+
+def partition_dose(n, p, phis):
+    """Dose of the partition state (|N-P, P> + |P, N-P>)/sqrt2 under the
+    symmetric substrate field: C(N, P) (1 + cos 2(N-2P) phi), or C(N, P)
+    for 2P = N, whose state is the one term |P, P>."""
+    phis = np.asarray(phis, dtype=float)
+    c = float(math.comb(n, p))
+    if 2 * p == n:
+        return np.full(phis.shape, c)
+    return c * (1.0 + np.cos(2.0 * (n - 2 * p) * phis))
 
 
 def number_state_dose(n, m, n_photons, weight_a, weight_b):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_dose, random_state_map, random_unitary
+from oracles import dense_dose, instrument_matrix, partition_dose, random_state_map, random_unitary
 from qlitho.baselines import classical_two_photon
 from qlitho.dosing import (
     ExposureProfile,
@@ -18,7 +18,6 @@ from qlitho.dosing import (
     _input_doses,
     exposure_profile,
     fourier_components,
-    interferometer,
     min_feature,
     noon_state,
     phase_grid,
@@ -28,7 +27,6 @@ from qlitho.optics import ModeUnitary, beamsplitter, evolve
 from qlitho.synthesis import (
     PartitionBasis,
     best_classical_fit,
-    component_closed_form,
     fit_superposition,
     fitness,
     genome_profile,
@@ -126,7 +124,7 @@ def test_criterion_5_picture_equivalence():
             peak = exposure_profile(state, n_photons, 1024, convention, from_input=True).doses.max()
             heisenberg = _input_doses(state, n_photons, phis, convention)
             for g, phi in enumerate(phis):
-                evolved = evolve(state, interferometer(phi, convention))
+                evolved = evolve(state, ModeUnitary(instrument_matrix(phi, convention)))
                 schrodinger = exposure_profile(evolved, n_photons, grid, convention).doses[g]
                 high_worst = max(high_worst, abs(schrodinger - heisenberg[g]) / peak)
     assert high_worst < 1e-12
@@ -149,7 +147,7 @@ def test_criterion_6_component_closed_form():
                     r = np.exp(1j * p * phi) / math.sqrt(2.0)
                     amps = {(n - p, p): r, (p, n - p): r}
                 reference = dense_dose(amps, n, n, np.exp(1j * phi), np.exp(-1j * phi))
-                formula = float(component_closed_form(n, p, np.array([phi]))[0])
+                formula = float(partition_dose(n, p, [phi])[0])
                 oracle_worst = max(oracle_worst, abs(formula - reference))
     assert oracle_worst < 1e-9
 
@@ -158,7 +156,7 @@ def test_criterion_6_component_closed_form():
     for n in range(1, 13):
         for p in range(0, n // 2 + 1):
             profile = genome_profile(np.ones(1), PartitionBasis(n, (p,)), 64)
-            expected = component_closed_form(n, p, profile.phis)
+            expected = partition_dose(n, p, profile.phis)
             worst = max(worst, float(np.max(np.abs(profile.doses - expected))))
     assert worst < 1e-9
     print(

@@ -20,7 +20,6 @@ from qlitho.dosing import (
     phase_grid,
 )
 from qlitho.fock import make_state
-from qlitho.synthesis import component_closed_form
 
 
 @pytest.mark.parametrize("convention", list(SubstrateConvention))
@@ -55,10 +54,7 @@ def test_one_photon_values():
     lambda phi: classical_n_photon(3, phi),
     lambda phi: noon_exposure(2, phi),
     lambda phi: noon_exposure(2, phi, SubstrateConvention.SINGLE_ARM),
-    lambda phi: component_closed_form(4, 2, phi),
-    lambda phi: component_closed_form(4, 1, phi),
-], ids=["one_photon", "two_photon", "n_photon", "noon", "noon_single_arm", "component_degenerate",
-        "component"])
+], ids=["one_photon", "two_photon", "n_photon", "noon", "noon_single_arm"])
 def test_closed_forms_refuse_non_finite_phases(closed_form, phi):
     with pytest.raises(ValueError, match="phase must be finite"):
         closed_form(phi)

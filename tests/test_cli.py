@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import qlitho.cli as cli
 import qlitho.fock as fock
 from oracles import csv_text, polyline_points
+from qlitho.baselines import _noon_grid_exposure
 from qlitho.dosing import phase_grid
 from qlitho.svgplot import _write_text, format_rows
 from qlitho.synthesis import trench_target
@@ -779,12 +780,12 @@ def test_tolerance_violation_exits_four(monkeypatch, tmp_path, capsys):
         assert not (tmp_path / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("offset, expected", [(2e-9, 0), (1e-6, 4)])
-def test_fringe_check_scales_with_n(monkeypatch, tmp_path, capsys, offset, expected):
-    # Phase roundoff grows with the fringe frequency: at N = 10^6 the check
-    # allows 8 pi N eps ~ 5.6e-9, not the 1e-9 that holds up to N ~ 1.8e5.
+@pytest.mark.parametrize("offset, expected", [(5e-10, 0), (2e-9, 4)])
+def test_fringe_check_is_1e_9_at_any_n(monkeypatch, tmp_path, capsys, offset, expected):
+    # Both sides of the check are exact to about 1e-15 at any N, so the
+    # tolerance stays 1e-9 at N = 10^6.
     def shifted_fringe(state, n, grid, convention, site):
-        return 1.0 + np.cos(2.0 * n * phase_grid(grid)) + offset
+        return _noon_grid_exposure(n, grid, convention) + offset
 
     monkeypatch.setattr(cli, "_spectral_doses", shifted_fringe)
     for command in ("noon", "compare"):

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_dose, random_state_map
+from oracles import dense_dose, instrument_matrix, random_state_map
 from qlitho import dosing
 from qlitho.dosing import (
     SubstrateConvention,
     _input_doses,
     _spectral_doses,
     exposure_profile,
-    interferometer,
     phase_grid,
 )
 from qlitho.fock import (
@@ -188,7 +187,7 @@ def test_full_depletion_dose():
                 field = np.array([np.exp(1j * phi), np.exp(-1j * phi)])
             else:
                 field = np.array([1.0, 1.0])
-            field = field @ interferometer(phi, convention).matrix
+            field = field @ instrument_matrix(phi, convention)
             expected = 18.0 * abs(field[0] ** 2 * field[1]) ** 2 / 6.0
             assert abs(dose - expected) < 1e-13
 
@@ -276,15 +275,16 @@ def test_field_powers_below_exponent_100_are_numpys_powers(power, data, conventi
     assert _field_powers(alpha, beta, power, ks).tobytes() == expected.tobytes()
 
 
-def _split_factors(z: np.ndarray, n: int) -> list[np.ndarray]:
-    """numpy powers below 100 whose product, in order, is z^n for n >= 100:
-    z^(n mod 64) and then the split of (z^64)^(n div 64), z^0 left out."""
+def _split_factors(z: np.ndarray, n: int, top: int) -> list[np.ndarray]:
+    """numpy powers below 100 whose product, in order, is z^n, for the
+    largest exponent ``top`` of its column: while top >= 100, z^(n mod 64)
+    and then the split of (z^64)^(n div 64), or z^n once n < 100 and z^0
+    after that, z^0 kept."""
     factors = []
-    while n >= 100:
-        if n % 64:
-            factors.append(np.power(z, n % 64))
-        n, z = n // 64, np.power(z, 64)
-    return factors + [np.power(z, n)] if n else factors
+    while top >= 100:
+        factors.append(np.power(z, n % 64 if n >= 100 else n))
+        n, z, top = n // 64 if n >= 100 else 0, np.power(z, 64), top // 64
+    return factors + [np.power(z, n)]
 
 
 @pytest.mark.parametrize("power", [100, 127, 128, 171, 1000, 2044, 10**5])
@@ -297,8 +297,9 @@ def test_field_powers_from_exponent_100_are_the_split_products(power):
     for convention in SubstrateConvention:
         alpha, beta = dosing._field(phis, convention)
         got = _field_powers(alpha, beta, power, ks)
+        tops = int(ks.max()), power - int(ks.min())
         for row, k in zip(got, ks.tolist()):
-            factors = _split_factors(alpha, k) + _split_factors(beta, power - k)
+            factors = _split_factors(alpha, k, tops[0]) + _split_factors(beta, power - k, tops[1])
             assert row.tobytes() == functools.reduce(np.multiply, factors).tobytes(), (convention, k)
 
 
@@ -363,7 +364,7 @@ def test_sparse_sector_doses_at_the_inputs_match_the_dense_oracle(cutoff, state)
                     field = np.array([np.exp(1j * phi), np.exp(-1j * phi)])
                 else:
                     field = np.array([1.0, 1.0])
-                field = field @ interferometer(phi, convention).matrix
+                field = field @ instrument_matrix(phi, convention)
                 expected = dense_dose(state.amplitudes, cutoff, n_photons, *field)
                 assert abs(dose - expected) <= 1e-12 * max(1.0, expected)
 

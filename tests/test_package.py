@@ -1,10 +1,14 @@
-"""Tests of the package's public surface."""
+"""Tests of the package's public surface and of its module graph."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 import qlitho
 import qlitho.dosing
 import qlitho.fock
+import qlitho.synthesis
 
 PUBLIC = [
     "ClassicalFit",
@@ -19,7 +23,6 @@ PUBLIC = [
     "classical_n_photon",
     "classical_one_photon",
     "classical_two_photon",
-    "component_closed_form",
     "compose",
     "evolve",
     "exposure_profile",
@@ -27,7 +30,6 @@ PUBLIC = [
     "fitness",
     "fourier_components",
     "genome_profile",
-    "interferometer",
     "make_state",
     "min_feature",
     "mirror",
@@ -35,14 +37,15 @@ PUBLIC = [
     "noon_state",
     "phase_grid",
     "phase_shifter",
-    "psi_np",
     "render_line_chart",
     "trench_target",
     "write_line_chart",
 ]
 
 # Names that no command, demo or benchmark op reached, removed with the code
-# only they ran: the field-power operator and the one-phase dose functions.
+# only they ran: the field-power operator, the one-phase dose functions, the
+# partition state and its closed-form dose, and the instrument's ModeUnitary.
+# Tests take the last three from tests/oracles.py.
 REMOVED = [
     "FieldCoefficients",
     "apply_field_power",
@@ -51,6 +54,9 @@ REMOVED = [
     "squared_norm",
     "substrate_field",
     "is_zero",
+    "component_closed_form",
+    "interferometer",
+    "psi_np",
 ]
 
 
@@ -67,5 +73,24 @@ def test_public_surface_is_pinned():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_do_not_resolve(name):
-    for where in (qlitho, qlitho.fock, qlitho.dosing, qlitho.FockState):
+    for where in (qlitho, qlitho.fock, qlitho.dosing, qlitho.synthesis, qlitho.FockState):
         assert not hasattr(where, name), where
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every part of each dotted name a source file imports or imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def test_dose_core_imports_neither_optics_nor_synthesis():
+    # The doses pull the field back through the exact input chain, so the
+    # dose core needs no optics element and no synthesis basis.
+    for module in ("fock", "dosing", "baselines"):
+        path = Path(qlitho.__file__).with_name(f"{module}.py")
+        assert not _imported_names(path) & {"optics", "synthesis"}, module

@@ -11,18 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dense_dose, mp_monomial_doses
+from oracles import dense_dose, mp_monomial_doses, partition_dose
 from qlitho.dosing import ExposureProfile, phase_grid
 from qlitho.fock import _root
 from qlitho.synthesis import (
     ClassicalFit,
     PartitionBasis,
     best_classical_fit,
-    component_closed_form,
     fit_superposition,
     fitness,
     genome_profile,
-    psi_np,
     trench_target,
 )
 from qlitho.synthesis import (
@@ -85,71 +83,18 @@ def oracle_doses(n, partitions, coeffs, phis):
 # basis states
 # ---------------------------------------------------------------------------
 
-def test_psi_np_carries_both_propagation_phases():
-    state = psi_np(10, 3, 0.2)
-    assert abs(state.amplitude(7, 3) - cmath.exp(0.6j) * ROOT_HALF) < 1e-12
-    assert abs(state.amplitude(3, 7) - cmath.exp(1.4j) * ROOT_HALF) < 1e-12
-
-
-def test_psi_np_degenerate_split():
-    state = psi_np(4, 2, 0.2)
-    assert set(state.amplitudes) == {(2, 2)}
-    assert abs(state.amplitude(2, 2) - cmath.exp(0.4j)) < 1e-12
-    # two photons split one-and-one: |1,1> up to a global phase
-    pair = psi_np(2, 1, 1.7)
-    assert set(pair.amplitudes) == {(1, 1)}
-    assert abs(abs(pair.amplitude(1, 1)) - 1.0) < 1e-12
-
-
-def test_psi_np_reduces_to_maximally_entangled_pair():
-    state = psi_np(2, 0, 0.0)
-    assert abs(state.amplitude(2, 0) - ROOT_HALF) < 1e-15
-    assert abs(state.amplitude(0, 2) - ROOT_HALF) < 1e-15
-
-
-def test_psi_np_allows_partitions_up_to_n():
-    state = psi_np(3, 3, 0.5)
-    assert abs(state.amplitude(0, 3) - cmath.exp(1.5j) * ROOT_HALF) < 1e-12
-    assert abs(state.amplitude(3, 0) - ROOT_HALF) < 1e-12
-    with pytest.raises(ValueError):
-        psi_np(3, 4, 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        psi_np(0, 0, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        psi_np(3, 1, math.nan)
-
-
 def test_component_profile_matches_closed_form():
     for n, p in [(2, 0), (2, 1), (5, 2), (7, 2), (10, 5), (12, 3),
                  (200, 60), (500, 250), (499, 0), (499, 249)]:
         profile = component_profile(n, p, 16)
-        expected = component_closed_form(n, p, profile.phis)
+        expected = partition_dose(n, p, profile.phis)
         assert np.max(np.abs(profile.doses - expected)) <= 1e-12 * math.comb(n, p), (n, p)
-
-
-def test_component_closed_form_matches_dense_oracle():
-    for n, p in [(2, 0), (3, 1), (5, 2), (6, 3), (8, 1)]:
-        for phi in (0.0, 0.37, 1.9):
-            amps = manual_superposition_map(n, (p,), [1.0], phi)
-            expected = dense_dose(amps, n, n, cmath.exp(1j * phi), cmath.exp(-1j * phi))
-            got = float(component_closed_form(n, p, np.array([phi]))[0])
-            assert abs(got - expected) < 1e-9, (n, p, phi)
-
-
-def test_degenerate_closed_form_is_single_binomial():
-    # The normalized |P,P> state doses to C(N,P), not 2 C(N,P).
-    values = component_closed_form(10, 5, phase_grid(8))
-    assert np.max(np.abs(values - math.comb(10, 5))) == 0.0
-    for bad in (-1, 6):
-        with pytest.raises(ValueError, match="out of range"):
-            component_closed_form(10, bad, phase_grid(8))
 
 
 def test_two_photon_component_is_doubled_fringe():
     # N=2, P=0 is the canonical entangled pair: dose 1 + cos 4 phi.
     phis = phase_grid(32)
     expected = 1.0 + np.cos(4.0 * phis)
-    assert np.max(np.abs(component_closed_form(2, 0, phis) - expected)) < 1e-12
     profile = component_profile(2, 0, 32)
     assert np.max(np.abs(profile.doses - expected)) < 1e-10
 
@@ -450,10 +395,8 @@ def test_partition_basis_validation():
         PartitionBasis(10, (6,))
     with pytest.raises(ValueError):
         PartitionBasis(10, ())
-    with pytest.raises(ValueError):
-        PartitionBasis(0, (0,))
     with pytest.raises(ValueError, match="positive"):
-        component_closed_form(0, 0, phase_grid(8))
+        PartitionBasis(0, (0,))
     # Non-integral photon numbers and partitions are refused, not truncated;
     # bool is an int subclass, but True is no photon number.
     for n, partitions in ((10, (1, 2.7)), (10.5, (1,)), (10, ("2",)), (True, (0,)), (10, (False,))):
