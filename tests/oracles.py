@@ -47,11 +47,10 @@ def instrument_matrix(phi, convention):
     """Transfer matrix T from the input ports to the substrate,
     (c, d)^T = T (a, b)^T: the 50/50 splitter (1/sqrt2) [[-1, i], [i, -1]],
     then the mirror -I, and for the single-arm convention the phase shifter
-    diag(e^{i phi}, 1) after them.  ``convention`` is a substrate convention
-    or its value, "symmetric" or "single-arm"."""
+    diag(e^{i phi}, 1) after them, read from the convention's value."""
     s = 1.0 / math.sqrt(2.0)
     chain = -np.array([[-s, 1j * s], [1j * s, -s]])
-    if getattr(convention, "value", convention) == "single-arm":
+    if convention.value == "single-arm":
         chain = np.diag([cmath.exp(1j * phi), 1.0]) @ chain
     return chain
 
