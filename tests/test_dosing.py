@@ -27,7 +27,7 @@ from qlitho.dosing import (
 )
 from qlitho.fock import make_state
 from qlitho.optics import beamsplitter, compose, mirror, phase_shifter
-from qlitho.synthesis import trench_target
+from qlitho.synthesis import PartitionBasis, genome_profile, trench_target
 
 
 def test_interferometer_matrices():
@@ -631,6 +631,15 @@ def test_min_feature_values():
     # A grid size of 2.5 would space 3 phases 2pi/2.5 apart: no uniform grid.
     pytest.param(lambda: phase_grid(2.5), id="phase_grid"),
     pytest.param(lambda: trench_target(8.0), id="trench_target"),
+    # Grid sizes and photon numbers of the other public entry points.
+    pytest.param(lambda: exposure_profile(noon_state(2), 2, 8.0), id="exposure_profile_grid"),
+    pytest.param(lambda: exposure_profile(noon_state(2), 2, 8.0, from_input=True),
+                 id="exposure_profile_grid_input"),
+    pytest.param(lambda: genome_profile(np.ones(1), PartitionBasis(4, (0,)), 8.0), id="genome_profile_grid"),
+    pytest.param(lambda: genome_profile(np.ones(1), PartitionBasis(4, (0,)), True),
+                 id="genome_profile_grid_true"),
+    pytest.param(lambda: noon_exposure(True, 0.3), id="noon_exposure_true"),
+    pytest.param(lambda: classical_n_photon(True, 0.3), id="classical_n_photon_true"),
 ])
 def test_non_integer_photon_numbers_are_refused(call):
     with pytest.raises(ValueError, match="integer"):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import dense_dose, mp_monomial_doses, partition_dose
-from qlitho.dosing import ExposureProfile, phase_grid
-from qlitho.fock import _root
+from qlitho.dosing import ExposureProfile, exposure_profile, phase_grid
+from qlitho.fock import _root, make_state
 from qlitho.synthesis import (
     ClassicalFit,
     PartitionBasis,
@@ -89,6 +89,19 @@ def test_component_profile_matches_closed_form():
         profile = component_profile(n, p, 16)
         expected = partition_dose(n, p, profile.phis)
         assert np.max(np.abs(profile.doses - expected)) <= 1e-12 * math.comb(n, p), (n, p)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0), (2, 1), (8, 0), (13, 4), (60, 30), (200, 60)])
+def test_partition_state_doses_agree_between_synthesis_and_dosing(n, p):
+    # The partition state (|N-P, P> + |P, N-P>)/sqrt2, or |P, P> for 2P = N,
+    # taken at the substrate and dosed by the per-sector Fock path, against
+    # the row spectra of the synthesis dose: two routes that share no code.
+    # The 16-point grid folds the band of every N >= 4.
+    pairs = {(p, p): 1.0} if 2 * p == n else {(n - p, p): 1.0, (p, n - p): 1.0}
+    for grid in (16, 4 * n + 3):
+        dosed = exposure_profile(make_state(pairs), n, grid)
+        synthesized = component_profile(n, p, grid)
+        assert np.max(np.abs(dosed.doses - synthesized.doses)) <= 1e-12 * math.comb(n, p), grid
 
 
 def test_two_photon_component_is_doubled_fringe():
