@@ -24,9 +24,10 @@ model, listed in ROADMAP.md).
 
 So row P holds two harmonics with real coefficients (_row_spectra).  The
 solver works on the spectra of the doses the rows make (_dose_space).  A
-dose on the grid, dose(alpha) = |alpha @ A|^2, is one inverse FFT of the
-row spectra summed with weights alpha (_dose), so |alpha|^2 is the
-exposure scale: unit-norm alpha is one unit of exposure.
+dose on the grid, dose(alpha) = |alpha @ A|^2, is the dose of one row, the
+row spectra weighted by alpha, and takes the folded-spectrum kernel of
+the substrate doses (dosing._folded_doses), so |alpha|^2 is the exposure
+scale: unit-norm alpha is one unit of exposure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dosing import ExposureProfile, phase_grid
+from .dosing import ExposureProfile, _folded_doses, _grid_profile, phase_grid
 from .fock import _count, _index, _root
 
 # Largest dose a basis may deposit, and largest target sample.  On the grid
@@ -137,12 +138,16 @@ def _coefficients(alpha, basis: PartitionBasis) -> np.ndarray:
 def genome_profile(alpha, basis: PartitionBasis, grid_points: int) -> ExposureProfile:
     """Dose pattern |alpha @ A|^2 of the coefficient superposition alpha.
 
-    Its exposure scale is |alpha|^2 (see _dose); cross terms between
-    partitions arise from adding the rows.
+    Its exposure scale is |alpha|^2; cross terms between partitions arise
+    from adding the rows.  alpha @ A is one row of 2k terms, alpha_P times
+    row P's coefficients at its harmonics (_row_spectra), dosed by the
+    folded-spectrum kernel of the substrate doses (dosing._folded_doses).
     """
     alpha = _coefficients(alpha, basis)
     phis = phase_grid(grid_points)
-    return ExposureProfile(phis, _dose(alpha, basis, len(phis)))
+    bins, coef = _row_spectra(basis, len(phis))
+    terms = (alpha[:, None] * coef).reshape(1, -1)
+    return _grid_profile(phis, _folded_doses([(terms, bins.ravel(), 1.0)], len(phis)))
 
 
 def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,23 +156,15 @@ def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, n
     Row P (see the module docstring) has the harmonics 3P-N and N-P, each
     with sqrt(C(N, P)/2); for 2P = N, the one harmonic P with sqrt(C(N, P))
     and a second term 0.  The roots are correctly rounded.  The harmonics
-    are reduced mod G as integers, e^{i h phi} = e^{i (h mod G) phi} on the
-    grid, so a grid coarser than the band folds them exactly.
+    are reduced mod G as Python integers, e^{i h phi} = e^{i (h mod G) phi}
+    on the grid, so a grid coarser than the band folds them exactly and
+    the bins fit an int64 array at any N.
     """
     n = basis.n_photons
     bins = np.array([((3 * p - n) % grid_points, (n - p) % grid_points) for p in basis.partitions])
     roots = (_half_root(math.comb(n, p) * (2 if 2 * p == n else 1)) for p in basis.partitions)
     coef = np.array([(r, 0.0 if 2 * p == n else r) for p, r in zip(basis.partitions, roots)])
     return bins, coef
-
-
-def _dose(alpha: np.ndarray, basis: PartitionBasis, grid_points: int) -> np.ndarray:
-    """|alpha @ A|^2 on phase_grid(G): alpha_P times the row spectra of
-    _row_spectra, added into one G-bin spectrum, and one inverse FFT."""
-    bins, coef = _row_spectra(basis, grid_points)
-    spectrum = np.zeros(grid_points, dtype=complex)
-    np.add.at(spectrum, bins, alpha[:, None] * coef)
-    return np.abs(np.fft.ifft(spectrum, norm="forward", out=spectrum)) ** 2
 
 
 def _half_root(m: int) -> float:
@@ -229,7 +226,7 @@ def fitness(alpha, basis: PartitionBasis, target: ExposureProfile) -> float:
     largest = max(np.abs(alpha.real).max(), np.abs(alpha.imag).max())
     if largest > 0.0:
         alpha = alpha / largest
-    u = _dose(alpha, basis, target.grid_points)
+    u = np.array(genome_profile(alpha, basis, target.grid_points).doses)
     return float(_scaled_sse(u, target.doses) / len(u))
 
 

@@ -224,6 +224,27 @@ def test_input_port_doses_are_refused_past_the_float_limit():
     assert np.abs(exposure_profile(state, 2045, 8).doses - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("block", [None, 16], ids=["one_block", "many_blocks"])
+@pytest.mark.parametrize("n_photons", [3, 12, 40, 150])
+@pytest.mark.parametrize("convention", list(SubstrateConvention))
+def test_input_doses_do_not_depend_on_the_phases_dosed_beside_them(monkeypatch, block, n_photons,
+                                                                    convention):
+    # Same config, same bytes: a phase's dose is summed over k and over the
+    # output rows in one fixed order, whether it is dosed alone or with the
+    # whole grid.  Dense sectors N, N + 2 and N + 12 give blocks of 1, 3 and
+    # 13 rows; with 16-element blocks every grid spans several of them.
+    if block is not None:
+        monkeypatch.setattr(dosing, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(n_photons)
+    state = make_state({(k, total - k): complex(*rng.standard_normal(2))
+                        for total in (n_photons, n_photons + 2, n_photons + 12) for k in range(total + 1)})
+    for grid in (7, 64, 65):
+        phis = phase_grid(grid)
+        whole = _input_doses(state, n_photons, phis, convention)
+        alone = [_input_doses(state, n_photons, phis[g:g + 1], convention) for g in range(grid)]
+        assert [d.tobytes() for d in alone] == [whole[g:g + 1].tobytes() for g in range(grid)], grid
+
+
 @settings(max_examples=150)
 @given(_small_states(), st.data(), st.booleans(), st.integers(2, 16))
 def test_symmetric_doses_are_single_arm_doses_at_twice_the_phase(

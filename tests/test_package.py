@@ -94,3 +94,14 @@ def test_dose_core_imports_neither_optics_nor_synthesis():
     for module in ("fock", "dosing", "baselines"):
         path = Path(qlitho.__file__).with_name(f"{module}.py")
         assert not _imported_names(path) & {"optics", "synthesis"}, module
+
+
+def test_synthesis_takes_no_inverse_fft_of_its_own():
+    # Every grid dose at the substrate, the partition basis's included, is
+    # one folded spectrum and one real inverse FFT in dosing._folded_doses.
+    path = Path(qlitho.__file__).with_name("synthesis.py")
+    called = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            called.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    assert not called & {"ifft", "irfft", "ifftn", "irfftn", "ifft2", "irfft2"}

@@ -26,7 +26,6 @@ from qlitho.synthesis import (
 from qlitho.synthesis import (
     _check_target,
     _damped_steps,
-    _dose,
     _dose_space,
     _half_root,
     _hessian_map,
@@ -95,7 +94,8 @@ def test_component_profile_matches_closed_form():
 def test_partition_state_doses_agree_between_synthesis_and_dosing(n, p):
     # The partition state (|N-P, P> + |P, N-P>)/sqrt2, or |P, P> for 2P = N,
     # taken at the substrate and dosed by the per-sector Fock path, against
-    # the row spectra of the synthesis dose: two routes that share no code.
+    # the row spectra of the synthesis dose: two row constructions that
+    # share only the folded-spectrum kernel (dosing._folded_doses).
     # The 16-point grid folds the band of every N >= 4.
     pairs = {(p, p): 1.0} if 2 * p == n else {(n - p, p): 1.0, (p, n - p): 1.0}
     for grid in (16, 4 * n + 3):
@@ -179,7 +179,7 @@ def test_dose_matches_dense_oracle(superposition, grid):
     # P = 0 and the degenerate split 2P = N too.
     basis, alpha = superposition
     phis = phase_grid(grid)
-    fast = _dose(alpha, basis, grid)
+    fast = genome_profile(alpha, basis, grid).doses
     exact = oracle_doses(basis.n_photons, basis.partitions, alpha, phis)
     assert np.max(np.abs(fast - exact)) < 1e-9
 
@@ -190,12 +190,25 @@ def test_dose_of_31_partitions_on_8192_points():
     # same first-principles dose in 40 digits.
     basis = PartitionBasis(60, tuple(range(31)))
     alpha = np.exp(1j * np.arange(31)) / math.sqrt(31)
-    fast = _dose(alpha, basis, 8192)
+    fast = genome_profile(alpha, basis, 8192).doses
     phis = phase_grid(8192)
     for g in (0, 1, 700, 2048, 4099, 8191):
         amplitudes = manual_superposition_map(60, basis.partitions, alpha, phis[g])
         exact = float(mp_monomial_doses(amplitudes, 60, (1, -1), 8192, [g])[0])
         assert abs(fast[g] - exact) < 1e-14 * fast.max()
+
+
+@pytest.mark.parametrize("n", [2**62 + 1, 2**64 + 3])
+def test_photon_numbers_past_int64_dose_as_their_residue_mod_the_grid(n):
+    # On a G-point grid only the harmonics mod G count, so N and N mod G
+    # give the same P = 0 row.  The rows' harmonics reach 2N apart: they
+    # are folded as Python integers before any int64 array holds them.
+    def run(n_photons):
+        basis = PartitionBasis(n_photons, (0,))
+        alpha, trace = fit_superposition(basis, trench_target(17))
+        return genome_profile(np.ones(1), basis, 17).doses.tobytes(), alpha.tobytes(), trace.tobytes()
+
+    assert run(n) == run(n % 17)
 
 
 @given(st.integers(1, 10**300))
