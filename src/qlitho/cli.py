@@ -140,8 +140,9 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"unknown convention {cfg.convention!r}")
     if cfg.format not in _FORMATS:
         raise ValueError(f"unknown format {cfg.format!r}")
-    if cfg.n < 1:
-        raise ValueError("--n must be a positive integer")
+    for name in ("n", "generations"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"--{name} must be a positive integer")
     if cfg.grid is None and (cfg.command != "synthesize" or cfg.target is None):
         cfg.grid = _DEFAULT_GRID
     if cfg.grid is not None and cfg.grid < 4:

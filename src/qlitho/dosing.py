@@ -14,16 +14,19 @@ psi_n = <n, N-n|psi>, it is the trigonometric polynomial
     rate = | sum_n psi_n sqrt(C(N, n)) alpha^n beta^(N-n) |^2,
 
 and every sector above N adds the squared norm of its dense image.  Each
-site has one evaluator.  At the substrate and behind the SINGLE_ARM phase
-shifter every field power is a power of z = e^{i phi}, so a dose on the
-uniform grid, where z^G = 1, is one folded real FFT of the dose's
-spectrum (_spectral_doses): no field power and, in the top sector, no N!.
-That kernel (_folded_doses) also doses the partition basis of
-:mod:`qlitho.synthesis`.  At the inputs a dose at any phase is
-"coefficients @ field powers" (_input_doses), the phases taken in blocks
-of bounded size.  Each phase's dose is summed over k and over the output
-rows in one fixed order, so it does not depend on the other phases dosed
-with it: a phase dosed alone gives the bytes it gives on a whole grid.
+site has one evaluator, and each takes the coefficients of every sector
+of the state as one matrix (fock._lowering_terms), a row per output pair
+that a nonzero amplitude reaches.  At the substrate and behind the
+SINGLE_ARM phase shifter every field power is a power of z = e^{i phi},
+so a dose on the uniform grid, where z^G = 1, is one folded real FFT of
+the dose's spectrum (_spectral_doses), with weights rounded from exact
+integers: no field power and no N! in any sector.  That kernel
+(_folded_doses) also doses the partition basis of :mod:`qlitho.synthesis`.
+At the inputs a dose at any phase is "coefficients @ field powers"
+(_input_doses), the phases taken in blocks of bounded size.  Each phase's
+dose is summed over k and over the output rows in one fixed order, so it
+does not depend on the other phases dosed with it: a phase dosed alone
+gives the bytes it gives on a whole grid.
 
 The dose is band limited.  Every field below is a combination of
 e^{i phi} and e^{-i phi} (SYMMETRIC) or of e^{i phi} and 1 (SINGLE_ARM), so
@@ -122,25 +125,28 @@ def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
 def _doses(state: FockState, n_photons: int, field) -> np.ndarray:
     """2^N ||e^N |state>||^2 / N! for each halved field (alpha[g], beta[g]); the
     amplitudes take 2^floor(N / 2) before squaring, to square at dose size.
-    A field's amplitudes are a product of its own contiguous row of field
-    powers, and its squares a sum along one row: the same kernels whatever
-    the block's width, so its dose does not depend on the fields beside it.
+
+    The squares of the coefficients sqrt(N!) w / 2^s are divided by N!/4^s
+    (see qlitho.fock).  Each amplitude is one dot product of a field's
+    contiguous row of field powers with a row of coefficients, and a field's
+    squares a sum along one row: the same kernels whatever the block's width
+    or the number of rows, so its dose does not depend on the fields beside
+    it, and no product is a matrix product that BLAS may split over threads.
     """
     half, odd = divmod(n_photons, 2)
+    fact = math.factorial(n_photons)
+    four_s = 1 << 2 * ((fact.bit_length() - 1) // 2)
+    terms, ks = _lowering_terms(state, n_photons, lambda m: math.sqrt(fact * m / four_s))
     doses = np.zeros(len(field[0]))
-    for psi in state.sectors.values():
-        if len(psi) <= n_photons:
-            continue
-        terms, ks, norm = _lowering_terms(psi, n_photons)
-        if not terms.size:
-            continue
-        step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
-        for lo in range(0, len(doses), step):
-            block = slice(lo, lo + step)
-            powers = _field_powers(field[0][block], field[1][block], n_photons, ks).T.copy()
-            amp = np.matmul(powers[:, None], terms.T)[:, 0]
-            re, im = np.ldexp(amp.real, half), np.ldexp(amp.imag, half)
-            doses[block] += np.sum(re**2 + im**2, axis=1) / norm
+    if not terms.size:
+        return doses
+    step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
+    for lo in range(0, len(doses), step):
+        block = slice(lo, lo + step)
+        powers = _field_powers(field[0][block], field[1][block], n_photons, ks).T.copy()
+        amp = np.matmul(powers[:, None, None], terms[:, :, None])[:, :, 0, 0]
+        re, im = np.ldexp(amp.real, half), np.ldexp(amp.imag, half)
+        doses[block] = np.sum(re**2 + im**2, axis=1) / (fact / four_s)
     return np.ldexp(doses, odd)
 
 
@@ -152,32 +158,28 @@ def _input_doses(state: FockState, n_photons: int, phis, convention: SubstrateCo
     return _doses(state, n_photons, _field(phis, convention))
 
 
-def _folded_doses(rows, grid_points: int) -> np.ndarray:
-    """Doses on phase_grid(G) of amplitude rows that are polynomials in z = e^{i phi}.
+def _folded_doses(terms: np.ndarray, harmonics: np.ndarray, grid_points: int) -> np.ndarray:
+    """Doses on phase_grid(G) of the rows of ``terms``, polynomials in z = e^{i phi}.
 
-    ``rows`` yields ``(terms, harmonics, norm)``: terms[i, c] is the
-    coefficient of z^harmonics[c] in row i, and the dose is the sum of
-    |row|^2 / norm over every row.  On the grid z^G = 1, so harmonic h goes
-    into bin h mod G, exact for any G, with no band condition and no
+    terms[i, c] is the coefficient of z^harmonics[c] in row i, and the dose
+    is the sum of |row|^2 over the rows.  On the grid z^G = 1, so harmonic h
+    goes into bin h mod G, exact for any G, with no band condition and no
     complex power.  The dose's spectrum is then the folded rows'
-    autocorrelation, summed over every row, and one real inverse FFT gives
+    autocorrelation, summed over the rows, and one real inverse FFT gives
     the dose at every grid point.  A dark point can come out a rounding
     error below zero and is clamped to 0.  The correlation of U occupied
     bins is taken in blocks of at most _BLOCK_ELEMENTS / U bins.
     """
+    bins, fold = np.unique(harmonics % grid_points, return_inverse=True)
+    folded = np.zeros((len(terms), len(bins)), dtype=complex)
+    np.add.at(folded, (slice(None), fold), terms)
     spectrum = np.zeros((2, grid_points))
-    for terms, harmonics, norm in rows:
-        if not terms.size:
-            continue
-        bins, fold = np.unique(harmonics % grid_points, return_inverse=True)
-        folded = np.zeros((len(terms), len(bins)), dtype=complex)
-        np.add.at(folded, (slice(None), fold), terms)
-        step = max(1, _BLOCK_ELEMENTS // len(bins))
-        for lo in range(0, len(bins), step):
-            corr = folded[:, lo:lo + step].T @ folded.conj() / norm
-            lags = ((bins[lo:lo + step, None] - bins) % grid_points).ravel()
-            for part, values in zip(spectrum, (corr.real, corr.imag)):
-                part += np.bincount(lags, values.ravel(), grid_points)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(bins)))
+    for lo in range(0, len(bins), step):
+        corr = folded[:, lo:lo + step].T @ folded.conj()
+        lags = ((bins[lo:lo + step, None] - bins) % grid_points).ravel()
+        for part, values in zip(spectrum, (corr.real, corr.imag)):
+            part += np.bincount(lags, values.ravel(), grid_points)
     real, imag = spectrum[:, : grid_points // 2 + 1]
     doses = np.fft.irfft(real + 1j * imag, grid_points, norm="forward")
     return np.maximum(doses, 0.0, out=doses)
@@ -190,11 +192,10 @@ def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
 
     There the field is a monomial in z = e^{i phi}: alpha^k beta^(N-k) is
     z^(2k-N) (SYMMETRIC), z^k (behind the shifter) or 1 (SINGLE_ARM at the
-    substrate), so each output row of a sector is a polynomial in z, and
-    _folded_doses doses the rows of every sector at once.  In the top
-    sector (M = N) the coefficients are psi[k] sqrt(C(N, k)), the roots
-    correctly rounded and formed only where psi is nonzero, so no N! is
-    formed; sectors above N take _lowering_terms.
+    substrate), so each output row of every sector is a polynomial in z,
+    and _folded_doses doses them at once.  Their weights are the correctly
+    rounded roots of the integers w(j, k)^2 (fock._root), so no N! is formed
+    in any sector.
     """
     n_photons = _count(n_photons, "photon number")
     grid_points = _count(grid_points, "number of grid points")
@@ -203,20 +204,8 @@ def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
         stride, offset = 2, n_photons
     else:
         stride, offset = int(site == "shifter"), 0
-
-    def rows():
-        for total, psi in state.sectors.items():
-            if total < n_photons:
-                continue
-            if total == n_photons:
-                ks = np.flatnonzero(psi)
-                weights = [_root(math.comb(n_photons, k)) for k in ks.tolist()]
-                terms, norm = (psi[ks] * np.array(weights))[None], 1.0
-            else:
-                terms, ks, norm = _lowering_terms(psi, n_photons)
-            yield terms, stride * ks - offset, norm
-
-    return _folded_doses(rows(), grid_points)
+    terms, ks = _lowering_terms(state, n_photons, _root)
+    return _folded_doses(terms, stride * ks - offset, grid_points)
 
 
 def phase_grid(grid_points: int) -> np.ndarray:

@@ -12,25 +12,23 @@ The normalized power e^N / sqrt(N!) maps sector M to sector M-N,
     w(j, k)^2 = C(N, k) C(j+k, k) C(M-j-k, N-k),
 
 so an N-photon dose is a sum of squared "coefficients @ field powers".
-qlitho.dosing takes that product at the interferometer inputs; at the
-substrate and behind the phase shifter it folds the coefficients
-instead, and weights the top sector (M = N) by sqrt C(N, k) from _root,
-with no N!.
-The squared weights are exact integers, rounded once and formed only
-where psi is nonzero, so a weight beyond float range (sqrt C(10^4, 5000)
-is one) never meets a zero amplitude.  The coefficients of e^N itself,
-sqrt(N!) w, are scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in float
-range at any N, and a dose divides their squared sum by N!/4^s.
-Dividing after squaring, rather than normalizing each coefficient, lets
-the roundings of a splitter's 1/sqrt2 and of sqrt(2!) cancel: the
-two-photon fringe of |1,1> through a balanced splitter, dosed point by
-point as the CLI doses it, peaks at exactly 2 (resampled through an FFT
-by exposure_profile, at 2.000000000000001).
-
-Only the output rows j that a nonzero psi reaches are kept, so the
-product for a sparse sector (a squeezed vacuum's |n, n>) spans those
-rows, not all M-N+1.  The field powers alpha^k beta^(N-k) are products
-of numpy's exact squaring at exponents below 100, for every N (see
+_lowering_terms returns those coefficients for every sector of a state as
+one matrix, a row per output pair that a nonzero psi reaches: the top
+sector (M = N) is one row, and a sparse sector (a squeezed vacuum's
+|n, n>) spans the rows it reaches, not all M-N+1.  The caller's root maps
+each exact integer w^2 to its weight, formed only where psi is nonzero,
+so a weight beyond float range (sqrt C(10^4, 5000) is one) never meets a
+zero amplitude.  qlitho.dosing takes the correctly rounded root (_root) at
+the substrate and behind the phase shifter, so no N! is formed in any
+sector.  At the interferometer inputs it takes the coefficients of e^N
+itself, sqrt(N!) w, scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in
+float range, and divides the squared sum by N!/4^s.  Dividing after
+squaring, rather than normalizing each coefficient, lets the roundings of
+a splitter's 1/sqrt2 and of sqrt(2!) cancel: the two-photon fringe of
+|1,1> through a balanced splitter, dosed point by point as the CLI doses
+it, peaks at exactly 2 (resampled through an FFT by exposure_profile, at
+2.000000000000001).  The field powers alpha^k beta^(N-k) are products of
+numpy's exact squaring at exponents below 100, for every N (see
 _field_powers), never of libm cpow.
 """
 
@@ -140,31 +138,40 @@ def _count(value, what: str, least: int | None = 1) -> int:
     return count
 
 
-def _lowering_terms(psi: np.ndarray, power: int):
-    """Coefficients of e^power on one sector array, divided by 2^s.
+def _lowering_terms(state: FockState, power: int, root):
+    """Coefficients of e^power on every sector M >= power of ``state``.
 
-    Returns ``(terms, ks, norm)``: terms[i, c] = psi[j+k] sqrt(power!) w(j, k) / 2^s
-    is the coefficient of alpha^k beta^(power-k), k = ks[c], for the i-th
-    output pair (j, M-power-j) the sector reaches, 4^s <= power! < 4^(s+1),
-    and norm = power!/4^s.  Only the output rows and the columns holding a
-    nonzero term are kept: the field-power product of a sparse sector spans
-    the rows it reaches, and an all-zero sector has none.  Requires
-    len(psi) > power; raises OverflowError if a term leaves the float range.
+    Returns ``(terms, ks)``: terms[i, c] = psi[j+k] root(w(j, k)^2) is the
+    coefficient of alpha^k beta^(power-k), k = ks[c], in the i-th row, an
+    output pair (M, j) that a nonzero psi[j+k] reaches, in order of M and
+    then j; ks holds the k they reach.  So a sector of zero amplitudes adds
+    no row, and a weight is formed only for a reached pair (OverflowError
+    if it leaves the float range).
     """
-    total = len(psi) - 1
-    amp = psi[np.arange(total - power + 1)[:, None] + np.arange(power + 1)]
-    fact = math.factorial(power)
-    s = (fact.bit_length() - 1) // 2
-    four_s = 1 << 2 * s
-    jj, kk = np.nonzero(amp)
-    weights = [
-        math.sqrt(fact * math.comb(power, k) * math.comb(n, k) * math.comb(total - n, power - k) / four_s)
-        for n, k in zip((jj + kk).tolist(), kk.tolist())
-    ]
-    terms = np.zeros(amp.shape, dtype=complex)
-    terms[jj, kk] = amp[jj, kk] * np.array(weights)
-    rows, ks = terms.any(axis=1).nonzero()[0], terms.any(axis=0).nonzero()[0]
-    return terms[rows[:, None], ks], ks, fact / four_s
+    keys, ks, amps, weights, first = [], [], [], [], 0  # M's rows follow those of each M' < M
+    for total, psi in sorted(state.sectors.items()):
+        if total < power:
+            continue
+        n = k = np.flatnonzero(psi)
+        if total > power:  # psi[n] reaches k = lo .. min(n, power), at row j = n - k
+            lo = np.maximum(n - (total - power), 0)
+            reach = np.minimum(n, power) + 1 - lo
+            n = np.repeat(n, reach)
+            k = np.arange(len(n)) - np.repeat(np.cumsum(reach) - reach - lo, reach)
+        keys.append(first + n - k)
+        ks.append(k)
+        amps.append(psi[n])
+        weights += [root(math.comb(power, c) * math.comb(a, c) * math.comb(total - a, power - c))
+                    for a, c in zip(n.tolist(), k.tolist())]
+        first += total - power + 1
+    key, k = (np.concatenate([np.zeros(0, int), *parts]) for parts in (keys, ks))
+    amp = np.concatenate([np.zeros(0, complex), *amps])
+    rows, cols = np.zeros(first, bool), np.zeros(power + 1, bool)
+    rows[key] = cols[k] = True
+    rows, ks = np.flatnonzero(rows), np.flatnonzero(cols)
+    terms = np.zeros((len(rows), len(ks)), dtype=complex)
+    terms[np.searchsorted(rows, key), np.searchsorted(ks, k)] = amp * np.array(weights)
+    return terms, ks
 
 
 def _root(m: int) -> float:

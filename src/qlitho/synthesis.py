@@ -147,7 +147,7 @@ def genome_profile(alpha, basis: PartitionBasis, grid_points: int) -> ExposurePr
     phis = phase_grid(grid_points)
     bins, coef = _row_spectra(basis, len(phis))
     terms = (alpha[:, None] * coef).reshape(1, -1)
-    return _grid_profile(phis, _folded_doses([(terms, bins.ravel(), 1.0)], len(phis)))
+    return _grid_profile(phis, _folded_doses(terms, bins.ravel(), len(phis)))
 
 
 def _row_spectra(basis: PartitionBasis, grid_points: int) -> tuple[np.ndarray, np.ndarray]:

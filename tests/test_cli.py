@@ -22,7 +22,8 @@ import qlitho.cli as cli
 import qlitho.fock as fock
 from oracles import csv_text, polyline_points
 from qlitho.baselines import _noon_grid_exposure
-from qlitho.dosing import phase_grid
+from qlitho.dosing import exposure_profile, phase_grid
+from qlitho.fock import make_state
 from qlitho.svgplot import _write_text, format_rows
 from qlitho.synthesis import trench_target
 
@@ -262,6 +263,30 @@ def test_deterministic_svg_matches_golden_digest(monkeypatch, tmp_path, args):
     assert run_cli(monkeypatch, tmp_path, "--command", *args.split(), "--format", "svg") == 0
     digest = hashlib.sha256((tmp_path / f"{command}.svg").read_bytes()).hexdigest()
     assert digest == _GOLDEN_SVG[args]
+
+
+# sha256 of exposure_profile(...).doses.tobytes() of dense N-photon sector
+# states, drawn in turn from one rng, at the shapes the dense_pipeline
+# benchmark doses, at the substrate and at the inputs.
+_GOLDEN_DENSE = {
+    (12, 512, "paper"): ("8e5b647f13398e0f47bd7be8e96faab7294cad73758f1770589a9166cf28a340",
+                         "edc590e7a89875e5b92e8636643b7bcdf723f0650cc201a7066f15188136be4e"),
+    (24, 256, "paper"): ("df816b99e8394f3fb19554d62f63ca888d6f53d6e0f7e7e17abed4c29202a330",
+                         "f19ed73c7ac4e0e4cfaf211a7f186a2d486e7e1ad49410896f22f4aae4057558"),
+    (40, 1024, "symmetric"): ("93ddec7dfd2bd16a13096beae2333b09ad0e4d4c1534c9e6669e8ab8792fb47c",
+                              "df460e2d1bf60c73c06f071a8269fc10b244cefce2d9bcade4a6d5ceeda9a052"),
+}
+
+
+@_golden_numpy_only
+def test_dense_sector_doses_match_golden_digest():
+    rng = np.random.default_rng(20260)
+    for (n, grid, convention), digests in _GOLDEN_DENSE.items():
+        amps = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        state = make_state({(k, n - k): a for k, a in enumerate(amps)})
+        for from_input, digest in zip((False, True), digests):
+            profile = exposure_profile(state, n, grid, cli._CONVENTIONS[convention], from_input)
+            assert hashlib.sha256(profile.doses.tobytes()).hexdigest() == digest, (n, from_input)
 
 
 def test_dense_chart_is_drawn_at_display_resolution(monkeypatch, tmp_path):
@@ -678,6 +703,17 @@ def test_bad_values_exit_two(monkeypatch, tmp_path, capsys):
         == 2
     )
     assert "above the limit of 10^150" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_generations_name_their_flag(monkeypatch, tmp_path, capsys, value):
+    (tmp_path / "run.cfg").write_text(f"generations = {value}\n", encoding="utf-8")
+    for i, argv in enumerate((["--generations", value], ["--config", str(tmp_path / "run.cfg")])):
+        where = tmp_path / f"run{i}"
+        where.mkdir()
+        assert run_cli(monkeypatch, where, "--command", "synthesize", *argv) == 2
+        assert "--generations must be a positive integer" in capsys.readouterr().err
+        assert not list(where.iterdir()), argv
 
 
 def test_missing_config_exits_three(monkeypatch, tmp_path, capsys):

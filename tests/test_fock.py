@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import types
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_dose, instrument_matrix, random_state_map
-from qlitho import dosing
+from qlitho import dosing, fock
 from qlitho.dosing import (
     SubstrateConvention,
     _input_doses,
@@ -23,6 +24,7 @@ from qlitho.fock import (
     FockState,
     _field_powers,
     _lowering_terms,
+    _root,
     make_state,
 )
 
@@ -388,13 +390,81 @@ def test_sparse_sector_doses_at_the_substrate_match_the_dense_oracle(cutoff, sta
 
 @pytest.mark.parametrize("cutoff, state", _SPARSE_STATES)
 def test_lowering_terms_return_only_rows_the_sector_reaches(cutoff, state):
-    for total, psi in state.sectors.items():
-        held = np.flatnonzero(psi)
-        for power in range(1, total + 1):
-            terms, ks, _ = _lowering_terms(psi, power)
-            reached = {n - k for n in held for k in range(power + 1) if 0 <= n - k <= total - power}
+    for power in range(1, max(state.sectors) + 1):
+        blocks = []
+        for total, psi in sorted(state.sectors.items()):
+            if total < power:
+                continue
+            held = np.flatnonzero(psi)
+            terms, ks = _lowering_terms(FockState({total: psi}), power, _root)
+            reached = sorted({n - k for n in held for k in range(power + 1) if 0 <= n - k <= total - power})
             assert terms.shape == (len(reached), len(ks))
             assert terms.any(axis=1).all() and terms.any(axis=0).all()
+            # With root = float each term is psi[j+k] w(j, k)^2 itself.
+            exact, _ = _lowering_terms(FockState({total: psi}), power, float)
+            for i, j in enumerate(reached):
+                for c, k in enumerate(ks.tolist()):
+                    w2 = math.comb(power, k) * math.comb(j + k, k) * math.comb(total - j - k, power - k)
+                    assert exact[i, c] == psi[j + k] * w2
+            blocks.append((terms, ks))
+        # The whole state: every sector's rows, stacked in order of M, each
+        # sector's terms at its own k among the union of them.
+        terms, ks = _lowering_terms(state, power, _root)
+        assert len(terms) == sum(len(t) for t, _ in blocks)
+        assert set(ks.tolist()) == set().union(*(k.tolist() for _, k in blocks))
+        assert terms.any(axis=1).all() and terms.any(axis=0).all()
+        stacked, row = np.zeros_like(terms), 0
+        for t, k in blocks:
+            stacked[row:row + len(t), np.searchsorted(ks, k)] = t
+            row += len(t)
+        assert np.array_equal(terms, stacked)
     # A squeezed sector |n, n> at N = 2 reaches 3 of its 2n - 1 output rows.
-    terms, ks, _ = _lowering_terms(_squeezed_vacuum(0.8, 5).sectors[10], 2)
+    terms, ks = _lowering_terms(FockState({10: _squeezed_vacuum(0.8, 5).sectors[10]}), 2, _root)
     assert ks.tolist() == [0, 1, 2] and terms.shape == (3, 3)
+    # A sector of zero amplitudes adds no row, alone or beside others.
+    assert _lowering_terms(FockState({5: np.zeros(6)}), 2, _root)[0].shape == (0, 0)
+    beside = FockState({**state.sectors, 7: np.zeros(8)})
+    for got, want in zip(_lowering_terms(beside, 2, _root), _lowering_terms(state, 2, _root)):
+        assert np.array_equal(got, want)
+
+
+def _three_sector_state(n_photons: int, rng) -> FockState:
+    """Random amplitudes in sectors N, N+1 and N+3, each mode holding at most
+    N/2 + 2 photons."""
+    pairs = {}
+    for total in (n_photons, n_photons + 1, n_photons + 3):
+        cap = n_photons // 2 + 2
+        for n in range(max(0, total - cap), min(total, cap) + 1):
+            pairs[(n, total - n)] = complex(*rng.standard_normal(2))
+    return make_state(pairs)
+
+
+@pytest.mark.parametrize("n_photons", [3, 40])
+def test_substrate_and_shifter_doses_form_no_n_factorial(monkeypatch, n_photons):
+    # Every sector's weights are correctly rounded roots of exact integers
+    # (fock._root): no N! at the substrate or behind the shifter, in any sector.
+    state = _three_sector_state(n_photons, np.random.default_rng(n_photons))
+    phis = phase_grid(16)
+    expected = {}
+    for convention in SubstrateConvention:
+        for site in ("substrate", "shifter"):
+            for phi in phis:
+                z = np.exp(1j * phi)
+                if convention is SubstrateConvention.SYMMETRIC:
+                    field = (z, 1 / z)
+                else:
+                    field = (z if site == "shifter" else 1.0, 1.0)
+                expected.setdefault((convention, site), []).append(
+                    dense_dose(state.amplitudes, n_photons // 2 + 2, n_photons, *field))
+
+    def refused(n):
+        raise AssertionError(f"math.factorial({n}) formed")
+
+    for module in (fock, dosing):
+        monkeypatch.setattr(module, "math", types.SimpleNamespace(**{**vars(math), "factorial": refused}))
+    for (convention, site), want in expected.items():
+        if site == "substrate":
+            doses = exposure_profile(state, n_photons, 16, convention).doses
+        else:
+            doses = _spectral_doses(state, n_photons, 16, convention, site)
+        assert np.abs(doses - want).max() <= 1e-12 * max(want), (convention, site)
