@@ -19,6 +19,7 @@ the table.  Flags override the file, which overrides the defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -79,7 +80,13 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every call returns the same parser, shared by every ``main`` run:
+    parse with it, but do not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="qlitho",
         description="Two-mode interferometric exposure simulator and pattern synthesizer.",

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver (in-process where possible)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -956,6 +957,26 @@ def test_any_option_mix_keeps_the_exit_code_contract(options):
 def test_help_exits_zero(monkeypatch, tmp_path, capsys):
     assert run_cli(monkeypatch, tmp_path, "--help") == 0
     assert "--command" in capsys.readouterr().out
+
+
+def test_main_runs_share_one_parser(monkeypatch, tmp_path):
+    # build_parser is cached: a second main in the same process builds no
+    # second argparse parser.
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run_cli(monkeypatch, tmp_path, "--command", "classical", "--grid", "8") == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_readme_flag_table_matches_parser():
