@@ -55,8 +55,13 @@ Two conventions relate the point phase ``phi`` to the field:
 A state is dosed where it sits, by the field pulled back to it (Heisenberg
 picture): e^{i phi} c + d behind the SINGLE_ARM phase shifter, and
 (alpha, beta) T at the inputs, ahead of the splitter and mirror
-T = [[1, -i], [-i, 1]] / sqrt2.  That is taken as half of (alpha, beta) @
-sqrt2 T, exact and at most 1 in size, and the dose is doubled N times.
+T = [[1, -i], [-i, 1]] / sqrt2.  That field is real up to one phase that
+both arms share: (alpha, beta) T = e^{i chi} (c - s, c + s), c = cos theta
+and s = sin theta, with theta = phi and chi = -pi/4 (SYMMETRIC) or
+theta = phi/2 and chi = phi/2 - pi/4 (SINGLE_ARM).  Every term of an
+N-photon output row carries e^{i N chi}, which no dose sees, so the inputs
+are dosed by the real field (c - s, c + s) (_field), its powers taken as
+running products (_powers).
 """
 
 from __future__ import annotations
@@ -68,14 +73,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, _count, _field_powers, _lowering_terms, _root, make_state
+from .fock import FockState, _count, _lowering_terms, _root, make_state
 
 # Upper bound on the elements of one block of work (dose arrays and formatted
 # output rows), so that large grids do not raise peak memory.
 _BLOCK_ELEMENTS = 1 << 16
 
-_INPUT_CHAIN = np.array([[1, -1j], [-1j, 1]])  # sqrt2 compose(mirror(), beamsplitter())
-# Powers alpha^k beta^(N-k) of the halved input field reach 2^(-N/2): subnormal past this N.
+# The input field's arm c + s reaches sqrt2, so its powers reach 2^(N/2), finite at this N.
 _MAX_INPUT_PHOTONS = 2044
 
 
@@ -100,15 +104,14 @@ def _phases(phis) -> np.ndarray:
 
 
 def _field(phis, convention: SubstrateConvention):
-    """Field arrays (alpha, beta) that dose a state at the interferometer
-    inputs, halved (see the module docstring)."""
-    wave = np.exp(1j * np.atleast_1d(_phases(phis)))
+    """The real field arrays (c - s, c + s), c = cos theta and s = sin theta,
+    that dose a state at the interferometer inputs (see the module docstring)."""
+    theta = np.atleast_1d(_phases(phis))
     _check_convention(convention)
-    if convention is SubstrateConvention.SYMMETRIC:
-        field = (wave, wave.conj())
-    else:
-        field = (wave, np.ones_like(wave))
-    return _INPUT_CHAIN.T @ field / 2
+    if convention is SubstrateConvention.SINGLE_ARM:
+        theta = theta / 2
+    c, s = np.cos(theta), np.sin(theta)
+    return c - s, c + s
 
 
 def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
@@ -122,32 +125,48 @@ def noon_state(n_photons: int, phi: float = 0.0) -> FockState:
     )
 
 
+def _powers(minus: np.ndarray, plus: np.ndarray, n_photons: int, ks: np.ndarray) -> np.ndarray:
+    """minus^k plus^(N-k): one row per field, one column per k in ks (ascending).
+
+    Each arm's powers are running products of its field, taken only up to
+    the largest exponent that arm needs.  np.take keeps the rows contiguous,
+    so every field's dot products in _doses run the same kernel.
+    """
+    def running(z, top):
+        out = np.empty((len(z), top + 1))
+        out[:, 0] = 1.0
+        out[:, 1:] = z[:, None]
+        return np.cumprod(out, axis=1, out=out)
+
+    powers = np.take(running(minus, ks[-1]), ks, axis=1)
+    return np.multiply(powers, np.take(running(plus, n_photons - ks[0]), n_photons - ks, axis=1), out=powers)
+
+
 def _doses(state: FockState, n_photons: int, field) -> np.ndarray:
-    """2^N ||e^N |state>||^2 / N! for each halved field (alpha[g], beta[g]); the
-    amplitudes take 2^floor(N / 2) before squaring, to square at dose size.
+    """||e^N |state>||^2 / N! for each real field (c - s, c + s)[g].
 
     The squares of the coefficients sqrt(N!) w / 2^s are divided by N!/4^s
-    (see qlitho.fock).  Each amplitude is one dot product of a field's
-    contiguous row of field powers with a row of coefficients, and a field's
-    squares a sum along one row: the same kernels whatever the block's width
-    or the number of rows, so its dose does not depend on the fields beside
-    it, and no product is a matrix product that BLAS may split over threads.
+    (see qlitho.fock).  The real and imaginary part of each amplitude is
+    one dot product of a field's contiguous row of powers (_powers) with a
+    row of coefficients, and a field's dose a sum along one row of their
+    squares: the same kernels whatever the block's width or the number of
+    rows, so its dose does not depend on the fields beside it, and no
+    product is a matrix product that BLAS may split over threads.
     """
-    half, odd = divmod(n_photons, 2)
     fact = math.factorial(n_photons)
     four_s = 1 << 2 * ((fact.bit_length() - 1) // 2)
     terms, ks = _lowering_terms(state, n_photons, lambda m: math.sqrt(fact * m / four_s))
     doses = np.zeros(len(field[0]))
     if not terms.size:
         return doses
-    step = max(1, _BLOCK_ELEMENTS // max(terms.shape))
+    parts = np.concatenate([terms.real, terms.imag])[:, :, None]
+    step = max(1, _BLOCK_ELEMENTS // max(len(terms), n_photons + 1))  # an arm's powers: <= N + 1 columns
     for lo in range(0, len(doses), step):
         block = slice(lo, lo + step)
-        powers = _field_powers(field[0][block], field[1][block], n_photons, ks).T.copy()
-        amp = np.matmul(powers[:, None, None], terms[:, :, None])[:, :, 0, 0]
-        re, im = np.ldexp(amp.real, half), np.ldexp(amp.imag, half)
-        doses[block] = np.sum(re**2 + im**2, axis=1) / (fact / four_s)
-    return np.ldexp(doses, odd)
+        powers = _powers(field[0][block], field[1][block], n_photons, ks)
+        amp = np.matmul(powers[:, None, None], parts)[:, :, 0, 0]
+        doses[block] = np.sum(amp**2, axis=1) / (fact / four_s)
+    return doses
 
 
 def _input_doses(state: FockState, n_photons: int, phis, convention: SubstrateConvention):

@@ -23,13 +23,12 @@ the substrate and behind the phase shifter, so no N! is formed in any
 sector.  At the interferometer inputs it takes the coefficients of e^N
 itself, sqrt(N!) w, scaled by 2^-s with 4^s <= N! < 4^(s+1) to stay in
 float range, and divides the squared sum by N!/4^s.  Dividing after
-squaring, rather than normalizing each coefficient, lets the roundings of
-a splitter's 1/sqrt2 and of sqrt(2!) cancel: the two-photon fringe of
-|1,1> through a balanced splitter, dosed point by point as the CLI doses
-it, peaks at exactly 2 (resampled through an FFT by exposure_profile, at
-2.000000000000001).  The field powers alpha^k beta^(N-k) are products of
-numpy's exact squaring at exponents below 100, for every N (see
-_field_powers), never of libm cpow.
+squaring, rather than normalizing each coefficient, keeps an integer
+coefficient exact: |1,1> takes sqrt(2! * 2) = 2 where the normalized
+weight would be a rounded sqrt2, so the two-photon fringe of |1,1>
+through a balanced splitter, dosed point by point as the CLI doses it,
+peaks at exactly 2 (resampled through an FFT by exposure_profile, at
+2.000000000000001).
 """
 
 from __future__ import annotations
@@ -181,33 +180,3 @@ def _root(m: int) -> float:
     scaled = m << 2 * shift
     root = math.isqrt(scaled)
     return math.ldexp(root | (root * root != scaled), -shift)
-
-
-# numpy's complex power squares an integer exponent below this; at or above
-# it, it calls libm cpow, several times slower and less accurate.
-_SQUARED_EXPONENTS = 100
-
-
-def _field_powers(alpha: np.ndarray, beta: np.ndarray, power: int, ks: np.ndarray) -> np.ndarray:
-    """alpha^k beta^(power-k): one row per k in ks, one column per field.
-
-    Each is a product of numpy powers with exponents below 100, z^n =
-    z^(n mod 64) (z^64)^(n div 64) for n >= 100 with the quotient split the
-    same way, taken for all rows level by level, alpha's and then beta's.
-    z takes a level while its largest exponent over the rows is 100 or
-    more, and every row takes a factor at each: a row whose exponent is
-    below 100 takes it whole, and z^0 = 1 at the levels after.  Below
-    power 100 a row is numpy's alpha**k * beta**(power-k); from 100 on a
-    factor z^0 can change only the sign of a zero part, which no dose sees.
-    """
-    out = None
-    for z, exps in ((alpha, ks[:, None]), (beta, (power - ks)[:, None])):
-        levels, top = [], int(exps.max())
-        while top >= _SQUARED_EXPONENTS:
-            split = exps >= _SQUARED_EXPONENTS
-            levels.append((z, np.where(split, exps % 64, exps)))
-            exps, z, top = np.where(split, exps // 64, 0), z**64, top // 64
-        for z, digits in levels + [(z, exps)]:
-            factors = z**digits
-            out = factors if out is None else out * factors
-    return out

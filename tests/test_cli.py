@@ -203,7 +203,7 @@ _GOLDEN_CSV = {
     "fringe --grid 64":
         "9c1c11dbf64161845b9080963b3f5ec2ef66491ad43aab2c90e1d5b9d983de57",
     "fringe --grid 64 --convention paper":
-        "0ea866458ec9e972faec17ecb7cb160cc7c7662ed05f1058160ec18dcc326147",
+        "dd666caf5a4b8bb3a11a65def3331ef5a7087fef39ee91ed6b335c7b5e0e30f2",
     "noon --n 3 --grid 4097":
         "1c9f75f4bc7b5788d9ffb81cfe0845365c89d8106d647b57bf54217b19d46160",
     "compare --n 4 --grid 4097":
@@ -271,11 +271,11 @@ def test_deterministic_svg_matches_golden_digest(monkeypatch, tmp_path, args):
 # benchmark doses, at the substrate and at the inputs.
 _GOLDEN_DENSE = {
     (12, 512, "paper"): ("8e5b647f13398e0f47bd7be8e96faab7294cad73758f1770589a9166cf28a340",
-                         "edc590e7a89875e5b92e8636643b7bcdf723f0650cc201a7066f15188136be4e"),
+                         "0540e76e2b6bc7e240602458e5576ea7c1cf3db88ad7cce4631f392298eb72cd"),
     (24, 256, "paper"): ("df816b99e8394f3fb19554d62f63ca888d6f53d6e0f7e7e17abed4c29202a330",
-                         "f19ed73c7ac4e0e4cfaf211a7f186a2d486e7e1ad49410896f22f4aae4057558"),
+                         "f6c82ba8d334177b740783fefddbd201e6d6da07175040727bd667971fd9156f"),
     (40, 1024, "symmetric"): ("93ddec7dfd2bd16a13096beae2333b09ad0e4d4c1534c9e6669e8ab8792fb47c",
-                              "df460e2d1bf60c73c06f071a8269fc10b244cefce2d9bcade4a6d5ceeda9a052"),
+                              "8d2a3b4dba920098ebd74b2309af3ce0a50e84e16d75aee62d897bcb2efe7095"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from oracles import dense_dose, instrument_matrix, mp_monomial_doses, number_sta
 from qlitho import dosing
 from qlitho.baselines import classical_n_photon, classical_two_photon, noon_exposure
 from qlitho.dosing import (
-    _INPUT_CHAIN,
     ExposureProfile,
     SubstrateConvention,
     _grid_profile,
@@ -42,22 +42,64 @@ def test_interferometer_matrices():
     assert np.max(np.abs(arm - chained)) < 1e-15
 
 
-def test_input_chain_is_the_scaled_splitter_and_mirror():
-    chain = compose(mirror(), beamsplitter()).matrix
-    assert np.max(np.abs(_INPUT_CHAIN / math.sqrt(2.0) - chain)) < 1e-16
-
-
-def test_input_field_is_the_substrate_field_pulled_back_and_halved():
-    # (alpha, beta) @ T / sqrt2 with T the instrument's matrix, whose sqrt2 T
-    # is _INPUT_CHAIN: the halved field the input-port doses are taken of.
+def test_input_field_is_the_substrate_field_pulled_back_up_to_a_shared_phase():
+    # Behind the mirror and the balanced splitter the pulled-back field is
+    # e^{i chi} (c - s, c + s), c = cos theta and s = sin theta: theta = phi
+    # and chi = -pi/4 (SYMMETRIC), theta = phi/2 and chi = phi/2 - pi/4
+    # (SINGLE_ARM).  Both arms share e^{i chi}, so every term of an N-photon
+    # output row carries e^{i N chi}, which no dose sees.
     phis = np.linspace(-3.0, 7.0, 11)
     for convention in SubstrateConvention:
-        alpha, beta = dosing._field(phis, convention)
-        for phi, a, b in zip(phis, alpha, beta):
+        minus, plus = dosing._field(phis, convention)
+        for phi, a, b in zip(phis, minus, plus):
+            chi = -math.pi / 4 if convention is SubstrateConvention.SYMMETRIC else phi / 2 - math.pi / 4
             pulled = _substrate_field(phi, convention) @ instrument_matrix(phi, convention)
-            assert np.abs(np.array([a, b]) - pulled / math.sqrt(2.0)).max() < 1e-15
+            assert np.abs(cmath.exp(1j * chi) * np.array([a, b]) - pulled).max() < 1e-15
     with pytest.raises(ValueError, match="unknown substrate convention"):
         dosing._field(phis, "symmetric")
+
+
+def _exact_power(x: float, n: int) -> Decimal:
+    """x^n of the float x's exact value, in the context's decimals."""
+    return Decimal(x) ** n if n else Decimal(1)
+
+
+@pytest.mark.parametrize("n_photons", [100, 171, 1000, 2044])
+def test_field_powers_are_within_n_eps_of_the_exact_powers_of_the_rounded_field(n_photons):
+    # The running products (c - s)^k (c + s)^(N-k) take N - 1 roundings, so
+    # their relative error is at most N eps of the exact powers of the rounded
+    # field.  Only where both partial powers are normal floats: |c + s|
+    # reaches sqrt2, so a subnormal (c - s)^k, with its few bits, can sit
+    # under a normal product.  Past N = 2047, (c + s)^N overflows.
+    phis = np.concatenate([phase_grid(8), np.random.default_rng(n_photons).uniform(0.0, 2 * math.pi, 8)])
+    ks = np.unique(np.clip([0, 1, 63, 64, 99, 100, 129, n_photons // 2, n_photons - 65, n_photons - 1,
+                            n_photons], 0, n_photons))
+    bound = Decimal(n_photons * np.finfo(float).eps)
+    tiny = Decimal(np.finfo(float).tiny)
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for convention in SubstrateConvention:
+            minus, plus = dosing._field(phis, convention)
+            got = dosing._powers(minus, plus, n_photons, ks)
+            for row, m, p in zip(got.tolist(), minus.tolist(), plus.tolist()):
+                for value, k in zip(row, ks.tolist()):
+                    a, b = _exact_power(m, k), _exact_power(p, n_photons - k)
+                    if min(abs(a), abs(b), abs(a * b)) < tiny:
+                        continue
+                    assert abs(Decimal(value) - a * b) <= bound * abs(a * b), (convention, k)
+                    checked += 1
+    assert checked > len(ks) * len(phis)
+
+
+@pytest.mark.parametrize("grid", [64, 4096])
+@pytest.mark.parametrize("convention", list(SubstrateConvention))
+def test_two_photon_input_fringe_peaks_at_exactly_two(convention, grid):
+    # |1,1> through the balanced splitter, dosed point by point as fringe
+    # doses it: at phi = 0 the field is (1, 1), the coefficient sqrt(2! * 2)
+    # is 2, and the squared sum 4 is divided by 2! exactly.
+    doses = _input_doses(make_state({(1, 1): 1.0}), 2, phase_grid(grid), convention)
+    assert doses.max() == 2.0
 
 
 def test_noon_state_amplitudes():
@@ -204,24 +246,41 @@ def test_number_state_doses_match_exact_rationals(pair, n_photons, convention, g
 
 
 def test_input_port_doses_of_order_one_survive_large_n():
-    # |N,0> at the inputs doses (1 - sin 2phi)^N, so 1 at phi = 0, while the
-    # halved input field's squared amplitudes are 2^-N of that: below the
-    # float range beyond N = 1074.
+    # |N,0> at the inputs doses (1 - sin 2phi)^N, so 1 at phi = 0, where the
+    # real input field is (1, 1) and every power of it is 1.
     for n in (1100, 2000, 2044):
         dose = _input_doses(make_state({(n, 0): 1.0}), n, [0.0], SubstrateConvention.SYMMETRIC)
         assert abs(dose[0] - 1.0) <= 1e-12, n
 
 
 def test_input_port_doses_are_refused_past_the_float_limit():
-    # Past N = 2044 the halved input field's powers 2^(-N/2) are subnormal,
-    # while a state at the substrate, whose field powers have size 1, is
-    # still dosed.
+    # The input field's arm c + s reaches sqrt2, so its powers reach 2^(N/2);
+    # past N = 2044 the input site is refused, while a state at the
+    # substrate, whose field powers have size 1, is still dosed.
     state = make_state({(2045, 0): 1.0})
     with pytest.raises(ValueError, match="N <= 2044"):
         _input_doses(state, 2045, [0.0], SubstrateConvention.SYMMETRIC)
     with pytest.raises(ValueError, match="N <= 2044"):
         exposure_profile(state, 2045, 8, SubstrateConvention.SINGLE_ARM, from_input=True)
     assert np.abs(exposure_profile(state, 2045, 8).doses - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_photons", [1500, 2044])
+def test_large_number_state_input_doses_keep_their_small_normal_values(n_photons):
+    # |N,0> at the inputs doses (1 - sin 2phi)^N.  Wherever that is a normal
+    # float the dose keeps it to a few N eps, down to doses of 1e-300: the
+    # running powers of the real field leave the normal range only where
+    # the dose does.
+    import mpmath
+
+    phis = np.random.default_rng(n_photons).uniform(0.0, 2 * math.pi, 256)
+    with mpmath.workdps(40):
+        exact = np.array([float((1 - mpmath.sin(2 * mpmath.mpf(phi))) ** n_photons) for phi in phis.tolist()])
+    normal = (exact >= np.finfo(float).tiny) & (exact <= np.finfo(float).max / 8)
+    state = make_state({(n_photons, 0): 1.0})
+    doses = _input_doses(state, n_photons, phis[normal], SubstrateConvention.SYMMETRIC)
+    assert normal.sum() >= 16 and exact[normal].min() < 1e-200
+    assert np.max(np.abs(doses - exact[normal]) / exact[normal]) <= 4 * n_photons * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("block", [None, 16], ids=["one_block", "many_blocks"])

@@ -1,10 +1,8 @@
 """Tests for the two-mode Fock state module."""
 
 import dataclasses
-import functools
 import math
 import types
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from qlitho.dosing import (
 )
 from qlitho.fock import (
     FockState,
-    _field_powers,
     _lowering_terms,
     _root,
     make_state,
@@ -260,82 +257,6 @@ def test_high_occupancy_is_finite():
         doses = exposure_profile(state, 30, 8, convention).doses
         assert np.all(np.isfinite(doses))
         assert doses.max() > 0.0
-
-
-# ---------------------------------------------------------------------------
-# field powers: numpy's squaring below exponent 100, exponent splits above,
-# on the halved input fields, the only fields they are taken of
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=80)
-@given(st.integers(1, 99), st.data(), st.sampled_from(SubstrateConvention))
-def test_field_powers_below_exponent_100_are_numpys_powers(power, data, convention):
-    phis = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)))
-    ks = np.array(sorted(data.draw(st.sets(st.integers(0, power), min_size=1, max_size=8))))
-    alpha, beta = dosing._field(phis, convention)
-    expected = alpha ** ks[:, None] * beta ** (power - ks)[:, None]
-    assert _field_powers(alpha, beta, power, ks).tobytes() == expected.tobytes()
-
-
-def _split_factors(z: np.ndarray, n: int, top: int) -> list[np.ndarray]:
-    """numpy powers below 100 whose product, in order, is z^n, for the
-    largest exponent ``top`` of its column: while top >= 100, z^(n mod 64)
-    and then the split of (z^64)^(n div 64), or z^n once n < 100 and z^0
-    after that, z^0 kept."""
-    factors = []
-    while top >= 100:
-        factors.append(np.power(z, n % 64 if n >= 100 else n))
-        n, z, top = n // 64 if n >= 100 else 0, np.power(z, 64), top // 64
-    return factors + [np.power(z, n)]
-
-
-@pytest.mark.parametrize("power", [100, 127, 128, 171, 1000, 2044, 10**5])
-def test_field_powers_from_exponent_100_are_the_split_products(power):
-    # Byte for byte, row by row, alpha's factors and then beta's.  On
-    # phase_grid(8) the SINGLE_ARM fields have exact zero parts, and the
-    # SYMMETRIC alpha at pi/4 is about 1e-16, so its z^64 underflows to 0.
-    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
-    ks = np.arange(0, power + 1, max(1, power // 2000))
-    for convention in SubstrateConvention:
-        alpha, beta = dosing._field(phis, convention)
-        got = _field_powers(alpha, beta, power, ks)
-        tops = int(ks.max()), power - int(ks.min())
-        for row, k in zip(got, ks.tolist()):
-            factors = _split_factors(alpha, k, tops[0]) + _split_factors(beta, power - k, tops[1])
-            assert row.tobytes() == functools.reduce(np.multiply, factors).tobytes(), (convention, k)
-
-
-def _exact_power(z: complex, n: int) -> tuple[Decimal, Decimal]:
-    """z^n of the float z's exact value, by binary powering in 40-digit decimals."""
-    re, im = Decimal(z.real), Decimal(z.imag)
-    acc_re, acc_im = Decimal(1), Decimal(0)
-    while n:
-        if n & 1:
-            acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
-        n >>= 1
-        re, im = re * re - im * im, 2 * re * im
-    return acc_re, acc_im
-
-
-@pytest.mark.parametrize("power", [100, 171, 1000, 10**5])
-def test_field_powers_from_exponent_100_are_within_n_eps_of_exact(power):
-    # Relative error at most N eps; a power below the normal range may
-    # round to a subnormal or to zero, which the smallest normal covers.
-    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
-    ks = np.unique(np.clip([0, 1, 63, 64, 99, 100, 129, power // 2, power - 65, power - 1, power], 0, power))
-    bound = Decimal(power * np.finfo(float).eps)
-    tiny = Decimal(np.finfo(float).tiny)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for convention in SubstrateConvention:
-            alpha, beta = dosing._field(phis, convention)
-            got = _field_powers(alpha, beta, power, ks)
-            for row, k in zip(got, ks.tolist()):
-                for value, a, b in zip(row.tolist(), alpha.tolist(), beta.tolist()):
-                    (ar, ai), (br, bi) = _exact_power(a, k), _exact_power(b, power - k)
-                    er, ei = ar * br - ai * bi, ar * bi + ai * br
-                    err = ((Decimal(value.real) - er) ** 2 + (Decimal(value.imag) - ei) ** 2).sqrt()
-                    assert err <= bound * (er * er + ei * ei).sqrt() + tiny, (convention, k)
 
 
 # ---------------------------------------------------------------------------
