@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -57,39 +56,6 @@ def test_input_field_is_the_substrate_field_pulled_back_up_to_a_shared_phase():
             assert np.abs(cmath.exp(1j * chi) * np.array([a, b]) - pulled).max() < 1e-15
     with pytest.raises(ValueError, match="unknown substrate convention"):
         dosing._field(phis, "symmetric")
-
-
-def _exact_power(x: float, n: int) -> Decimal:
-    """x^n of the float x's exact value, in the context's decimals."""
-    return Decimal(x) ** n if n else Decimal(1)
-
-
-@pytest.mark.parametrize("n_photons", [100, 171, 1000, 2044])
-def test_field_powers_are_within_n_eps_of_the_exact_powers_of_the_rounded_field(n_photons):
-    # The running products (c - s)^k (c + s)^(N-k) take N - 1 roundings, so
-    # their relative error is at most N eps of the exact powers of the rounded
-    # field.  Only where both partial powers are normal floats: |c + s|
-    # reaches sqrt2, so a subnormal (c - s)^k, with its few bits, can sit
-    # under a normal product.  Past N = 2047, (c + s)^N overflows.
-    phis = np.concatenate([phase_grid(8), np.random.default_rng(n_photons).uniform(0.0, 2 * math.pi, 8)])
-    ks = np.unique(np.clip([0, 1, 63, 64, 99, 100, 129, n_photons // 2, n_photons - 65, n_photons - 1,
-                            n_photons], 0, n_photons))
-    bound = Decimal(n_photons * np.finfo(float).eps)
-    tiny = Decimal(np.finfo(float).tiny)
-    checked = 0
-    with localcontext() as ctx:
-        ctx.prec = 40
-        for convention in SubstrateConvention:
-            minus, plus = dosing._field(phis, convention)
-            got = dosing._powers(minus, plus, n_photons, ks)
-            for row, m, p in zip(got.tolist(), minus.tolist(), plus.tolist()):
-                for value, k in zip(row, ks.tolist()):
-                    a, b = _exact_power(m, k), _exact_power(p, n_photons - k)
-                    if min(abs(a), abs(b), abs(a * b)) < tiny:
-                        continue
-                    assert abs(Decimal(value) - a * b) <= bound * abs(a * b), (convention, k)
-                    checked += 1
-    assert checked > len(ks) * len(phis)
 
 
 @pytest.mark.parametrize("grid", [64, 4096])

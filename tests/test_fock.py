@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -257,6 +258,85 @@ def test_high_occupancy_is_finite():
         doses = exposure_profile(state, 30, 8, convention).doses
         assert np.all(np.isfinite(doses))
         assert doses.max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# field powers: running products of the real input field (c - s, c + s)
+# ---------------------------------------------------------------------------
+
+def _running_powers(z: float, top: int) -> list[float]:
+    """z^0 .. z^top, each the float product of the one before it and z."""
+    out = [1.0]
+    for _ in range(top):
+        out.append(out[-1] * z)
+    return out
+
+
+def _sequential_powers(minus: np.ndarray, plus: np.ndarray, n_photons: int, ks: np.ndarray) -> np.ndarray:
+    """minus^k plus^(N-k) row by row, one Python float multiply at a time."""
+    rows = []
+    for m, p in zip(minus.tolist(), plus.tolist()):
+        m_pow, p_pow = _running_powers(m, n_photons), _running_powers(p, n_photons)
+        rows.append([m_pow[k] * p_pow[n_photons - k] for k in ks.tolist()])
+    return np.array(rows)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 2044), st.data(), st.sampled_from(SubstrateConvention))
+def test_field_powers_at_any_exponents_are_the_running_products(power, data, convention):
+    # Byte for byte: a k asked for alone gives the bytes it gives beside
+    # any other ks, and each arm's power is its field multiplied in once
+    # per step, so the powers of a phase do not depend on the block it is in.
+    phis = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6)))
+    ks = np.array(sorted(data.draw(st.sets(st.integers(0, power), min_size=1, max_size=8))))
+    minus, plus = dosing._field(phis, convention)
+    expected = _sequential_powers(minus, plus, power, ks)
+    assert dosing._powers(minus, plus, power, ks).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("power", [100, 127, 128, 171, 1000, 2044])
+def test_field_powers_from_exponent_100_are_the_running_products(power):
+    # On phase_grid(8) the SINGLE_ARM fields have exact zero and unit arms,
+    # and the SYMMETRIC c - s at pi/4 is about 1e-16, whose powers underflow
+    # to 0; every k from 0 to N is asked for.
+    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
+    ks = np.arange(power + 1)
+    for convention in SubstrateConvention:
+        minus, plus = dosing._field(phis, convention)
+        got = dosing._powers(minus, plus, power, ks)
+        assert got.tobytes() == _sequential_powers(minus, plus, power, ks).tobytes(), convention
+
+
+def _exact_power(x: float, n: int) -> Decimal:
+    """x^n of the float x's exact value, in the context's decimals."""
+    return Decimal(x) ** n if n else Decimal(1)
+
+
+@pytest.mark.parametrize("power", [100, 171, 1000, 2044])
+def test_field_powers_from_exponent_100_are_within_n_eps_of_exact(power):
+    # The running products (c - s)^k (c + s)^(N-k) take N - 1 roundings, so
+    # their relative error is at most N eps of the exact powers of the rounded
+    # field.  Only where both partial powers are normal floats: |c + s|
+    # reaches sqrt2, so a subnormal (c - s)^k, with its few bits, can sit
+    # under a normal product.  Past N = 2047, (c + s)^N overflows.
+    phis = np.concatenate([phase_grid(8), np.random.default_rng(power).uniform(0.0, 2 * math.pi, 8)])
+    ks = np.unique(np.clip([0, 1, 63, 64, 99, 100, 129, power // 2, power - 65, power - 1, power], 0, power))
+    bound = Decimal(power * np.finfo(float).eps)
+    tiny = Decimal(np.finfo(float).tiny)
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for convention in SubstrateConvention:
+            minus, plus = dosing._field(phis, convention)
+            got = dosing._powers(minus, plus, power, ks)
+            for row, m, p in zip(got.tolist(), minus.tolist(), plus.tolist()):
+                for value, k in zip(row, ks.tolist()):
+                    a, b = _exact_power(m, k), _exact_power(p, power - k)
+                    if min(abs(a), abs(b), abs(a * b)) < tiny:
+                        continue
+                    assert abs(Decimal(value) - a * b) <= bound * abs(a * b), (convention, k)
+                    checked += 1
+    assert checked > len(ks) * len(phis)
 
 
 # ---------------------------------------------------------------------------
