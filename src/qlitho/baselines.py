@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dosing import SubstrateConvention, _check_convention, _phases
+from .dosing import SubstrateConvention, _phases, _rate
 from .fock import _count
 
 
@@ -32,9 +32,7 @@ def classical_n_photon(n_photons: int, phi):
 def noon_exposure(n_photons: int, phi, convention=SubstrateConvention.SYMMETRIC):
     """Path-entangled N-photon fringe 1 + cos(2 N phi), 1 + cos(N phi) in SINGLE_ARM."""
     n_photons = _count(n_photons, "photon number")
-    _check_convention(convention)
-    rate = 2.0 if convention is SubstrateConvention.SYMMETRIC else 1.0
-    return 1.0 + np.cos(rate * n_photons * _phases(phi))
+    return 1.0 + np.cos(_rate(convention) * n_photons * _phases(phi))
 
 
 def _noon_grid_exposure(n_photons: int, grid_points: int, convention=SubstrateConvention.SYMMETRIC):
@@ -44,7 +42,5 @@ def _noon_grid_exposure(n_photons: int, grid_points: int, convention=SubstrateCo
     the unreduced phase is off by about N eps."""
     n_photons = _count(n_photons, "photon number")
     grid_points = _count(grid_points, "number of grid points")
-    _check_convention(convention)
-    rate = 2 if convention is SubstrateConvention.SYMMETRIC else 1
-    turns = np.arange(grid_points) * (rate * n_photons % grid_points) % grid_points
+    turns = np.arange(grid_points) * (_rate(convention) * n_photons % grid_points) % grid_points
     return 1.0 + np.cos(turns * (2.0 * np.pi / grid_points))

@@ -90,9 +90,11 @@ class SubstrateConvention(enum.Enum):
     SINGLE_ARM = "single-arm"
 
 
-def _check_convention(convention) -> None:
+def _rate(convention) -> int:
+    """Relative phase of the two substrate arms per unit phi: 2 (SYMMETRIC) or 1 (SINGLE_ARM)."""
     if not isinstance(convention, SubstrateConvention):
         raise ValueError(f"unknown substrate convention {convention!r}")
+    return 2 if convention is SubstrateConvention.SYMMETRIC else 1
 
 
 def _phases(phis) -> np.ndarray:
@@ -106,10 +108,7 @@ def _phases(phis) -> np.ndarray:
 def _field(phis, convention: SubstrateConvention):
     """The real field arrays (c - s, c + s), c = cos theta and s = sin theta,
     that dose a state at the interferometer inputs (see the module docstring)."""
-    theta = np.atleast_1d(_phases(phis))
-    _check_convention(convention)
-    if convention is SubstrateConvention.SINGLE_ARM:
-        theta = theta / 2
+    theta = np.atleast_1d(_phases(phis)) * (_rate(convention) / 2)
     c, s = np.cos(theta), np.sin(theta)
     return c - s, c + s
 
@@ -218,13 +217,10 @@ def _spectral_doses(state: FockState, n_photons: int, grid_points: int,
     """
     n_photons = _count(n_photons, "photon number")
     grid_points = _count(grid_points, "number of grid points")
-    _check_convention(convention)
-    if convention is SubstrateConvention.SYMMETRIC:
-        stride, offset = 2, n_photons
-    else:
-        stride, offset = int(site == "shifter"), 0
+    rate = _rate(convention)
+    stride = rate if rate == 2 or site == "shifter" else 0
     terms, ks = _lowering_terms(state, n_photons, _root)
-    return _folded_doses(terms, stride * ks - offset, grid_points)
+    return _folded_doses(terms, stride * ks - (rate - 1) * n_photons, grid_points)
 
 
 def phase_grid(grid_points: int) -> np.ndarray:
@@ -320,7 +316,7 @@ def exposure_profile(
         doses = _spectral_doses(source, n_photons, grid_points, convention, "substrate")
         return _grid_profile(phase_grid(grid_points), doses)
     phis = phase_grid(grid_points)
-    stride = 2 if convention is SubstrateConvention.SYMMETRIC else 1
+    stride = _rate(convention)
     band = stride * n_photons
     if not 2 * band + 1 < grid_points:
         return _grid_profile(phis, _input_doses(source, n_photons, phis, convention))

@@ -332,14 +332,9 @@ def _jacobian_map(rows: np.ndarray, index: np.ndarray, factor: np.ndarray) -> np
     return jac.reshape(len(index), -1)
 
 
-def _jacobians(
-    x: np.ndarray, jac: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transposed Jacobians (starts x 2k x r) of w at the rows of x, and the w.
-
-    ``out``, if given, is the starts x 2k r array the Jacobians are written to.
-    """
-    jt = np.matmul(x, jac, out=out).reshape(*x.shape, -1)
+def _jacobians(x: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed Jacobians (starts x 2k x r) of w at the rows of x, and the w."""
+    jt = (x @ jac).reshape(*x.shape, -1)
     return jt, 0.5 * np.einsum("sa,saj->sj", x, jt)
 
 
@@ -408,13 +403,9 @@ def fit_superposition(
     jac = _jacobian_map(rows, index, factor)
 
     # Arrays of the active starts only: a start that retires leaves them.
-    # Moving a start to its optimal scale t^2 scales J by t and w by t^2.
     x = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0]).standard_normal((_STARTS, 2 * k))
+    x *= np.sqrt(_optimal_scale(_jacobians(x, jac)[1], c))[:, None]
     jt, w = _jacobians(x, jac)
-    t = np.sqrt(_optimal_scale(w, c))[:, None]
-    x *= t
-    jt *= t[:, :, None]
-    w *= t * t
     res = w - c
     sse = np.einsum("sj,sj->s", res, res)
     damping = np.ones(_STARTS)  # adds the Gauss-Newton diagonal: a short first step
@@ -444,9 +435,7 @@ def fit_superposition(
             # residual, is -g.step + step.D.step when (H + D) step = -g, D the shift.
             predicted = np.einsum("sa,sa->s", step, shift * step - grad)
             trial = x + step
-            # The trial's Jacobians overwrite the current ones: the failed
-            # starts' are formed again below, which saves a Jacobian array.
-            _, trial_w = _jacobians(trial, jac, out=jt.reshape(len(x), -1))
+            trial_jt, trial_w = _jacobians(trial, jac)
             trial_res = trial_w - c
             trial_sse = np.einsum("sj,sj->s", trial_res, trial_res)
         better = trial_sse < sse
@@ -459,11 +448,9 @@ def fit_superposition(
         live = ~(predicted <= _RETIRE * sse)  # a failed solve (nan) stays active
         # Put the failed starts back into the trial arrays, then drop the retired.
         failed = np.flatnonzero(~better)
-        for kept, tried in ((x, trial), (res, trial_res), (sse, trial_sse)):
+        for kept, tried in ((x, trial), (jt, trial_jt), (res, trial_res), (sse, trial_sse)):
             tried[failed] = kept[failed]
-        x, res, sse = trial, trial_res, trial_sse
-        if failed.size:
-            jt[failed] = _jacobians(x[failed], jac)[0]
+        x, jt, res, sse = trial, trial_jt, trial_res, trial_sse
         damping = np.clip(np.where(better, damping / _DAMPING_FACTOR, damping * _DAMPING_FACTOR),
                           *_DAMPING)
         if not live.all():

@@ -236,7 +236,7 @@ def test_dose_space_mse_matches_fitness_of_rows_of_any_norm():
 @pytest.mark.parametrize("n, partitions", [
     (10, (2,)), (10, (5,)), (10, (0,)), (200, (60, 70, 80)), (60, tuple(range(31))),
 ])
-def test_ga_scores_match_fitness_on_edge_grids_and_bases(n, partitions, grid):
+def test_solver_scores_match_fitness_on_edge_grids_and_bases(n, partitions, grid):
     # The solver's residual against the public fitness on Nyquist and
     # aliasing grids, over several QR blocks, for one-term and degenerate
     # bases, doses near 1e58, and a basis whose triangle has G < k^2 + 1 rows.
@@ -470,7 +470,7 @@ BENCHMARK_SEEDS = [int(np.random.default_rng([s, 0]).integers(2**31))
                    for s in [*range(1, 11), 20011]]
 
 
-def test_ga_is_deterministic():
+def test_solver_is_deterministic():
     basis = PartitionBasis(10, (1, 3, 5))
     target = trench_target(128)
     first_alpha, first_trace = fit_superposition(basis, target, ITERATIONS, SEED)
@@ -479,7 +479,7 @@ def test_ga_is_deterministic():
     assert np.array_equal(first_alpha, second_alpha)
 
 
-def test_ga_trace_shape_and_monotonicity():
+def test_solver_trace_shape_and_monotonicity():
     # One entry per iteration run plus the initial one: the run may end
     # before its cap once every start has retired, but not before one step.
     basis = PartitionBasis(10, (1, 3, 5))
@@ -490,7 +490,7 @@ def test_ga_trace_shape_and_monotonicity():
     assert fit_superposition(basis, target, 1, SEED)[1].shape == (2,)
 
 
-def test_ga_seed_changes_search_path():
+def test_solver_seed_changes_search_path():
     basis = PartitionBasis(10, (1, 3, 5))
     target = trench_target(128)
     _, trace_a = fit_superposition(basis, target, 10, seed=1)
@@ -498,7 +498,7 @@ def test_ga_seed_changes_search_path():
     assert not np.array_equal(trace_a, trace_b)
 
 
-def test_ga_recovers_reachable_target():
+def test_solver_recovers_reachable_target():
     # Single-partition basis: every coefficient gives the same dose shape,
     # so the solver must hit (numerically) zero error and recover the
     # injected scale as |alpha|^2.
@@ -520,7 +520,7 @@ def test_fit_of_a_zero_target_keeps_a_unit_direction():
     assert abs(np.linalg.norm(alpha) ** 2 / 1e-300 - 1.0) < 1e-12
 
 
-def test_ga_converges_when_target_in_span():
+def test_solver_converges_when_target_in_span():
     basis = PartitionBasis(6, (0,))
     target = component_profile(6, 0, 64)
     _, trace = fit_superposition(basis, target, 10, seed=3)
@@ -597,7 +597,7 @@ def test_curvature_is_the_derivative_of_the_jacobian():
     assert np.array_equal(curvature, curvature.T)
 
 
-def test_ga_scores_in_dose_space_from_one_small_qr(monkeypatch):
+def test_solver_scores_in_dose_space_from_one_small_qr(monkeypatch):
     # At G = 8192 the dose space is one QR of the support bins' rows: the
     # harmonic differences of the rows lie in [-2N, 2N], so at most 2N + 1
     # rfft bins, two rows each, and the perp row.
@@ -703,9 +703,9 @@ def test_fit_returns_its_target_superposition_at_the_summary_scale():
     assert abs(norm**2 - np.linalg.norm(known) ** 2) <= 1e-12 * norm**2
 
 
-def test_ga_best_genome_agrees_with_public_fitness():
+def test_solver_best_coefficients_agree_with_public_fitness():
     # The residual inside the solver must match the public fitness of the
-    # genome it returns.
+    # coefficients it returns.
     basis = PartitionBasis(10, (1, 3, 5))
     target = trench_target(128)
     best, trace = fit_superposition(basis, target, ITERATIONS, SEED)
