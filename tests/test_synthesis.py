@@ -535,7 +535,32 @@ def test_default_fit_reaches_the_trench_optimum_for_every_benchmark_seed():
         best, trace = fit_superposition(basis, target, seed=seed)
         assert fitness(best, basis, target) <= 0.1711186, seed
         assert trace[-1] <= 0.1711186, seed
-        assert len(trace) <= 23, seed  # every start retired within 22 iterations
+        assert len(trace) <= 19, seed  # every start retired within 16 iterations
+
+
+def test_default_fit_reaches_the_trench_optimum_from_its_starts_for_seeds_0_to_199():
+    # Guards the start count: from one start, 22 of the seeds 0 to 99 stop
+    # above the optimum, the worst at 0.2451.
+    basis = PartitionBasis(10, (1, 2, 3, 4, 5))
+    target = trench_target(512)
+    for seed in range(200):
+        _, trace = fit_superposition(basis, target, seed=seed)
+        assert trace[-1] <= 0.1711186, seed
+
+
+def test_fit_fixes_the_global_phase_of_its_coefficients():
+    # No dose sees a global phase of alpha: the fit returns its largest entry
+    # real and positive, so every benchmark seed that reaches the trench
+    # optimum returns the same coefficients.
+    basis = PartitionBasis(10, (1, 2, 3, 4, 5))
+    target = trench_target(512)
+    units = []
+    for seed in BENCHMARK_SEEDS:
+        alpha, _ = fit_superposition(basis, target, seed=seed)
+        top = alpha[np.argmax(np.abs(alpha))]
+        assert top.real > 0.0 and top.imag == 0.0 and math.copysign(1.0, top.imag) == 1.0, seed
+        units.append(alpha / np.linalg.norm(alpha))
+    assert np.max(np.abs(np.array(units) - units[0])) <= 1e-7
 
 
 def test_fit_that_stops_early_is_the_same_under_a_larger_cap():
@@ -553,12 +578,40 @@ def test_fit_of_a_large_basis_converges_within_the_default_cap():
     # sqrt(2) to sqrt(C(60, 30)), span eight orders of magnitude.  Damped
     # by the mean Gauss-Newton diagonal, the solver stopped at the cap with
     # 0.1381760 (0.137415 after 300 iterations); damped per variable, every
-    # start retires after 41 iterations with 0.1344713.
+    # start retires after 34 iterations with 0.1344713.
     basis = PartitionBasis(60, tuple(range(31)))
     target = trench_target(512)
     _, trace = fit_superposition(basis, target)
     assert trace[-1] <= 0.1345
-    assert len(trace) < 51
+    assert len(trace) - 1 <= 37
+
+
+def test_fit_of_a_large_basis_reaches_its_optimum_before_the_cap_for_seeds_0_to_3():
+    # From 4 starts seed 3 stops at 0.1421215; from 64, seeds 1 and 2 stop
+    # at the cap.
+    basis = PartitionBasis(60, tuple(range(31)))
+    target = trench_target(512)
+    for seed in range(4):
+        _, trace = fit_superposition(basis, target, seed=seed)
+        assert trace[-1] <= 0.1344714, seed
+        assert len(trace) < 51, seed
+
+
+def test_fit_of_a_large_basis_peaks_below_its_maps_and_five_start_arrays():
+    # The solver holds the Jacobian map (4k^2 x L), the rows R_V^T (k^2 x L)
+    # and, per start, 2k x L Jacobians: its own, its trial's and the
+    # temporaries of a step.  At k = 31 the peak stays below the two maps and
+    # five arrays of 16 such Jacobians (35 MB with 64 starts).
+    basis = PartitionBasis(60, tuple(range(31)))
+    target = trench_target(512)
+    k, length = len(basis), _dose_space(basis, target.doses)[0].shape[1]
+    tracemalloc.start()
+    try:
+        fit_superposition(basis, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (5 * k * k * length + 5 * 16 * 2 * k * length)
 
 
 def test_fit_of_a_widely_weighted_basis_retires_before_the_cap_for_every_benchmark_seed():
